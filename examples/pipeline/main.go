@@ -45,7 +45,8 @@ func main() {
 		if err := prog.RunSequential(ref); err != nil {
 			log.Fatal(err)
 		}
-		t, err := doacross.Execute(s, st, doacross.SimOptions{Lo: 1, Hi: n})
+		tr := &doacross.SimTracer{}
+		t, err := doacross.Execute(s, st, doacross.SimOptions{Lo: 1, Hi: n, Tracer: tr})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,24 +59,25 @@ func main() {
 			scale++
 		}
 		for i := 0; i < n; i++ {
-			start, end := t.IterIssue[i], t.IterDone[i]
+			start, end := int(tr.Iters[i].Rows[0]), tr.Iters[i].Done
 			bar := strings.Repeat(" ", start/scale) +
 				strings.Repeat("#", max((end-start)/scale, 1))
 			fmt.Printf("iter %3d |%s\n", i+1, bar)
 		}
 		fmt.Printf("pipeline skew: %d cycles/iteration; 1 column = %d cycles\n\n",
-			skew(t), scale)
+			skew(tr), scale)
 	}
 }
 
 // skew is the steady-state cycles-per-iteration growth of completion times —
 // with the wait mid-body, iterations all *start* immediately and stall at
 // the wait, so the completion times carry the recurrence.
-func skew(t doacross.Timing) int {
-	if len(t.IterDone) < 2 {
+func skew(tr *doacross.SimTracer) int {
+	it := tr.Iters
+	if len(it) < 2 {
 		return 0
 	}
-	return t.IterDone[len(t.IterDone)-1] - t.IterDone[len(t.IterDone)-2]
+	return it[len(it)-1].Done - it[len(it)-2].Done
 }
 
 func max(a, b int) int {

@@ -66,6 +66,12 @@ import (
 	"doacross/internal/tac"
 )
 
+// MaxTrip is the largest trip count a request may ask for. It bounds the
+// simulator's worst case (a schedule without a short steady state is walked
+// iteration by iteration) and keeps the closed-form stall sums, which grow
+// with n², far from integer overflow.
+const MaxTrip = 1 << 24
+
 // Request is one loop to schedule. Exactly one of Source and Loop must be
 // set; Loop wins when both are.
 type Request struct {
@@ -76,6 +82,7 @@ type Request struct {
 	// Loop is an already parsed loop.
 	Loop *lang.Loop
 	// N overrides Options.N for this request (0 = use the batch default).
+	// Requests above MaxTrip are rejected.
 	N int
 	// ID is an optional correlation ID (e.g. the daemon's X-Request-Id). It
 	// is attached to the request's observer span so service logs, span
@@ -609,6 +616,9 @@ func (r Request) validate(idx int) *diag.Diagnostic {
 	}
 	if r.N < 0 {
 		return diag.Errorf("pipeline", pos, "request %s: negative trip count N=%d", r.name(idx), r.N)
+	}
+	if r.N > MaxTrip {
+		return diag.Errorf("pipeline", pos, "request %s: trip count N=%d exceeds the limit %d", r.name(idx), r.N, MaxTrip)
 	}
 	return nil
 }

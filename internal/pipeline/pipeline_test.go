@@ -152,9 +152,10 @@ func TestWorkersDeterminism(t *testing.T) {
 
 func TestCacheHitsOnRepeatedShapes(t *testing.T) {
 	// The same loop under two names: the second must hit all three memo
-	// levels (compile, schedule, timing).
+	// levels (compile, schedule, timing). One worker runs the duplicate after
+	// the original, so the counts do not depend on goroutine timing.
 	cache := NewCache()
-	b := run(t, []string{fig1, fig1}, Options{Cache: cache})
+	b := run(t, []string{fig1, fig1}, Options{Workers: 1, Cache: cache})
 	if err := b.FirstErr(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 	// Different trip counts share schedules but not timings.
 	cache := NewCache()
 	reqs := []Request{{Source: fig1, N: 10}, {Source: fig1, N: 1000}}
-	b, err := Run(reqs, Options{Cache: cache})
+	b, err := Run(reqs, Options{Workers: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +244,13 @@ func TestRequestValidation(t *testing.T) {
 		{Name: "neg", Source: fig1, N: -5},   // negative trip count
 		{Name: "negloop", Loop: loop, N: -1}, // negative trip count, positioned
 		{Name: "ok", Source: fig1},
+		{Name: "huge", Source: fig1, N: MaxTrip + 1}, // above the admission bound
+		{Name: "max", Source: fig1, N: MaxTrip},      // at the bound: admitted
 	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, wantMsg := range []string{"neither Source nor Loop", "negative trip count", "negative trip count"} {
+	for i, wantMsg := range map[int]string{0: "neither Source nor Loop", 1: "negative trip count", 2: "negative trip count", 4: "exceeds the limit"} {
 		lr := b.Loops[i]
 		if lr.Err == nil {
 			t.Fatalf("request %d accepted", i)
@@ -266,8 +269,10 @@ func TestRequestValidation(t *testing.T) {
 	if d, _ := diag.As(b.Loops[2].Err); !d.Pos.IsValid() {
 		t.Error("parsed-loop validation diagnostic lost the source position")
 	}
-	if b.Loops[3].Err != nil {
-		t.Errorf("valid request rejected: %v", b.Loops[3].Err)
+	for _, i := range []int{3, 5} {
+		if b.Loops[i].Err != nil {
+			t.Errorf("valid request %s rejected: %v", b.Loops[i].Name, b.Loops[i].Err)
+		}
 	}
 }
 
@@ -293,7 +298,9 @@ func TestRequestLoopAndNOverride(t *testing.T) {
 }
 
 func TestStatsString(t *testing.T) {
-	b := run(t, []string{fig1, fig1}, Options{Cache: NewCache()})
+	// One worker: the duplicate runs after the original, so it hits every
+	// cached stage and the hit rate is exactly one half.
+	b := run(t, []string{fig1, fig1}, Options{Workers: 1, Cache: NewCache()})
 	s := b.Stats.String()
 	for _, want := range []string{"cache:", "hit rate", "parse", "analyze", "syncinsert", "codegen", "graph", "schedule", "simulate", "latency:"} {
 		if !strings.Contains(s, want) {

@@ -201,20 +201,21 @@ func (s *breakerSet) allow(backend string, now time.Time) (ok bool, retryAfter t
 	}
 }
 
-// record feeds one request outcome back into backend's circuit. Callers
-// must report only backend-health outcomes: degraded (fallback-served)
-// results and server-side failures as ok=false, clean results as ok=true;
-// client errors are not recorded at all.
-func (s *breakerSet) record(backend string, ok bool, now time.Time) {
+// record feeds one request outcome back into backend's circuit and reports
+// whether this outcome opened it. Callers must report only backend-health
+// outcomes: degraded (fallback-served) results and server-side failures as
+// ok=false, clean results as ok=true; client errors are not recorded at all.
+// A nil (disabled) set records nothing.
+func (s *breakerSet) record(backend string, ok bool, now time.Time) (opened bool) {
 	if s == nil {
-		return
+		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, found := s.m[backend]
 	if !found {
 		if ok {
-			return
+			return false
 		}
 		b = &breaker{}
 		s.m[backend] = b
@@ -223,23 +224,27 @@ func (s *breakerSet) record(backend string, ok bool, now time.Time) {
 		b.state = breakerClosed
 		b.consecFails = 0
 		b.probing = false
-		return
+		return false
 	}
 	b.probing = false
-	switch b.state {
-	case breakerHalfOpen:
-		// The probe failed: straight back to open for another cooldown.
+	b.consecFails++
+	// A failed half-open probe goes straight back to open for another
+	// cooldown; a closed circuit opens at the threshold.
+	if b.state == breakerHalfOpen || (b.state == breakerClosed && b.consecFails >= s.threshold) {
 		b.state = breakerOpen
 		b.openedAt = now
 		s.opens.Add(1)
-	default:
-		b.consecFails++
-		if b.state == breakerClosed && b.consecFails >= s.threshold {
-			b.state = breakerOpen
-			b.openedAt = now
-			s.opens.Add(1)
-		}
+		return true
 	}
+	return false
+}
+
+// openCount is the number of open transitions so far (0 when disabled).
+func (s *breakerSet) openCount() int64 {
+	if s == nil {
+		return 0
+	}
+	return s.opens.Load()
 }
 
 // states snapshots every backend's circuit state for /metrics.

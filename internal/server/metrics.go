@@ -86,7 +86,7 @@ func (s *Server) writePrometheus(w io.Writer) {
 	counter("shed_draining_total", "requests shed 503 while draining for shutdown", m.shedDraining.Load())
 	counter("net_faults_total", "injected network faults served as errors", m.netFaults.Load())
 	if s.breakers != nil {
-		counter("breaker_open_total", "circuit-breaker open transitions", s.breakers.opens.Load())
+		counter("breaker_open_total", "circuit-breaker open transitions", s.breakers.openCount())
 		states := s.breakers.states()
 		names := make([]string, 0, len(states))
 		for name := range states {

@@ -379,9 +379,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		if coalesced {
 			return
 		}
-		before := s.breakers.opens.Load()
-		s.breakers.record(backend, ok, time.Now())
-		if s.breakers.opens.Load() > before {
+		if s.breakers.record(backend, ok, time.Now()) {
 			s.log.Error("circuit breaker opened", "request_id", rid, "backend", backend)
 			s.maybeDump("breaker-open")
 		}
@@ -569,7 +567,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	resp := map[string]any{
-		"server":   s.sm.snapshot(s.breakerOpens()),
+		"server":   s.sm.snapshot(s.breakers.openCount()),
 		"pipeline": s.metrics.Stats(),
 	}
 	if s.disk != nil {
@@ -581,13 +579,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	if err := enc.Encode(resp); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-func (s *Server) breakerOpens() int64 {
-	if s.breakers == nil {
-		return 0
-	}
-	return s.breakers.opens.Load()
 }
 
 // Start listens on addr (":0" picks a free port) and serves the daemon in

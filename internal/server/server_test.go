@@ -134,6 +134,7 @@ func TestBadRequests(t *testing.T) {
 		{"bad json", "{not json"},
 		{"missing source", `{"name":"x"}`},
 		{"negative n", fmt.Sprintf(`{"source":%q,"n":-1}`, fig1)},
+		{"n above the admission bound", fmt.Sprintf(`{"source":%q,"n":%d}`, fig1, pipeline.MaxTrip+1)},
 		{"unknown backend", fmt.Sprintf(`{"source":%q,"backend":"bogus"}`, fig1)},
 	}
 	for _, tc := range cases {
@@ -325,6 +326,33 @@ func TestBreaker(t *testing.T) {
 	h.ServeHTTP(rec, r)
 	if !strings.Contains(rec.Body.String(), "scheduld_breaker_open_total 1") {
 		t.Error("/metrics does not count the circuit opening")
+	}
+}
+
+// TestBreakerDisabled: a negative threshold disables the circuit breaker;
+// requests are served, failures are absorbed without opening anything, and
+// the breaker counters read zero.
+func TestBreakerDisabled(t *testing.T) {
+	hook := func(stage, name string) error {
+		if stage == "schedule" && name == "bad" {
+			return fmt.Errorf("injected backend failure")
+		}
+		return nil
+	}
+	s := newTestServer(t, Config{BreakerThreshold: -1, FaultHook: hook})
+	h := s.Handler()
+	// Degraded answers are never cached, so every "bad" request reaches the
+	// failing backend.
+	for i := 0; i < 3; i++ {
+		w, body := post(t, h, ScheduleRequest{Name: "bad", Source: fig1}, nil)
+		if resp := decodeOK(t, w, body); !resp.Machines[0].Degraded {
+			t.Fatalf("request %d not degraded; the hook did not fire", i)
+		}
+	}
+	w, body := post(t, h, ScheduleRequest{Name: "good", Source: fig1}, nil)
+	decodeOK(t, w, body)
+	if got := s.sm.snapshot(s.breakers.openCount()).BreakerOpens; got != 0 {
+		t.Errorf("disabled breaker reports %d opens", got)
 	}
 }
 

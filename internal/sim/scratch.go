@@ -49,7 +49,19 @@ type timeScratch struct {
 	maxDist int
 	nwaits  int
 	nsends  int
+	// selfWait marks a wait at distance < 1, which reads the current ring
+	// row; such schedules are always walked in full.
+	selfWait bool
+	// Steady-state detector state (see observe): the checkpoint window and
+	// the per-iteration stall and completion since the checkpoint.
+	chk      []int
+	perStall []int
+	perDone  []int
 }
+
+// maxPeriod bounds the steady-state period the detector looks for; a machine
+// without a period this short is walked to the end.
+const maxPeriod = 4096
 
 const segEmpty = -1 << 30
 
@@ -91,6 +103,7 @@ func (sc *timeScratch) build(s *core.Schedule) error {
 	sc.sigName = sc.sigName[:0]
 	sc.evRow = sc.evRow[:0]
 	sc.maxDist = 1
+	sc.selfWait = false
 	rowLat := growIntBuf(&sc.rowLat, L)
 	nw, ns := 0, 0
 	for r, row := range s.Rows {
@@ -106,6 +119,9 @@ func (sc *timeScratch) build(s *core.Schedule) error {
 				sc.intern(in.Signal)
 				if in.SigDist > sc.maxDist {
 					sc.maxDist = in.SigDist
+				}
+				if in.SigDist < 1 {
+					sc.selfWait = true
 				}
 				nw++
 				sync = true
@@ -236,14 +252,22 @@ func (sc *timeScratch) checkWindow(window int) error {
 	return nil
 }
 
+// steady describes where an untraced run left the walk for the closed form:
+// iterations 0..K-1 were walked, and from then on every iteration repeats
+// the one P earlier shifted by Delta cycles. P == 0 means every iteration
+// was walked.
+type steady struct{ K, P, Delta int }
+
 // run is the recurrence model over scratch state; it produces timings
-// bit-identical to the pre-scratch row-by-row implementation.
-func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, error) {
+// bit-identical to the pre-scratch row-by-row implementation. Untraced runs
+// stop walking once the machine reaches a steady state (see observe) and
+// finish in closed form; traced runs walk every iteration.
+func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, steady, error) {
 	if err := sc.build(s); err != nil {
-		return Timing{}, err
+		return Timing{}, steady{}, err
 	}
 	if err := sc.checkWindow(opt.Window); err != nil {
-		return Timing{}, err
+		return Timing{}, steady{}, err
 	}
 	L := s.Length()
 	n := opt.N()
@@ -251,13 +275,14 @@ func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, error) {
 	if tr != nil {
 		tr.reset(s, opt)
 	}
-	t := Timing{IterIssue: make([]int, n), IterDone: make([]int, n)}
+	var t Timing
 	if n == 0 || L == 0 {
 		if tr != nil {
 			tr.Timing = t
 		}
-		return t, nil
+		return t, steady{}, nil
 	}
+	t.SignalsSent = n * sc.nsends
 	procs := opt.procs()
 	// Only the issue times of the last few iterations matter: back to the
 	// maximum wait distance, the processor-reuse distance, and the signal
@@ -275,6 +300,7 @@ func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, error) {
 	ringSize := (depth + 1) * stride
 	ring := growIntBuf(&sc.ring, ringSize)
 	base := 0
+	det := detector{off: tr != nil || sc.selfWait}
 	for idx := 0; idx < n; idx++ {
 		start := 0
 		if idx >= procs {
@@ -291,6 +317,7 @@ func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, error) {
 			it.Proc = idx % procs
 			it.Start = start
 		}
+		stall := 0
 		for e := 0; e < E; e++ {
 			row := int(sc.evRow[e])
 			// Chain-propagated earliest issue: a straight run since the
@@ -340,13 +367,13 @@ func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, error) {
 					}
 				}
 			}
-			t.StallCycles += earliest - unconstrained
+			stall += earliest - unconstrained
 			if tr != nil && earliest > unconstrained {
 				sc.attributeStalls(&tr.Iters[idx], idx, e, row, unconstrained, earliest, opt, ring, base, stride, ringSize)
 			}
 			ring[base+e] = earliest
 		}
-		t.SignalsSent += sc.nsends
+		t.StallCycles += stall
 		// Issue time of the last schedule row (straight run past the last
 		// event), kept for processor reuse.
 		last := start + L - 1
@@ -354,16 +381,10 @@ func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, error) {
 			last = ring[base+E-1] + (L - 1 - int(sc.evRow[E-1]))
 		}
 		ring[base+E] = last
-		// First-row issue time and completion horizon.
-		issue0 := start
-		if E > 0 && sc.evRow[0] == 0 {
-			issue0 = ring[base]
-		}
-		t.IterIssue[idx] = issue0
+		// Completion horizon. dyn leaves out the head run's completion while
+		// it is the constant headMax (start is 0 before processor reuse), so
+		// that dyn shifts with the ring in steady state.
 		done := 0
-		if sc.headMax != segEmpty {
-			done = start + sc.headMax
-		}
 		for e := 0; e < E; e++ {
 			row := int(sc.evRow[e])
 			te := ring[base+e]
@@ -376,7 +397,15 @@ func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, error) {
 				}
 			}
 		}
-		t.IterDone[idx] = done
+		dyn := done
+		if sc.headMax != segEmpty {
+			if fin := start + sc.headMax; fin > done {
+				done = fin
+				if idx >= procs {
+					dyn = fin
+				}
+			}
+		}
 		if done > t.Total {
 			t.Total = done
 		}
@@ -398,6 +427,15 @@ func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, error) {
 				it.Rows[r] = int32(t0 + r - lastRow)
 			}
 		}
+		if !det.off && idx >= depth {
+			// Event 0's issue was set by its constant start+row term (ties
+			// count as set by it).
+			constSet := E > 0 && ring[base] == start+int(sc.evRow[0])
+			if p, delta, ok := sc.observe(&det, stall, dyn, constSet, procs < n, ring, base, stride, depth); ok {
+				t.StallCycles, t.Total = sc.extrapolate(t.StallCycles, t.Total, n, idx, p, delta, procs >= n && E > 0)
+				return t, steady{K: idx + 1, P: p, Delta: delta}, nil
+			}
+		}
 		base += stride
 		if base == ringSize {
 			base = 0
@@ -406,7 +444,123 @@ func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, error) {
 	if tr != nil {
 		tr.Timing = t
 	}
-	return t, nil
+	return t, steady{}, nil
+}
+
+// detector is the Brent cycle-detection state of one run: the current
+// power-of-two search window, the iterations walked since the checkpoint,
+// whether any of them had event 0 set by its constant term, and whether the
+// run is not searching (traced, a wait at distance < 1, or gave up).
+type detector struct {
+	power, lam    int
+	sawConst, off bool
+}
+
+// observe feeds one walked iteration (its index at least depth, so every
+// guard of the recurrence is in steady mode) to the cycle detector: its
+// stall, its shift-invariant completion dyn, and whether event 0 was set by
+// its constant term. It reports a steady state: period p and shift delta
+// such that every later iteration is the one p earlier plus delta cycles.
+//
+// The ring's last depth rows are the machine's whole state: the next
+// iteration reads nothing older. Brent's method checkpoints that window, then compares
+// each later window with it; a match means every slot equals the checkpoint
+// plus one uniform delta. The recurrence is a max-plus system over the ring —
+// each issue time is a max of ring slots plus constants — so a shifted state
+// yields the same future shifted, provided no constant term takes part. The
+// match at m = c + p is therefore exact when delta >= 0 and one of:
+//
+//   - procs < n: start is the processor's previous last-row issue plus one,
+//     so every term of the recurrence reads the ring (homogeneous);
+//   - delta == 0: the state repeats exactly, constants included;
+//   - procs >= n: every iteration starts at cycle 0, so event 0's
+//     unconstrained issue start+row is a constant. If in every iteration of
+//     (c, m] a wait or window term reached at least that constant, then after
+//     a shift by delta >= 0 it still does, event 0 stays homogeneous, and by
+//     induction so does every later period. Its stall grows by delta per
+//     period (extrapolate's growing term); the head run's completion stays the
+//     constant headMax, already in the walked prefix's Total.
+//
+// Comparisons stop at the first mismatching slot, so the detector costs O(1)
+// amortised per iteration; it gives up once the window passes maxPeriod.
+func (sc *timeScratch) observe(det *detector, stall, dyn int, constSet, homogeneous bool, ring []int, base, stride, depth int) (p, delta int, ok bool) {
+	if det.power == 0 {
+		sc.checkpoint(det, 1, ring, base, stride, depth)
+		return 0, 0, false
+	}
+	det.lam++
+	sc.perStall[det.lam-1] = stall
+	sc.perDone[det.lam-1] = dyn
+	det.sawConst = det.sawConst || constSet
+	if delta, ok := sc.matches(ring, base, stride, depth); ok && delta >= 0 &&
+		(homogeneous || delta == 0 || !det.sawConst) {
+		return det.lam, delta, true
+	}
+	if det.lam == det.power {
+		if det.power >= maxPeriod {
+			det.off = true
+		} else {
+			sc.checkpoint(det, 2*det.power, ring, base, stride, depth)
+		}
+	}
+	return 0, 0, false
+}
+
+// checkpoint saves the ring's last depth rows (newest first) as the state
+// later windows are compared with, and opens a search window of power
+// iterations.
+func (sc *timeScratch) checkpoint(det *detector, power int, ring []int, base, stride, depth int) {
+	*det = detector{power: power}
+	sc.perStall = growIntBuf(&sc.perStall, power)
+	sc.perDone = growIntBuf(&sc.perDone, power)
+	chk := growIntBuf(&sc.chk, depth*stride)
+	for r := 0; r < depth; r++ {
+		copy(chk[r*stride:(r+1)*stride], ring[base:base+stride])
+		if base -= stride; base < 0 {
+			base += len(ring)
+		}
+	}
+}
+
+// matches reports whether the ring's last depth rows equal the checkpoint
+// plus one uniform shift, and that shift.
+func (sc *timeScratch) matches(ring []int, base, stride, depth int) (delta int, ok bool) {
+	delta = ring[base] - sc.chk[0]
+	for r := 0; r < depth; r++ {
+		want := sc.chk[r*stride : (r+1)*stride]
+		for s, v := range ring[base : base+stride] {
+			if v-want[s] != delta {
+				return 0, false
+			}
+		}
+		if base -= stride; base < 0 {
+			base += len(ring)
+		}
+	}
+	return delta, true
+}
+
+// extrapolate closes the run after a steady state was found at iteration m
+// with period p and shift delta: each iteration i of the last period (walked,
+// with stall perStall and shift-invariant completion perDone) recurs
+// Q = (n-1-i)/p more times, each delta cycles later than the one before. When
+// event 0's unconstrained issue is a constant (growing), its stall also grows
+// by delta per recurrence, adding delta·Q(Q+1)/2.
+func (sc *timeScratch) extrapolate(stalls, total, n, m, p, delta int, growing bool) (int, int) {
+	for j := 0; j < p; j++ {
+		q := (n - 1 - (m - p + 1 + j)) / p
+		if q == 0 {
+			continue
+		}
+		stalls += q * sc.perStall[j]
+		if growing {
+			stalls += delta * q * (q + 1) / 2
+		}
+		if d := sc.perDone[j] + q*delta; d > total {
+			total = d
+		}
+	}
+	return stalls, total
 }
 
 // attributeStalls is the recurrence engine's twin of rowMeta.attributeStalls:

@@ -9,6 +9,12 @@
 //     Each processor issues schedule rows in order, one row per cycle; a row
 //     containing Wait_Signal(S, i−d) cannot issue before iteration i−d's
 //     Send_Signal(S) has issued and become visible (one cycle later).
+//     The recurrence is shift-invariant, so once the machine reaches a
+//     steady state — every iteration the one p earlier plus Δ cycles, the
+//     exact form of the paper's T = (n/d)(i−j) + l — Time stops walking and
+//     finishes in closed form: its cost is O(transient + period), not O(n).
+//     Traced runs (Options.Tracer set) still walk every iteration, which
+//     makes them the built-in full-walk reference.
 //   - Run: a detailed cycle-stepped simulator that additionally *executes*
 //     the instructions against a shared memory store, setting and testing
 //     real signals. Its final memory is compared against sequential
@@ -89,9 +95,6 @@ type Timing struct {
 	// paper-level synchronization traffic (every send issues once per
 	// iteration regardless of whether a consumer iteration exists).
 	SignalsSent int
-	// IterIssue[i] is the issue time of the first row of iteration Lo+i;
-	// IterDone[i] the completion time of its last instruction.
-	IterIssue, IterDone []int
 }
 
 // consumer is one wait instruction's placement: the row it issues in and its
@@ -175,11 +178,12 @@ func (m *rowMeta) checkWindow(window int) error {
 
 // Time computes the parallel execution time with the recurrence model. Its
 // working state (the schedule's synchronization structure in interned CSR
-// form plus the iteration ring) is pooled, so steady-state calls allocate
-// only the returned per-iteration timing slices.
+// form plus the iteration ring) is pooled, so warm calls allocate nothing.
+// Without a Tracer it walks iterations only until the machine repeats itself
+// and finishes in closed form; with one it walks every iteration.
 func Time(s *core.Schedule, opt Options) (Timing, error) {
 	sc := timePool.Get().(*timeScratch)
-	t, err := sc.run(s, opt)
+	t, _, err := sc.run(s, opt)
 	timePool.Put(sc)
 	return t, err
 }
@@ -209,7 +213,7 @@ func Run(s *core.Schedule, st *lang.Store, opt Options) (Timing, error) {
 	if tr != nil {
 		tr.reset(s, opt)
 	}
-	t := Timing{IterIssue: make([]int, n), IterDone: make([]int, n)}
+	var t Timing
 	if n == 0 || m.length == 0 {
 		if tr != nil {
 			tr.Timing = t
@@ -356,9 +360,6 @@ func Run(s *core.Schedule, st *lang.Store, opt Options) (Timing, error) {
 					return Timing{}, fmt.Errorf("sim: iteration %d instr %d: %w", opt.Lo+p.idx, in.ID, err)
 				}
 			}
-			if p.row == 0 {
-				t.IterIssue[p.idx] = cycle
-			}
 			if rowTime != nil {
 				rowTime[p.idx][p.row] = cycle
 			}
@@ -370,7 +371,6 @@ func Run(s *core.Schedule, st *lang.Store, opt Options) (Timing, error) {
 			p.row++
 			if p.row == m.length {
 				done := p.maxDone
-				t.IterDone[p.idx] = done
 				if tr != nil {
 					tr.Iters[p.idx].Done = done
 				}
