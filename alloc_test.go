@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"doacross"
+	"doacross/internal/check"
 	"doacross/internal/hotbench"
 	"doacross/internal/pipeline"
 )
@@ -116,5 +117,50 @@ func TestPipelineCachedHitAllocs(t *testing.T) {
 	const limit = 40
 	if got > limit {
 		t.Errorf("cached-hit pipeline request: %v allocs/op, want <= %d", got, limit)
+	}
+}
+
+// TestVerifierAllocs pins a prepared Verifier on a clean Fig. 1 schedule:
+// the edges were derived once by NewVerifier, so a call allocates only its
+// working set (the row-position table, the unit-occupancy table, the
+// wait-for graph and the LBD recount). Deriving the edges again on every
+// call, or going back to maps, exceeds the pin.
+func TestVerifierAllocs(t *testing.T) {
+	prog := doacross.MustCompile(hotbench.Fig1)
+	s, err := prog.ScheduleSync(doacross.Machine4Issue(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := check.NewVerifier(prog.Code)
+	var failed error
+	got := testing.AllocsPerRun(100, func() {
+		if err := check.Err(v.Verify(s)); err != nil {
+			failed = err
+		}
+	})
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	const limit = 15
+	if got > limit {
+		t.Errorf("prepared Verifier.Verify: %v allocs/op, want <= %d", got, limit)
+	}
+}
+
+// TestMaxLiveAllocs pins MaxLive at one allocation per call: the def,
+// last-use and sweep tables share one slice.
+func TestMaxLiveAllocs(t *testing.T) {
+	prog := doacross.MustCompile(hotbench.Fig1)
+	s, err := prog.ScheduleSync(doacross.Machine4Issue(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := 0
+	got := testing.AllocsPerRun(100, func() { live = s.MaxLive() })
+	if live < 1 {
+		t.Fatalf("MaxLive = %d", live)
+	}
+	if got > 1 {
+		t.Errorf("MaxLive: %v allocs/op, want <= 1", got)
 	}
 }

@@ -47,3 +47,12 @@ func BenchmarkHotSim(b *testing.B) {
 	b.Run("untraced", hotbench.SimUntraced)
 	b.Run("traced", hotbench.SimTraced)
 }
+
+// BenchmarkHotVerify measures the independent verifier on the Fig. 1 sync
+// schedule in its one-shot form (check.Verify, deriving the edges on every
+// call) against a check.Verifier prepared once for the program (the form
+// the batch pipeline uses for every machine and schedule of a request).
+func BenchmarkHotVerify(b *testing.B) {
+	b.Run("oneshot", hotbench.VerifyOneShot)
+	b.Run("prepared", hotbench.VerifyPrepared)
+}

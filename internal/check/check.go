@@ -13,6 +13,11 @@
 // classification the cost model is built on. A scheduler bug that slips a
 // constraint therefore cannot also hide the evidence: the verifier would
 // have to share the bug, and it shares no scheduling code.
+//
+// The edges depend only on the compiled program, so they are derived once
+// per program: a Verifier holds one program's edges and checks any number
+// of its schedules (every machine, every scheduler) against them. Verify is
+// the one-shot form, deriving the edges for a single schedule.
 package check
 
 import (
@@ -74,52 +79,62 @@ type Edge struct {
 // dfg.Graph.Arcs; the result is the independent ground truth schedules are
 // verified against (and internal/dfg is audited against, in the verify
 // pass).
+//
+// Edges are listed without duplicates in derivation order: register edges
+// by consumer, then memory edges, then synchronization-condition edges. The
+// derivation runs over dense tables: temps are numbered 1..NumTemps, so a
+// temp outside that range is an error, and duplicates can only arise among
+// one instruction's operands or among the few memory and synchronization
+// edges, which are deduplicated by a linear scan.
 func Edges(p *tac.Program) ([]Edge, error) {
 	if p == nil || p.Sync == nil || p.Sync.Analysis == nil {
 		return nil, fmt.Errorf("check: program carries no dependence analysis")
 	}
-	var out []Edge
-	seen := map[[3]int]bool{}
-	add := func(from, to int, kind EdgeKind) {
-		if from == to {
-			// A self-edge cannot constrain a schedule (the builders skip
-			// them the same way: a reference pair mapping to one
-			// instruction orders itself).
-			return
-		}
-		key := [3]int{from, to, int(kind)}
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		out = append(out, Edge{From: from, To: to, Kind: kind})
+	if p.NumTemps < 0 {
+		return nil, fmt.Errorf("check: negative temp count %d", p.NumTemps)
 	}
 
 	// Register def-use edges. Temps are single-assignment in this IR.
-	defOf := map[int]int{}
-	for i, in := range p.Instrs {
-		if in.Dst != 0 {
-			if prev, dup := defOf[in.Dst]; dup {
-				return nil, fmt.Errorf("check: temp t%d defined twice (instrs %d and %d)", in.Dst, prev+1, i+1)
-			}
-			defOf[in.Dst] = i
-		}
+	defOf := make([]int, p.NumTemps+1) // temp -> defining instruction, -1: none
+	for t := range defOf {
+		defOf[t] = -1
 	}
+	var buf [3]int
+	uses := 0
 	for i, in := range p.Instrs {
-		for _, t := range in.Uses() {
-			d, ok := defOf[t]
-			if !ok {
+		uses += len(in.AppendUses(buf[:0]))
+		if in.Dst == 0 {
+			continue
+		}
+		if in.Dst < 0 || in.Dst > p.NumTemps {
+			return nil, fmt.Errorf("check: instr %d defines temp t%d outside t1..t%d", i+1, in.Dst, p.NumTemps)
+		}
+		if prev := defOf[in.Dst]; prev >= 0 {
+			return nil, fmt.Errorf("check: temp t%d defined twice (instrs %d and %d)", in.Dst, prev+1, i+1)
+		}
+		defOf[in.Dst] = i
+	}
+	a := p.Sync.Analysis
+	out := make([]Edge, 0, uses+len(a.Deps)+2*len(p.Sync.Synced))
+	for i, in := range p.Instrs {
+		first := len(out)
+		for _, t := range in.AppendUses(buf[:0]) {
+			if t < 0 || t > p.NumTemps {
+				return nil, fmt.Errorf("check: instr %d uses temp t%d outside t1..t%d", i+1, t, p.NumTemps)
+			}
+			d := defOf[t]
+			if d < 0 {
 				return nil, fmt.Errorf("check: instr %d uses undefined temp t%d", i+1, t)
 			}
 			if d >= i {
 				return nil, fmt.Errorf("check: instr %d uses temp t%d defined later (instr %d)", i+1, t, d+1)
 			}
-			add(d, i, EdgeData)
+			out = appendEdge(out, first, Edge{From: d, To: i, Kind: EdgeData})
 		}
 	}
 
 	// Distance-0 memory dependence edges from the analysis.
-	a := p.Sync.Analysis
+	mem := len(out)
 	for _, d := range a.Deps {
 		if d.Distance != 0 {
 			continue
@@ -129,7 +144,7 @@ func Edges(p *tac.Program) ([]Edge, error) {
 		if !ok1 || !ok2 {
 			return nil, fmt.Errorf("check: dependence %v has unmapped reference", d)
 		}
-		add(src.ID-1, snk.ID-1, EdgeMem)
+		out = appendEdge(out, mem, Edge{From: src.ID - 1, To: snk.ID - 1, Kind: EdgeMem})
 	}
 
 	// Synchronization-condition edges for every synchronized dependence.
@@ -146,7 +161,7 @@ func Edges(p *tac.Program) ([]Edge, error) {
 		if !ok {
 			return nil, fmt.Errorf("check: dependence %v source unmapped", d)
 		}
-		add(srcIn.ID-1, send.ID-1, EdgeSrcToSend)
+		out = appendEdge(out, mem, Edge{From: srcIn.ID - 1, To: send.ID - 1, Kind: EdgeSrcToSend})
 		wi, ok := waitIndex(p, d.Snk.Stmt, label, d.Distance)
 		if !ok {
 			return nil, fmt.Errorf("check: missing wait for %v", d)
@@ -155,9 +170,25 @@ func Edges(p *tac.Program) ([]Edge, error) {
 		if !ok {
 			return nil, fmt.Errorf("check: dependence %v sink unmapped", d)
 		}
-		add(wi, snkIn.ID-1, EdgeWaitToSnk)
+		out = appendEdge(out, mem, Edge{From: wi, To: snkIn.ID - 1, Kind: EdgeWaitToSnk})
 	}
 	return out, nil
+}
+
+// appendEdge appends e to out unless it is a self-edge or already among
+// out[from:]. A self-edge cannot constrain a schedule (the builders skip
+// them the same way: a reference pair mapping to one instruction orders
+// itself).
+func appendEdge(out []Edge, from int, e Edge) []Edge {
+	if e.From == e.To {
+		return out
+	}
+	for _, x := range out[from:] {
+		if x == e {
+			return out
+		}
+	}
+	return append(out, e)
 }
 
 // refInstr maps a dependence reference to the instruction that performs it.
@@ -193,6 +224,26 @@ func Err(l diag.List) error {
 	return nil
 }
 
+// Verifier verifies schedules of one compiled program. It derives the
+// program's dependence edges once, at construction, so every schedule of
+// the program (each machine, each scheduler) is checked without deriving
+// them again. A Verifier is only read after construction and is safe for
+// concurrent use.
+type Verifier struct {
+	prog  *tac.Program
+	edges []Edge
+	err   error // the derivation error, reported by every Verify
+}
+
+// NewVerifier derives the edges of p for verifying its schedules. A
+// program the edges cannot be derived from still yields a Verifier: its
+// Verify reports the derivation error exactly as the one-shot Verify does.
+func NewVerifier(p *tac.Program) *Verifier {
+	v := &Verifier{prog: p}
+	v.edges, v.err = Edges(p)
+	return v
+}
+
 // Verify statically verifies a schedule against independently derived
 // dependence edges. It returns positioned diagnostics (stage "check"); an
 // empty Errors() set means the schedule is proven to respect every derived
@@ -201,7 +252,25 @@ func Err(l diag.List) error {
 // be free of cross-iteration deadlock, and to agree with the schedule's
 // own LBD/LFD accounting. Verify never panics, whatever the schedule's
 // shape — it is safe on adversarially mutated inputs.
+//
+// Verify is the one-shot form of NewVerifier(s.Prog).Verify(s): it derives
+// the edges for this call alone.
 func Verify(s *core.Schedule) diag.List {
+	var p *tac.Program
+	if s != nil {
+		p = s.Prog
+	}
+	return NewVerifier(p).Verify(s)
+}
+
+// Verify checks s exactly as the package-level Verify does, against the
+// edges derived at construction. A schedule of another program is never
+// checked against this program's edges: it falls back to a full one-shot
+// verification.
+func (vr *Verifier) Verify(s *core.Schedule) diag.List {
+	if s != nil && s.Prog != vr.prog {
+		return Verify(s)
+	}
 	var out diag.List
 	fail := func(pos diag.Pos, stmt string, format string, args ...any) {
 		d := diag.Errorf(Stage, pos, format, args...)
@@ -235,8 +304,10 @@ func Verify(s *core.Schedule) diag.List {
 		fail(diag.Pos{}, "", "schedule covers %d of %d instructions", len(s.Cycle), n)
 		return out
 	}
-	rowPos := make([]int, n) // issue order within the row
-	seen := make([]bool, n)
+	rowPos := make([]int, n) // issue order within the row, -1: not yet seen
+	for v := range rowPos {
+		rowPos[v] = -1
+	}
 	shapeOK := true
 	for c, row := range s.Rows {
 		if len(row) > s.Cfg.Issue {
@@ -249,13 +320,12 @@ func Verify(s *core.Schedule) diag.List {
 				shapeOK = false
 				continue
 			}
-			if seen[v] {
+			if rowPos[v] >= 0 {
 				p, st := pos(v)
 				fail(p, st, "instruction %d scheduled twice", s.Prog.Instrs[v].ID)
 				shapeOK = false
 				continue
 			}
-			seen[v] = true
 			rowPos[v] = k
 			if s.Cycle[v] != c {
 				p, st := pos(v)
@@ -265,7 +335,7 @@ func Verify(s *core.Schedule) diag.List {
 		}
 	}
 	for v := 0; v < n; v++ {
-		if !seen[v] {
+		if rowPos[v] < 0 {
 			p, st := pos(v)
 			fail(p, st, "instruction %d (%v) never scheduled", s.Prog.Instrs[v].ID, s.Prog.Instrs[v])
 			shapeOK = false
@@ -280,12 +350,11 @@ func Verify(s *core.Schedule) diag.List {
 	// Derived dependence edges with latencies. Synchronization-condition
 	// violations get their own message so condition 1 and 2 findings are
 	// recognizable.
-	edges, err := Edges(s.Prog)
-	if err != nil {
-		fail(diag.Pos{}, "", "%v", err)
+	if vr.err != nil {
+		fail(diag.Pos{}, "", "%v", vr.err)
 		return out
 	}
-	for _, e := range edges {
+	for _, e := range vr.edges {
 		if s.Cycle[e.To] >= s.Cycle[e.From]+lat(e.From) {
 			continue
 		}
@@ -312,17 +381,14 @@ func Verify(s *core.Schedule) diag.List {
 			horizon = end
 		}
 	}
-	occupancy := map[dlx.Class][]int{}
+	// occupancy[cls*horizon+c] counts the busy units of class cls in cycle c.
+	occupancy := make([]int, int(dlx.NumClasses)*horizon)
 	for v := 0; v < n; v++ {
 		cls := s.Prog.Instrs[v].Class()
 		if !dlx.NeedsUnit(cls) {
 			continue
 		}
-		occ := occupancy[cls]
-		if occ == nil {
-			occ = make([]int, horizon)
-			occupancy[cls] = occ
-		}
+		occ := occupancy[int(cls)*horizon : int(cls+1)*horizon]
 		for c := s.Cycle[v]; c < s.Cycle[v]+lat(v); c++ {
 			occ[c]++
 			if occ[c] == s.Cfg.Units[cls]+1 {
@@ -365,7 +431,7 @@ func verifyDeadlockFree(s *core.Schedule, rowPos []int) diag.List {
 	if len(syncs) == 0 {
 		return nil
 	}
-	idx := map[int]int{}
+	idx := make([]int, len(s.Prog.Instrs)) // instruction -> position in syncs
 	for i, v := range syncs {
 		idx[v] = i
 	}
@@ -391,7 +457,11 @@ func verifyDeadlockFree(s *core.Schedule, rowPos []int) diag.List {
 				out = append(out, d)
 				continue
 			}
-			arcs = append(arcs, arc{from: i, to: idx[send.ID-1], w: in.SigDist})
+			to := 0
+			if j := send.ID - 1; j >= 0 && j < len(idx) {
+				to = idx[j]
+			}
+			arcs = append(arcs, arc{from: i, to: to, w: in.SigDist})
 			// Same-iteration stall arcs into this wait.
 			for j, x := range syncs {
 				if x == v {

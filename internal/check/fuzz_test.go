@@ -5,6 +5,8 @@ import (
 
 	"doacross"
 	"doacross/internal/check"
+	"doacross/internal/core"
+	"doacross/internal/diag"
 )
 
 // fuzzCorpus are the loops FuzzVerify mutates schedules of. Fuzzing varies
@@ -17,10 +19,11 @@ var fuzzCorpus = []string{
 	"DO I = 1, N\n  S1: A[I] = B[I-3] / C[I]\n  S2: B[I] = A[I-2] * A[I-1]\nENDDO",
 }
 
-// FuzzVerify checks two properties of the verifier under arbitrary
-// schedule mutations: it never panics, and any mutation that breaks a
-// derived dependence edge is flagged (mutation kill). The unmutated
-// schedule must always be accepted.
+// FuzzVerify checks three properties of the verifier under arbitrary
+// schedule mutations: it never panics, any mutation that breaks a derived
+// dependence edge is flagged (mutation kill), and a Verifier prepared once
+// for the program reports exactly the one-shot Verify's diagnostics. The
+// unmutated schedule must always be accepted.
 func FuzzVerify(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint16(1), uint16(2), uint16(7))
 	f.Add(uint8(1), uint8(1), uint16(9), uint16(0), uint16(3))
@@ -38,7 +41,15 @@ func FuzzVerify(f *testing.F) {
 		if err != nil {
 			t.Fatalf("schedule: %v", err)
 		}
-		if l := check.Verify(s); check.Err(l) != nil {
+		v := check.NewVerifier(p.Code)
+		verify := func(s *core.Schedule) diag.List {
+			got, want := v.Verify(s), check.Verify(s)
+			if !sameDiags(got, want) {
+				t.Fatalf("Verifier disagrees with Verify\n got %s\nwant %s", got, want)
+			}
+			return want
+		}
+		if l := verify(s); check.Err(l) != nil {
 			t.Fatalf("organic schedule rejected:\n%s", l)
 		}
 
@@ -57,14 +68,14 @@ func FuzzVerify(f *testing.F) {
 			mut.Cycle[next()%n] = next()
 		}
 		rebuildRows(mut)
-		_ = check.Verify(mut)
+		verify(mut)
 
 		// Deletion mutation: always flagged.
 		if n > 1 {
 			mut = cloneSchedule(s)
 			mut.Cycle = mut.Cycle[:n-1-int(a)%(n-1)]
 			rebuildRows(mut)
-			if check.Err(check.Verify(mut)) == nil {
+			if check.Err(verify(mut)) == nil {
 				t.Fatal("truncated schedule accepted")
 			}
 		}
@@ -80,7 +91,7 @@ func FuzzVerify(f *testing.F) {
 			mut = cloneSchedule(s)
 			mut.Cycle[e.To] = mut.Cycle[e.From]
 			rebuildRows(mut)
-			if check.Err(check.Verify(mut)) == nil {
+			if check.Err(verify(mut)) == nil {
 				t.Fatalf("broken %v edge %d->%d accepted", e.Kind, e.From, e.To)
 			}
 		}

@@ -20,7 +20,8 @@ import (
 // tier before it may re-enter service: each non-nil schedule passes the
 // full independent verification (Verify: shape, dependence order, both
 // synchronization conditions, resource feasibility, deadlock freedom,
-// LBD/LFD agreement), and the set's recorded simulated time for the served
+// LBD/LFD agreement) against edges derived once from the sync schedule's
+// program, and the set's recorded simulated time for the served
 // (sync) schedule passes the timing audit (VerifyTiming) at the recorded
 // trip count. An empty Errors() set means the restored entry is as
 // trustworthy as a freshly computed one; any error means the bytes must be
@@ -35,11 +36,12 @@ func VerifyLoaded(list, sync, best *core.Schedule, syncTime, n int) diag.List {
 			"loaded entry has no synchronization-aware schedule"))
 		return out
 	}
+	v := NewVerifier(sync.Prog)
 	for _, s := range []*core.Schedule{list, sync, best} {
 		if s == nil {
 			continue
 		}
-		out = append(out, Verify(s)...)
+		out = append(out, v.Verify(s)...)
 	}
 	if Err(out) == nil {
 		out = append(out, VerifyTiming(sync, syncTime, n)...)

@@ -262,25 +262,45 @@ func (s *Schedule) Validate() error {
 // the tension with scheduling freedom that the paper's reference [7]
 // (Goodman & Hsu) studies. Both schedulers can trade pressure for span;
 // the report tables expose the trade.
+//
+// The sweep runs over dense tables indexed by temp number, sized by the
+// highest (and lowest) temp the program mentions rather than by NumTemps,
+// so a hand-built program cannot index out of range.
 func (s *Schedule) MaxLive() int {
-	lastUse := map[int]int{} // temp -> last issue cycle of a consumer
-	defAt := map[int]int{}
+	var buf [4]int // up to three uses and the def
+	lo, hi := 0, 0
+	for _, in := range s.Prog.Instrs {
+		ts := in.AppendUses(buf[:0])
+		if in.Dst != 0 {
+			ts = append(ts, in.Dst)
+		}
+		for _, t := range ts {
+			lo, hi = min(lo, t), max(hi, t)
+		}
+	}
+	temps := hi - lo + 1
+	horizon := s.Length()
+	tab := make([]int, 2*temps+horizon+2)
+	// defAt[t-lo] is the def cycle + 1 (0: never defined); lastUse[t-lo]
+	// is the last consumer's issue cycle (0: no consumer after cycle 0).
+	defAt, lastUse, delta := tab[:temps], tab[temps:2*temps], tab[2*temps:]
 	for v, in := range s.Prog.Instrs {
 		if in.Dst != 0 {
-			defAt[in.Dst] = s.Cycle[v]
+			defAt[in.Dst-lo] = s.Cycle[v] + 1
 		}
-		for _, t := range in.Uses() {
-			if s.Cycle[v] > lastUse[t] {
-				lastUse[t] = s.Cycle[v]
+		for _, t := range in.AppendUses(buf[:0]) {
+			if s.Cycle[v] > lastUse[t-lo] {
+				lastUse[t-lo] = s.Cycle[v]
 			}
 		}
 	}
 	// Sweep cycles counting live intervals [def, lastUse].
-	horizon := s.Length()
-	delta := make([]int, horizon+2)
-	for t, d := range defAt {
-		end, used := lastUse[t]
-		if !used {
+	for k, d1 := range defAt {
+		if d1 == 0 {
+			continue
+		}
+		d, end := d1-1, lastUse[k]
+		if end == 0 {
 			end = d // dead value: live for its def cycle only
 		}
 		delta[d]++

@@ -1,12 +1,12 @@
 // Package hotbench holds the hot-path benchmark workloads tracked by
 // BENCH_hotpath.json: the 64-loop batch corpus scheduled serially and
 // through the pipeline, the single-loop compile→schedule path, the
-// steady-state warm-Scratch scheduling kernel, and a cached-hit pipeline
-// request. The workloads take *testing.B so the same code serves both the
-// `go test -bench` entry points (hotbench_test.go at the repo root) and
-// the committed-snapshot emitter (`go run ./cmd/report -hotpath-json`),
-// keeping the numbers in CI, in the benchmarks and in the JSON artifact
-// from drifting apart.
+// steady-state warm-Scratch scheduling kernel, a cached-hit pipeline
+// request, the simulator, and the independent verifier. The workloads take
+// *testing.B so the same code serves both the `go test -bench` entry points
+// (hotbench_test.go at the repo root) and the committed-snapshot emitter
+// (`go run ./cmd/report -hotpath-json`), keeping the numbers in CI, in the
+// benchmarks and in the JSON artifact from drifting apart.
 package hotbench
 
 import (
@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"doacross"
+	"doacross/internal/check"
 	"doacross/internal/pipeline"
 )
 
@@ -226,6 +227,35 @@ func SimTraced(b *testing.B) {
 	}
 }
 
+// VerifyOneShot is the independent verifier on the Fig. 1 sync schedule
+// in its one-shot form, check.Verify: every call derives the program's
+// dependence edges again.
+func VerifyOneShot(b *testing.B) {
+	s := simSchedule(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := check.Err(check.Verify(s)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// VerifyPrepared is the same verification through a check.Verifier
+// prepared once for the program, as the batch pipeline and the disk tier's
+// load path use it: the edges are derived outside the timed loop.
+func VerifyPrepared(b *testing.B) {
+	s := simSchedule(b)
+	v := check.NewVerifier(s.Prog)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := check.Err(v.Verify(s)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func simSchedule(b *testing.B) *doacross.Schedule {
 	b.Helper()
 	prog := doacross.MustCompile(Fig1)
@@ -293,6 +323,8 @@ var workloads = []struct {
 	{"BenchmarkHotPipelineCachedHit", PipelineCachedHit},
 	{"BenchmarkHotSim/untraced", SimUntraced},
 	{"BenchmarkHotSim/traced", SimTraced},
+	{"BenchmarkHotVerify/oneshot", VerifyOneShot},
+	{"BenchmarkHotVerify/prepared", VerifyPrepared},
 }
 
 // Run measures every tracked workload with testing.Benchmark and returns

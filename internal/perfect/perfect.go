@@ -393,11 +393,27 @@ type Characteristics struct {
 
 // Characteristics computes the suite's Table 1 row.
 func (s *Suite) Characteristics() (Characteristics, error) {
+	return s.CharacteristicsWith(nil)
+}
+
+// CharacteristicsWith computes the suite's Table 1 row, reusing loops the
+// caller has already compiled: compiled(i) returns the dependence analysis
+// and three-address program of s.Loops[i] as the default compilation
+// produces them, or nils for a loop this call analyzes and compiles
+// itself. A nil compiled compiles every loop here.
+func (s *Suite) CharacteristicsWith(compiled func(i int) (*dep.Analysis, *tac.Program)) (Characteristics, error) {
 	c := Characteristics{Name: s.Profile.Name}
-	for _, l := range s.Loops {
+	for i, l := range s.Loops {
 		c.TotalLoops++
 		c.SourceLines += strings.Count(l.Source, "\n")
-		a := dep.Analyze(l.AST)
+		var a *dep.Analysis
+		var prog *tac.Program
+		if compiled != nil {
+			a, prog = compiled(i)
+		}
+		if a == nil || prog == nil {
+			a, prog = dep.Analyze(l.AST), nil
+		}
 		if a.IsDoall() {
 			c.DoallLoops++
 			continue
@@ -405,9 +421,11 @@ func (s *Suite) Characteristics() (Characteristics, error) {
 		lfd, lbd := a.CountLexical()
 		c.LFD += lfd
 		c.LBD += lbd
-		prog, err := tac.Generate(syncop.Insert(a, syncop.Options{}))
-		if err != nil {
-			return c, fmt.Errorf("perfect: %s: %w", s.Profile.Name, err)
+		if prog == nil {
+			var err error
+			if prog, err = tac.Generate(syncop.Insert(a, syncop.Options{})); err != nil {
+				return c, fmt.Errorf("perfect: %s: %w", s.Profile.Name, err)
+			}
 		}
 		c.DLXLines += len(prog.Instrs)
 	}

@@ -780,6 +780,16 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 	// format it once instead of per machine.
 	nwSalt := fmt.Sprintf("n=%d w=%d", res.N, opt.Window)
 	res.Machines = make([]MachineResult, len(machines))
+	// One verifier per request: the program's dependence edges are derived
+	// on the first fresh verification and reused for every machine and
+	// schedule after it. It lives only as long as the request.
+	var verifier *check.Verifier
+	verify := func(s *core.Schedule) error {
+		if verifier == nil {
+			verifier = check.NewVerifier(res.Prog)
+		}
+		return check.Err(verifier.Verify(s))
+	}
 	for k, cfg := range machines {
 		if ctx.Err() != nil {
 			res.Err = ctxErr(ctx, res.Name, metrics)
@@ -938,7 +948,7 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 						if s == nil {
 							continue
 						}
-						if err := check.Err(check.Verify(s)); err != nil {
+						if err := verify(s); err != nil {
 							return err
 						}
 					}
@@ -956,7 +966,7 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 				}
 				fb, ferr := fallbackSchedule(res.Graph, cfg)
 				if ferr == nil {
-					ferr = check.Err(check.Verify(fb))
+					ferr = verify(fb)
 				}
 				if ferr != nil {
 					res.Err = fmt.Errorf("pipeline: verify %s on %s: %v (fallback failed: %w)",
@@ -1066,7 +1076,7 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 				// independent verifier before being served.
 				fb, ferr := fallbackSchedule(res.Graph, cfg)
 				if ferr == nil {
-					ferr = check.Err(check.Verify(fb))
+					ferr = verify(fb)
 				}
 				var ft sim.Timing
 				if ferr == nil {

@@ -11,6 +11,7 @@
 package scheditest
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -23,7 +24,9 @@ import (
 	"doacross/internal/dfg"
 	"doacross/internal/dlx"
 	"doacross/internal/lang"
+	"doacross/internal/loopgen"
 	"doacross/internal/model"
+	"doacross/internal/perfect"
 	"doacross/internal/sim"
 	"doacross/internal/syncop"
 	"doacross/internal/tac"
@@ -61,20 +64,11 @@ func Corpus(t testing.TB, dir string) []Case {
 			t.Fatalf("scheditest: %s: %v", name, err)
 		}
 		for i, l := range f.Loops {
-			a := dep.Analyze(l)
-			prog, err := tac.Generate(syncop.Insert(a, syncop.Options{}))
-			if err != nil {
-				t.Fatalf("scheditest: %s: %v", name, err)
-			}
-			g, err := dfg.Build(prog, a)
-			if err != nil {
-				t.Fatalf("scheditest: %s: %v", name, err)
-			}
 			label := name
 			if len(f.Loops) > 1 {
 				label = name + "#" + string(rune('1'+i))
 			}
-			cases = append(cases, Case{Name: label, Graph: g})
+			cases = append(cases, compileCase(t, label, l))
 		}
 	}
 	sort.Slice(cases, func(i, j int) bool { return cases[i].Name < cases[j].Name })
@@ -82,6 +76,47 @@ func Corpus(t testing.TB, dir string) []Case {
 		t.Fatalf("scheditest: corpus too small: %d cases in %s", len(cases), dir)
 	}
 	return cases
+}
+
+// WideCorpus is Corpus followed by every loop of the five synthetic Perfect
+// suites and count seeded loopgen loops: the corpus on which rewritten
+// analyses (the verifier's edge derivation, MaxLive) are held to their
+// reference implementations.
+func WideCorpus(t testing.TB, dir string, count int) []Case {
+	t.Helper()
+	cases := Corpus(t, dir)
+	suites, err := perfect.Suites()
+	if err != nil {
+		t.Fatalf("scheditest: %v", err)
+	}
+	for _, su := range suites {
+		for i, l := range su.Loops {
+			cases = append(cases, compileCase(t, fmt.Sprintf("%s#%d", su.Profile.Name, i), l.AST))
+		}
+	}
+	for i, src := range loopgen.Suite(0xED6E, count) {
+		l, err := lang.Parse(src)
+		if err != nil {
+			t.Fatalf("scheditest: loopgen %d: %v", i, err)
+		}
+		cases = append(cases, compileCase(t, fmt.Sprintf("loopgen#%d", i), l))
+	}
+	return cases
+}
+
+// compileCase compiles one loop the default way into a conformance case.
+func compileCase(t testing.TB, name string, l *lang.Loop) Case {
+	t.Helper()
+	a := dep.Analyze(l)
+	prog, err := tac.Generate(syncop.Insert(a, syncop.Options{}))
+	if err != nil {
+		t.Fatalf("scheditest: %s: %v", name, err)
+	}
+	g, err := dfg.Build(prog, a)
+	if err != nil {
+		t.Fatalf("scheditest: %s: %v", name, err)
+	}
+	return Case{Name: name, Graph: g}
 }
 
 // Options tunes a conformance run.

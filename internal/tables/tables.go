@@ -14,6 +14,7 @@ import (
 	"doacross/internal/dfg"
 	"doacross/internal/dlx"
 	"doacross/internal/model"
+	"doacross/internal/passes"
 	"doacross/internal/perfect"
 	"doacross/internal/pipeline"
 	"doacross/internal/syncop"
@@ -174,14 +175,25 @@ func RunParallelWith(suites []*perfect.Suite, baseline core.ListPriority, opt pi
 	}
 	var reqs []pipeline.Request
 	var refs []ref
+	// batchOf[si][i] is the request index of suite si's loop i, -1 for the
+	// DOALL-template loops the batch does not schedule.
+	batchOf := make([][]int, len(suites))
 	for si, s := range suites {
-		for li, l := range s.Doacross() {
+		batchOf[si] = make([]int, len(s.Loops))
+		li := 0 // index among the suite's DOACROSS loops
+		for i, l := range s.Loops {
+			batchOf[si][i] = -1
+			if l.Template == perfect.Doall {
+				continue
+			}
+			batchOf[si][i] = len(reqs)
 			reqs = append(reqs, pipeline.Request{
 				Name: fmt.Sprintf("%s loop %d", s.Profile.Name, li),
 				Loop: l.AST,
 				N:    s.Profile.N,
 			})
 			refs = append(refs, ref{suite: si, index: li, tpl: l.Template})
+			li++
 		}
 	}
 	opt.Machines = configs
@@ -211,8 +223,17 @@ func RunParallelWith(suites []*perfect.Suite, baseline core.ListPriority, opt pi
 			})
 		}
 	}
+	// Table 1 counts what the default compilation produces; unless the
+	// batch compiled differently, its analyses and programs stand in for
+	// recompiling every DOACROSS loop.
+	reuse := table1Compiles(opt.Compile)
 	for si, s := range suites {
-		ch, err := s.Characteristics()
+		ch, err := s.CharacteristicsWith(func(i int) (*dep.Analysis, *tac.Program) {
+			if b := batchOf[si][i]; reuse && b >= 0 {
+				return batch.Loops[b].Analysis, batch.Loops[b].Prog
+			}
+			return nil, nil
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -238,6 +259,13 @@ func RunParallelWith(suites []*perfect.Suite, baseline core.ListPriority, opt pi
 	res.Summary2Issue = (res.Total3.Percent[0] + res.Total3.Percent[1]) / 2
 	res.Summary4Issue = (res.Total3.Percent[2] + res.Total3.Percent[3]) / 2
 	return res, nil
+}
+
+// table1Compiles reports whether compiling under o yields the analyses and
+// programs Table 1 counts: no unrolling, no migration, synchronization of
+// every carried dependence and the precise dependence analysis.
+func table1Compiles(o passes.Options) bool {
+	return (o.Unroll == 0 || o.Unroll == 1) && !o.Migrate && !o.FlowOnly && !o.BaselineDeps
 }
 
 // RenderTable1 formats Table 1.

@@ -1,12 +1,16 @@
 package tables
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"doacross/internal/core"
+	"doacross/internal/passes"
 	"doacross/internal/perfect"
+	"doacross/internal/pipeline"
 )
 
 // The harness is deterministic and moderately expensive; share one result
@@ -167,6 +171,49 @@ func TestBaselineChoiceBothWork(t *testing.T) {
 			if r.Total3.Percent[k] <= 0 {
 				t.Errorf("priority %d config %d: no total improvement", pri, k)
 			}
+		}
+	}
+}
+
+// TestTable1Equivalence checks that Table 1, built from the batch's own
+// compilations, equals recompiling every suite with Characteristics: on the
+// default run, on a batch compiled differently (its unrolled programs must
+// not leak into the counts), and with a loop whose compilation failed in
+// the batch.
+func TestTable1Equivalence(t *testing.T) {
+	suites := perfect.MustSuites()
+	want := make([]perfect.Characteristics, len(suites))
+	for i, s := range suites {
+		c, err := s.Characteristics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = c
+	}
+	if got := run(t).Table1; !slices.Equal(got, want) {
+		t.Fatalf("default run: Table 1 = %+v, want %+v", got, want)
+	}
+
+	one := suites[:1]
+	failed := one[0].Profile.Name + " loop 0"
+	for name, opt := range map[string]pipeline.Options{
+		"unrolled": {Compile: passes.Options{Unroll: 2}},
+		"compile failure": {FaultHook: func(stage, req string) error {
+			if stage == "compile" && req == failed {
+				return errors.New("injected")
+			}
+			return nil
+		}},
+	} {
+		r, err := RunParallelWith(one, core.CriticalPath, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if name == "compile failure" && len(r.Failures) != 1 {
+			t.Errorf("%s: %d failed loops, want 1", name, len(r.Failures))
+		}
+		if !slices.Equal(r.Table1, want[:1]) {
+			t.Errorf("%s: Table 1 = %+v, want %+v", name, r.Table1, want[:1])
 		}
 	}
 }
