@@ -13,6 +13,7 @@ import (
 	"doacross"
 	"doacross/internal/check"
 	"doacross/internal/hotbench"
+	"doacross/internal/obs"
 	"doacross/internal/pipeline"
 )
 
@@ -84,14 +85,12 @@ func TestSimNilTracerAllocs(t *testing.T) {
 	}
 }
 
-// TestPipelineCachedHitAllocs pins the per-request allocation count of a
-// cached-hit batch request — the steady-state service shape where every
-// stage after compile is served from the schedule cache. The bound has a
-// little headroom over the measured count (21 allocs/op) because the
-// pipeline spawns its worker goroutine per Run; it exists to catch the
-// hot path regressing back to per-request rescheduling, which costs
-// hundreds of allocations.
-func TestPipelineCachedHitAllocs(t *testing.T) {
+// cachedHitAllocs measures one cached-hit fig1 request through
+// pipeline.Run, the cache warmed by one run first. With observed set, every
+// run records its spans into its own 512-span Recorder, as a scheduld flight
+// leader does.
+func cachedHitAllocs(t *testing.T, observed bool) float64 {
+	t.Helper()
 	reqs := []pipeline.Request{{Name: "hot", Source: hotbench.Fig1, N: hotbench.N}}
 	opt := doacross.BatchOptions{
 		Workers:  1,
@@ -100,7 +99,11 @@ func TestPipelineCachedHitAllocs(t *testing.T) {
 	}
 	var failed error
 	run := func() {
-		batch, err := pipeline.Run(reqs, opt)
+		o := opt
+		if observed {
+			o.Observer = obs.NewRecorder(512)
+		}
+		batch, err := pipeline.Run(reqs, o)
 		if err != nil {
 			failed = err
 			return
@@ -114,9 +117,32 @@ func TestPipelineCachedHitAllocs(t *testing.T) {
 	if failed != nil {
 		t.Fatal(failed)
 	}
-	const limit = 40
-	if got > limit {
+	return got
+}
+
+// TestPipelineCachedHitAllocs pins the per-request allocation count of a
+// cached-hit batch request — the steady-state service shape where every
+// stage after compile is served from the schedule cache — at the measured
+// 21 allocs/op plus 2 of headroom (Run spawns its worker goroutine per
+// call). It catches the hot path regressing back
+// to per-request rescheduling (hundreds of allocations) as well as the
+// stage plumbing (read-through, span ends) starting to allocate.
+func TestPipelineCachedHitAllocs(t *testing.T) {
+	const limit = 21 + 2
+	if got := cachedHitAllocs(t, false); got > limit {
 		t.Errorf("cached-hit pipeline request: %v allocs/op, want <= %d", got, limit)
+	}
+}
+
+// TestPipelineObservedHitAllocs pins the same request with a span recorder
+// attached (serve-warm's flight leader) at the measured 33 allocs/op plus 2.
+// Over the unobserved 21 that is the recorder itself and, for each of the
+// five spans (batch, request, compile, schedule, simulate), one attribute
+// slice and one published copy: building the attributes allocates nothing.
+func TestPipelineObservedHitAllocs(t *testing.T) {
+	const limit = 33 + 2
+	if got := cachedHitAllocs(t, true); got > limit {
+		t.Errorf("observed cached-hit pipeline request: %v allocs/op, want <= %d", got, limit)
 	}
 }
 

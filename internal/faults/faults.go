@@ -33,14 +33,15 @@ import (
 type Kind int
 
 // The fault kinds. Error, Panic and Delay can fire at any stage; Corrupt
-// fires only at the "cache" stage (the consumer drops the cached entry and
-// recomputes); Budget fires only at the "simulate" stage (the consumer
-// reports simulator cycle-budget exhaustion). The disk-io kinds fire at the
-// disk tier's probe points: DiskFail fails the operation outright (both
-// stages), DiskShortWrite truncates a write ("disk-write" only), and
-// DiskCorrupt flips bytes in the returned data ("disk-read" only) — the
-// store's checksums must catch the latter two. NetDelay stalls a network
-// handler ("net" only), modelling a slow client or congested accept path.
+// fires only at the "cache" stage (the consumer neither reads nor writes
+// its cache for that request, recomputing instead); Budget fires only at
+// the "simulate" stage (the consumer reports simulator cycle-budget
+// exhaustion). The disk-io kinds fire at the disk tier's probe points:
+// DiskFail fails the operation outright (both stages), DiskShortWrite
+// truncates a write ("disk-write" only), and DiskCorrupt flips bytes in the
+// returned data ("disk-read" only) — the store's checksums must catch the
+// latter two. NetDelay stalls a network handler ("net" only), modelling a
+// slow client or congested accept path.
 const (
 	Error Kind = iota
 	Panic

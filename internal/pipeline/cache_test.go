@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -203,5 +204,46 @@ func TestCacheBoundedEviction(t *testing.T) {
 	}
 	if u.Evictions() != 0 || u.Len() != 100 {
 		t.Fatalf("unbounded cache: Len=%d Evictions=%d", u.Len(), u.Evictions())
+	}
+}
+
+// TestCacheFaultBypassesCache: a request whose "cache" probe fired neither
+// reads nor writes the in-memory cache. On a cache that already holds its
+// compilation it is served its own recompiled program — equal in value, not
+// the cached pointer the fault declared corrupt — and the cache is left as
+// it was.
+func TestCacheFaultBypassesCache(t *testing.T) {
+	cache := NewCache()
+	warm := run(t, []string{fig1}, Options{Cache: cache})
+	if err := warm.FirstErr(); err != nil {
+		t.Fatal(err)
+	}
+	entries := cache.Len()
+	hook := func(stage, _ string) error {
+		if stage == stageCache {
+			return errors.New("synthetic cache corruption")
+		}
+		return nil
+	}
+	b := run(t, []string{fig1}, Options{Cache: cache, FaultHook: hook})
+	if err := b.FirstErr(); err != nil {
+		t.Fatal(err)
+	}
+	lr, cached := b.Loops[0], warm.Loops[0]
+	if lr.Prog == cached.Prog {
+		t.Error("faulted request was served the cached compilation")
+	}
+	if lr.Listing() != cached.Listing() {
+		t.Errorf("recompiled program differs:\n%s\nwant\n%s", lr.Listing(), cached.Listing())
+	}
+	if mr := lr.Machines[0]; mr.CacheHit || mr.SyncTime != cached.Machines[0].SyncTime {
+		t.Errorf("faulted request: cache hit %v, sync time %d (want a fresh %d)",
+			mr.CacheHit, mr.SyncTime, cached.Machines[0].SyncTime)
+	}
+	if n := cache.Len(); n != entries {
+		t.Errorf("faulted request changed the cache from %d to %d entries", entries, n)
+	}
+	if h, m := b.Stats.CacheHits, b.Stats.CacheMisses; h+m != 0 {
+		t.Errorf("faulted request consulted the cache: %d hits, %d misses", h, m)
 	}
 }

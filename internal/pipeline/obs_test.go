@@ -5,6 +5,8 @@ package pipeline
 // surface while a fault-injected batch runs (in CI this runs under -race).
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -78,6 +80,92 @@ func TestSpanTree(t *testing.T) {
 		}
 		if s.Track != parent.Track {
 			t.Errorf("stage %q track %d, parent track %d", s.Name, s.Track, parent.Track)
+		}
+	}
+}
+
+// stageSpans renders every stage span of a snapshot as "name key=value ...",
+// attributes in recorded order.
+func stageSpans(spans []obs.Span) []string {
+	var out []string
+	for _, s := range spans {
+		if s.Kind != obs.KindStage {
+			continue
+		}
+		line := s.Name
+		for _, a := range s.Attrs {
+			if a.Str != "" {
+				line += fmt.Sprintf(" %s=%s", a.Key, a.Str)
+			} else {
+				line += fmt.Sprintf(" %s=%d", a.Key, a.Int)
+			}
+		}
+		out = append(out, line)
+	}
+	return out
+}
+
+// TestSpanAttrs pins every stage span's attributes, keys and values, for a
+// fresh request, a cache hit (no check span), a request degraded at the
+// schedule stage and one degraded at the simulate stage. The last one runs
+// at another trip count over the warm cache: its schedules are hits, its
+// timing is not.
+func TestSpanAttrs(t *testing.T) {
+	fail := func(stage string) func(string, string) error {
+		return func(s, _ string) error {
+			if s == stage {
+				return errors.New("synthetic " + stage + " failure")
+			}
+			return nil
+		}
+	}
+	cache := NewCache()
+	const m = "machine=4-issue(#FU=1)"
+	for _, tc := range []struct {
+		name  string
+		n     int
+		cache *Cache
+		hook  func(string, string) error
+		want  []string
+	}{
+		{"fresh", 100, cache, nil, []string{
+			"compile cache_hit=0",
+			"schedule " + m + " cache_hit=0 degraded=0",
+			"check " + m + " degraded=0",
+			"simulate " + m + " cache_hit=0 degraded=0 signals_sent=100 wait_stall_cycles=19600 lbd_arcs=1 lfd_arcs=1 sync_cycles=411 list_cycles=1400",
+		}},
+		{"hit", 100, cache, nil, []string{
+			"compile cache_hit=1",
+			"schedule " + m + " cache_hit=1 degraded=0",
+			"simulate " + m + " cache_hit=1 degraded=0 signals_sent=100 wait_stall_cycles=19600 lbd_arcs=1 lfd_arcs=1 sync_cycles=411 list_cycles=1400",
+		}},
+		{"schedule-degraded", 100, nil, fail(StageSchedule), []string{
+			"compile cache_hit=0",
+			"schedule " + m + " cache_hit=0 degraded=1",
+			"check " + m + " degraded=1",
+			"simulate " + m + " cache_hit=0 degraded=1 signals_sent=100 wait_stall_cycles=69300 lbd_arcs=2 lfd_arcs=0 sync_cycles=1400 list_cycles=1400",
+		}},
+		{"simulate-degraded", 200, cache, fail(StageSimulate), []string{
+			"compile cache_hit=1",
+			"schedule " + m + " cache_hit=1 degraded=0",
+			"simulate " + m + " cache_hit=0 degraded=1 signals_sent=200 wait_stall_cycles=278600 lbd_arcs=2 lfd_arcs=0 sync_cycles=2800 list_cycles=2800",
+		}},
+	} {
+		rec := obs.NewRecorder(0)
+		b, err := Run([]Request{{Name: tc.name, Source: fig1, N: tc.n}},
+			Options{Workers: 1, Cache: tc.cache, FaultHook: tc.hook, Observer: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.FirstErr(); err != nil {
+			t.Fatal(err)
+		}
+		if mr := b.Loops[0].Machines[0]; mr.CacheHit && mr.Degraded {
+			t.Errorf("%s: a degraded result reports a cache hit", tc.name)
+		}
+		got := stageSpans(rec.Snapshot())
+		if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+			t.Errorf("%s: stage spans\n%s\nwant\n%s", tc.name, strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
 		}
 	}
 }

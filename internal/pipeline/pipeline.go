@@ -20,21 +20,23 @@
 //   - Panic isolation: a panic in any stage (or compilation pass) is
 //     recovered into a structured diagnostic carrying the stage, the request
 //     name and a stack digest; one poisoned loop never kills the batch.
-//   - Graceful degradation: when the synchronization-aware scheduler fails —
-//     an error, a panic, or a schedule rejected by Validate — the request is
-//     served by the program-order list schedule, which the paper guarantees
-//     is always a correct (if slower) answer. The fallback is verified with
-//     Validate before it is returned and the result is flagged Degraded with
-//     the reason.
+//   - Graceful degradation: when a machine's schedule, check or simulate
+//     stage fails — an error, a panic, a schedule rejected by Validate or by
+//     the verifier — the result is served by the program-order list
+//     schedule, which the paper guarantees is always a correct (if slower)
+//     answer, flagged Degraded with the reason. The fallback redoes the
+//     failed stage's work and every earlier stage's (it is built, verified
+//     after a check or simulate failure, timed after a simulate failure);
+//     later stages then run on it as usual. A second failure on the same
+//     machine fails the request.
 //   - Independent verification: every freshly built schedule — organic or
 //     fallback — passes through internal/check before it is served or
 //     published to the cache. The checker re-derives the dependence edges
 //     from the compiled code and re-checks the paper's synchronization
 //     conditions, resource feasibility and deadlock freedom without sharing
 //     code with the schedulers; cache hits therefore only ever serve
-//     schedules that already passed. A rejected schedule degrades onto the
-//     fallback exactly like a scheduler panic; fresh compilations
-//     additionally run the synchronization linter (LoopResult.Lint).
+//     schedules that already passed. Fresh compilations additionally run
+//     the synchronization linter (LoopResult.Lint).
 //   - Fault injection: Options.FaultHook (see internal/faults) is probed at
 //     every stage boundary so chaos tests can drive each failure path
 //     deterministically.
@@ -162,10 +164,10 @@ type Options struct {
 	// per request at "cache" consultation, and before every compilation pass
 	// (with the pass name as the stage). A returned error fails the stage —
 	// subject to the same fallback rules as organic failures — and a "cache"
-	// error drops the cached entries for the request (forcing recompute). A
-	// hook panic is isolated like any stage panic. internal/faults provides
-	// a seeded deterministic implementation; production batches leave it
-	// nil.
+	// error makes the request bypass the in-memory cache: it neither reads
+	// nor writes it, recomputing everything. A hook panic is isolated like
+	// any stage panic. internal/faults provides a seeded deterministic
+	// implementation; production batches leave it nil.
 	FaultHook func(stage, name string) error
 	// Utilization additionally traces every simulation with the machine-
 	// level tracer (sim.Tracer) and attaches the derived utilization
@@ -317,9 +319,9 @@ type MachineResult struct {
 	// cache hits recorded by untraced runs).
 	ListUtil, SyncUtil *sim.Utilization
 	// Degraded reports that the synchronization-aware schedule (and Best)
-	// was replaced by the verified program-order list fallback after a
-	// scheduler or simulator failure; Sync then holds the fallback, which
-	// passed Schedule.Validate before being returned.
+	// was replaced by the program-order list fallback after a schedule,
+	// check or simulate failure; Sync then holds the fallback, which passed
+	// Schedule.Validate and the independent verifier before being served.
 	Degraded bool
 	// DegradedReason is the failure that triggered the fallback ("" unless
 	// Degraded).
@@ -412,6 +414,22 @@ type compileEntry struct {
 	lint     diag.List
 }
 
+// newCompileEntry packages a fresh compilation for the compile memo. Under
+// verified (Compile.Verify) the verify pass already ran the synchronization
+// linter, and failed on errors; otherwise its findings are computed here,
+// advisory.
+func newCompileEntry(pctx *passes.Context, verified bool) *compileEntry {
+	lint := pctx.LintFindings
+	if !verified {
+		lint = append(check.Lint(pctx.Loop), check.LintSync(pctx.Sync)...)
+	}
+	return &compileEntry{
+		loop: pctx.Loop, analysis: pctx.Analysis, syncLoop: pctx.Sync,
+		prog: pctx.Code, graph: pctx.Graph, trace: pctx.Trace, diags: pctx.Diags,
+		lint: lint,
+	}
+}
+
 // sourceKey addresses the compile memo: a hash of the loop's source text and
 // the compile options in a key space disjoint from ConfigKey (distinct
 // prefix).
@@ -419,10 +437,49 @@ func sourceKey(src, salt string) dfg.Fingerprint {
 	return dfg.Fingerprint(sha256.Sum256([]byte("compile\x00" + salt + "\x00" + src)))
 }
 
+// Key spaces of keySet.key.
+const (
+	keySched = "sched"
+	keyTime  = "time"
+	keyDisk  = "disk"
+)
+
+// keySet derives the content addresses of one scheduling problem at one
+// trip count. runOne, persistResult and LoadDisk all build their keys here,
+// so a live run, the entry it persists and the entry a restart restores
+// agree on them.
+type keySet struct {
+	// fp is the graph fingerprint; schedSalt and exSalt the scheduler and
+	// exact-backend salts the problem is scheduled under (Options.salt and
+	// Options.exactSalt).
+	fp                dfg.Fingerprint
+	schedSalt, exSalt string
+	n, window         int
+	// nwSalt is the trip-count/window salt, rendered on first use.
+	nwSalt string
+}
+
+// key returns the problem's key on cfg in one key space: keySched is the
+// schedule-cache key (graph + machine + scheduler salt, plus the exact salt
+// when there is one); keyTime and keyDisk add the trip count and window,
+// and always carry the exact salt.
+func (k *keySet) key(space string, cfg dlx.Config) dfg.Fingerprint {
+	if space == keySched {
+		if k.exSalt == "" {
+			return dfg.KeyFrom(k.fp, cfg, keySched, k.schedSalt)
+		}
+		return dfg.KeyFrom(k.fp, cfg, keySched, k.schedSalt, k.exSalt)
+	}
+	if k.nwSalt == "" {
+		k.nwSalt = fmt.Sprintf("n=%d w=%d", k.n, k.window)
+	}
+	return dfg.KeyFrom(k.fp, cfg, space, k.schedSalt, k.nwSalt, k.exSalt)
+}
+
 // schedEntry is the cached product of StageSchedule for one ConfigKey. The
 // outcome fields mirror the backend's evidence so cache hits restore it;
 // entries with optimal=false under the exact backend are never published
-// (see the verify stage), so every cached exact entry carries a proof.
+// (see cacheOK), so every cached exact entry carries a proof.
 type schedEntry struct {
 	list, sync, best *core.Schedule
 	backend          string
@@ -440,10 +497,11 @@ type schedEntry struct {
 	note         string
 }
 
-// fillOutcome copies a schedule entry's backend evidence into the result,
-// re-deriving the closed-form prediction at the request's own trip count
-// when the entry was produced for a different one.
-func (e *schedEntry) fillOutcome(mr *MachineResult, n int) {
+// serve points the result at the entry's schedules and copies its backend
+// evidence, re-deriving the closed-form prediction at the request's own
+// trip count when the entry was produced for a different one.
+func (e *schedEntry) serve(mr *MachineResult, n int) {
+	mr.List, mr.Sync, mr.Best = e.list, e.sync, e.best
 	mr.Backend = e.backend
 	mr.PredictedT = e.predictedT
 	if e.predictedAtN != 0 && e.predictedAtN != n && e.sync != nil {
@@ -463,17 +521,48 @@ func (e *schedEntry) cacheable() bool {
 	return e.backend != "exact" || e.optimal
 }
 
+// timeCounters are the simulated counters of one served result, cached in
+// a timeEntry and persisted as diskPayload.Times (the field names are the
+// persisted JSON keys).
+type timeCounters struct {
+	ListTime, SyncTime, BestTime int
+	ListStalls, SyncStalls       int
+	ListLBD, SyncLBD             int
+	ListLFD, SyncLFD             int
+	ListSignals, SyncSignals     int
+}
+
+// countersOf collects the counters of a list and a synchronization-aware
+// schedule's simulations (BestTime is left to the caller).
+func countersOf(lt, st sim.Timing, list, sync *core.Schedule) timeCounters {
+	c := timeCounters{
+		ListTime: lt.Total, SyncTime: st.Total,
+		ListStalls: lt.StallCycles, SyncStalls: st.StallCycles,
+		ListSignals: lt.SignalsSent, SyncSignals: st.SignalsSent,
+	}
+	c.ListLBD, c.ListLFD = arcSplit(list)
+	c.SyncLBD, c.SyncLFD = arcSplit(sync)
+	return c
+}
+
 // timeEntry is the cached product of StageSimulate for one ConfigKey+n.
 type timeEntry struct {
-	listTime, syncTime, bestTime int
-	listStalls, syncStalls       int
-	listLBD, syncLBD             int
-	listLFD, syncLFD             int
-	listSignals, syncSignals     int
+	timeCounters
 	// Machine-level utilization reports, recorded only when the batch ran
 	// with Options.Utilization (nil otherwise; a cache hit serves whatever
 	// the recording run kept).
 	listUtil, syncUtil *sim.Utilization
+}
+
+// serve copies the timing into the result.
+func (t *timeEntry) serve(mr *MachineResult) {
+	mr.ListTime, mr.SyncTime, mr.BestTime = t.ListTime, t.SyncTime, t.BestTime
+	mr.ListStalls, mr.SyncStalls = t.ListStalls, t.SyncStalls
+	mr.ListLBD, mr.SyncLBD = t.ListLBD, t.SyncLBD
+	mr.ListLFD, mr.SyncLFD = t.ListLFD, t.SyncLFD
+	mr.ListSignals, mr.SyncSignals = t.ListSignals, t.SyncSignals
+	mr.ListUtil, mr.SyncUtil = t.listUtil, t.syncUtil
+	mr.Improvement = model.Speedup(t.ListTime, t.SyncTime)
 }
 
 // Run schedules every request and returns per-loop results plus aggregate
@@ -495,6 +584,10 @@ func RunContext(ctx context.Context, reqs []Request, opt Options) (*Batch, error
 		if err := m.Validate(); err != nil {
 			return nil, fmt.Errorf("pipeline: %w", err)
 		}
+	}
+	// The batch default trip count is bounded like every request's.
+	if opt.N > MaxTrip {
+		return nil, fmt.Errorf("pipeline: trip count N=%d exceeds the limit %d", opt.N, MaxTrip)
 	}
 	// Fail fast on an unknown backend name, before any compilation work.
 	if _, err := opt.backendScheduler(opt.n()); err != nil {
@@ -623,534 +716,517 @@ func (r Request) validate(idx int) *diag.Diagnostic {
 	return nil
 }
 
-// runOne pushes one request through compile → schedule → simulate. sc is the
-// calling worker's reusable scheduler scratch (never shared across
+// runOne pushes one request through compile → schedule → check → simulate.
+// sc is the calling worker's reusable scheduler scratch (never shared across
 // goroutines).
-func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, opt Options, sc *core.Scratch, metrics *Metrics, bspan obs.Span) (res LoopResult) {
-	res = LoopResult{Index: idx, Name: req.name(idx), N: req.N}
-	rspan := opt.Observer.Start(obs.KindRequest, res.Name, bspan)
-	defer func() {
-		if opt.Observer == nil {
-			return
-		}
-		attrs := []obs.Attr{obs.I("index", int64(idx))}
-		if req.ID != "" {
-			attrs = append(attrs, obs.S("request_id", req.ID))
-		}
-		opt.Observer.End(&rspan, res.Err, attrs...)
-	}()
+func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, opt Options, sc *core.Scratch, metrics *Metrics, bspan obs.Span) LoopResult {
+	r := runner{opt: opt, metrics: metrics, sc: sc, reqID: req.ID,
+		res: LoopResult{Index: idx, Name: req.name(idx), N: req.N}}
+	r.rspan = opt.Observer.Start(obs.KindRequest, r.res.Name, bspan)
+	r.res.Err = r.run(ctx, req, machines)
+	r.endSpan(&r.rspan, r.res.Err, nil)
+	return r.res
+}
+
+// run is runOne's body; its error is the request's.
+func (r *runner) run(ctx context.Context, req Request, machines []dlx.Config) (err error) {
 	// Last line of defense: a panic that escapes the per-stage recovery
 	// (e.g. in glue code or a fault hook outside a stage) fails this request
 	// only.
 	defer func() {
-		if r := recover(); r != nil {
-			metrics.Panic()
-			res.Err = diag.FromPanic("pipeline", res.Name, r, debug.Stack())
+		if p := recover(); p != nil {
+			r.metrics.Panic()
+			err = diag.FromPanic("pipeline", r.res.Name, p, debug.Stack())
 		}
 	}()
-	if d := req.validate(idx); d != nil {
-		res.Err = d
-		return res
+	res := &r.res
+	if d := req.validate(res.Index); d != nil {
+		return d
 	}
 	if res.N == 0 {
-		res.N = opt.n()
+		res.N = r.opt.n()
 	}
 	if ctx.Err() != nil {
-		res.Err = ctxErr(ctx, res.Name, metrics)
-		return res
+		return ctxErr(ctx, res.Name, r.metrics)
 	}
-	if opt.RequestTimeout > 0 {
+	if r.opt.RequestTimeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.RequestTimeout)
+		ctx, cancel = context.WithTimeout(ctx, r.opt.RequestTimeout)
 		defer cancel()
 	}
-	probe := func(stage string) error {
-		if opt.FaultHook == nil {
-			return nil
-		}
-		return opt.FaultHook(stage, res.Name)
-	}
-
 	// Cache health: one probe per request decides whether this request may
-	// read the shared cache (an injected "corrupt" fault drops the cached
-	// entries, forcing a recompute; recomputed values are safe to publish).
-	useCache := opt.Cache != nil
-	if useCache {
-		if err := probe(stageCache); err != nil {
-			useCache = false
+	// use the shared cache at all. An injected "corrupt" fault declares the
+	// cached entries unusable, so the request neither reads them nor
+	// publishes over them: it recomputes everything for itself.
+	r.useCache = r.opt.Cache != nil && r.probe(stageCache) == nil
+	if err := r.compile(ctx, req); err != nil {
+		return err
+	}
+	r.keys = keySet{fp: res.Graph.Fingerprint(), schedSalt: r.opt.salt(), exSalt: r.opt.exactSalt(res.N),
+		n: res.N, window: r.opt.Window}
+	r.simOpt = sim.Options{Lo: 1, Hi: res.N, Window: r.opt.Window}
+	res.Machines = make([]MachineResult, len(machines))
+	for k, cfg := range machines {
+		if err := r.machine(ctx, &machineRun{cfg: cfg, mr: &res.Machines[k]}); err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
-	// Compile through the pass manager, via the content-addressed memo when
-	// a cache is attached: identical source text (or identically rendering
-	// parsed loops) shares one immutable compilation, trace included. The
-	// key is computed whenever a cache is attached — even when a cache fault
-	// disabled reads for this request — so the recompute below publishes
-	// under this request's own fingerprint, never the zero key.
-	src := req.Source
-	if req.Loop != nil && (opt.Cache != nil || opt.Disk != nil) {
-		src = req.Loop.String()
+// runner carries one request through its stages on the calling worker. The
+// schedule, check and simulate stages of every machine share one stage
+// wrapper (stage), one read-through over the three cache levels
+// (readThrough), one span-end helper (endSpan) and one degradation rule
+// (degrade).
+type runner struct {
+	opt     Options
+	metrics *Metrics
+	sc      *core.Scratch
+	res     LoopResult
+	reqID   string
+	rspan   obs.Span
+	// useCache reports that the request may read and write the in-memory
+	// cache: one is attached and the request's "cache" probe did not fire.
+	useCache      bool
+	compileCached bool
+	// src is the source text the compile memo and the disk tier key on.
+	src    string
+	keys   keySet
+	simOpt sim.Options
+	// verifier holds the program's dependence edges, derived on the first
+	// fresh verification and reused for every machine and schedule after
+	// it. It lives only as long as the request.
+	verifier *check.Verifier
+}
+
+// machineRun is one machine's share of a request.
+type machineRun struct {
+	cfg        dlx.Config
+	mr         *MachineResult
+	entry      *schedEntry
+	times      *timeEntry
+	timeCached bool
+}
+
+// probe consults the fault hook at the named stage.
+func (r *runner) probe(stage string) error {
+	if r.opt.FaultHook == nil {
+		return nil
 	}
-	var srcKey dfg.Fingerprint
-	var compiled *compileEntry
-	if opt.Cache != nil {
-		srcKey = sourceKey(src, opt.compileSalt())
-	}
-	cspan := opt.Observer.Start(obs.KindStage, stageCompile, rspan)
-	compileCached := false
-	endCompile := func(err error) {
-		if opt.Observer == nil {
-			return
+	return r.opt.FaultHook(stage, r.res.Name)
+}
+
+// stage runs one schedule, check or simulate stage: the fault probe and f,
+// panic-isolated by safeStage, timed and error-counted under the stage's
+// name. (Compilation is probed and traced pass by pass by the pass manager.)
+func (r *runner) stage(name string, f func() error) error {
+	return r.metrics.timed(name, func() error {
+		return safeStage(name, r.res.Name, r.metrics, func() error {
+			if err := r.probe(name); err != nil {
+				return err
+			}
+			return f()
+		})
+	})
+}
+
+// cacheOK is the in-memory cache's one rule, for reading and for
+// publishing: the request may use the cache, and m (nil at the compile
+// level) holds neither a degraded result nor a schedule entry that may not
+// be cached. The timings of an uncacheable (budget-exhausted exact) entry
+// stay out of the time cache too: the budget is not part of the key.
+func (r *runner) cacheOK(m *machineRun) bool {
+	return r.useCache && (m == nil || !m.mr.Degraded && (m.entry == nil || m.entry.cacheable()))
+}
+
+// readThrough fills *dst with key's value from the in-memory cache, or by
+// compute. The cache is read, and the hit or miss counted, only when
+// cacheOK(m) holds; a computed value is published only when cacheOK(m)
+// still holds once compute returns, so a value that degraded or failed
+// verification on the way never reaches the cache. Publication is
+// first-writer-wins: *dst ends up holding the value bound to key.
+func readThrough[T any](r *runner, key dfg.Fingerprint, m *machineRun, dst *T, compute func() error) (hit bool, err error) {
+	if r.cacheOK(m) {
+		if c, ok := r.opt.Cache.Get(key); ok {
+			r.metrics.CacheHit()
+			*dst = c.(T)
+			return true, nil
 		}
-		opt.Observer.End(&cspan, err, obs.B("cache_hit", compileCached))
+		r.metrics.CacheMiss()
 	}
-	if useCache {
-		if v, ok := opt.Cache.Get(srcKey); ok {
-			compiled = v.(*compileEntry)
-			compileCached = true
-			metrics.CacheHit()
-		} else {
-			metrics.CacheMiss()
+	if err = compute(); err == nil && r.cacheOK(m) {
+		c, _ := r.opt.Cache.Put(key, *dst)
+		*dst = c.(T)
+	}
+	return false, err
+}
+
+// endSpan finishes the request span or one of its stage spans (m is nil
+// for the request and compile spans) with that span's attributes. With no
+// Observer attached it returns before building any, and the attributes
+// live in a stack buffer, so span recording allocates only inside the
+// recorder.
+func (r *runner) endSpan(sp *obs.Span, err error, m *machineRun) {
+	rec := r.opt.Observer
+	if rec == nil {
+		return
+	}
+	var buf [9]obs.Attr
+	attrs := buf[:0]
+	switch {
+	case sp.Kind == obs.KindRequest:
+		attrs = append(attrs, obs.I("index", int64(r.res.Index)))
+		if r.reqID != "" {
+			attrs = append(attrs, obs.S("request_id", r.reqID))
+		}
+	case m == nil: // the compile stage
+		attrs = append(attrs, obs.B("cache_hit", r.compileCached))
+	default:
+		attrs = append(attrs, obs.S("machine", m.cfg.Name))
+		switch sp.Name {
+		case StageSchedule:
+			attrs = append(attrs, obs.B("cache_hit", m.mr.CacheHit))
+		case StageSimulate:
+			attrs = append(attrs, obs.B("cache_hit", m.timeCached))
+		}
+		attrs = append(attrs, obs.B("degraded", m.mr.Degraded))
+		if t := m.times; sp.Name == StageSimulate && t != nil {
+			attrs = append(attrs,
+				obs.I("signals_sent", int64(t.SyncSignals)),
+				obs.I("wait_stall_cycles", int64(t.SyncStalls)),
+				obs.I("lbd_arcs", int64(t.SyncLBD)),
+				obs.I("lfd_arcs", int64(t.SyncLFD)),
+				obs.I("sync_cycles", int64(t.SyncTime)),
+				obs.I("list_cycles", int64(t.ListTime)))
 		}
 	}
-	if compiled == nil {
-		if err := probe(stageCompile); err != nil {
-			res.Err = fmt.Errorf("pipeline: compile %s: %w", res.Name, err)
-			endCompile(res.Err)
-			return res
+	rec.End(sp, err, attrs...)
+}
+
+// compile runs the compilation passes, through the compile memo when the
+// request may use the cache: identical source text (or identically
+// rendering parsed loops) shares one immutable compilation, trace included.
+func (r *runner) compile(ctx context.Context, req Request) error {
+	res := &r.res
+	r.src = req.Source
+	if req.Loop != nil && (r.opt.Cache != nil || r.opt.Disk != nil) {
+		r.src = req.Loop.String()
+	}
+	var key dfg.Fingerprint
+	if r.useCache {
+		key = sourceKey(r.src, r.opt.compileSalt())
+	}
+	span := r.opt.Observer.Start(obs.KindStage, stageCompile, r.rspan)
+	var ce *compileEntry
+	hit, err := readThrough(r, key, nil, &ce, func() error {
+		if err := r.probe(stageCompile); err != nil {
+			return fmt.Errorf("pipeline: compile %s: %w", res.Name, err)
 		}
-		popts := opt.Compile
-		popts.Tracer = metrics
-		popts.FaultHook = opt.FaultHook
+		popts := r.opt.Compile
+		popts.Tracer = r.metrics
+		popts.FaultHook = r.opt.FaultHook
 		popts.Request = res.Name
-		popts.Observer = opt.Observer
-		popts.ParentSpan = cspan
+		popts.Observer = r.opt.Observer
+		popts.ParentSpan = span
 		pl := passes.New(popts)
 		var pctx *passes.Context
+		var err error
 		if req.Loop != nil {
-			pctx, res.Err = pl.RunLoopCtx(ctx, req.Loop)
+			pctx, err = pl.RunLoopCtx(ctx, req.Loop)
 		} else {
-			pctx, res.Err = pl.RunSourceCtx(ctx, req.Source)
+			pctx, err = pl.RunSourceCtx(ctx, req.Source)
 		}
-		res.Trace = pctx.Trace
-		res.Diags = pctx.Diags
-		if res.Err != nil {
+		res.Trace, res.Diags = pctx.Trace, pctx.Diags
+		if err != nil {
 			// A deadline/cancellation that fired inside the pass manager is
 			// a timeout like any other: count it and wrap it consistently.
-			if cerr := ctx.Err(); cerr != nil && errors.Is(res.Err, cerr) {
-				res.Err = ctxErr(ctx, res.Name, metrics)
+			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
+				err = ctxErr(ctx, res.Name, r.metrics)
 			}
-			endCompile(res.Err)
-			return res
+			return err
 		}
-		// Lint the synchronization placement of every fresh compilation.
-		// Under Compile.Verify the verify pass already ran the linter (and
-		// failed on errors); otherwise the findings are advisory.
-		lint := pctx.LintFindings
-		if !opt.Compile.Verify {
-			lint = append(check.Lint(pctx.Loop), check.LintSync(pctx.Sync)...)
-		}
-		metrics.LintFindings(int64(len(lint)))
-		de, di, dc := pctx.Analysis.Counts()
-		metrics.ObserveDeps(int64(de), int64(di), int64(dc))
-		compiled = &compileEntry{
-			loop: pctx.Loop, analysis: pctx.Analysis, syncLoop: pctx.Sync,
-			prog: pctx.Code, graph: pctx.Graph, trace: pctx.Trace, diags: pctx.Diags,
-			lint: lint,
-		}
-		if opt.Cache != nil {
-			v, _ := opt.Cache.Put(srcKey, compiled)
-			compiled = v.(*compileEntry)
-		}
+		ce = newCompileEntry(pctx, r.opt.Compile.Verify)
+		r.metrics.LintFindings(int64(len(ce.lint)))
+		de, di, dc := ce.analysis.Counts()
+		r.metrics.ObserveDeps(int64(de), int64(di), int64(dc))
+		return nil
+	})
+	r.compileCached = hit
+	r.endSpan(&span, err, nil)
+	if err != nil {
+		return err
 	}
-	endCompile(nil)
-	res.Loop = compiled.loop
-	res.Analysis = compiled.analysis
-	res.SyncLoop = compiled.syncLoop
-	res.Prog = compiled.prog
-	res.Graph = compiled.graph
-	res.Trace = compiled.trace
-	res.Diags = compiled.diags
-	res.Lint = compiled.lint
+	res.Loop, res.Analysis, res.SyncLoop = ce.loop, ce.analysis, ce.syncLoop
+	res.Prog, res.Graph, res.Trace = ce.prog, ce.graph, ce.trace
+	res.Diags, res.Lint = ce.diags, ce.lint
+	return nil
+}
 
-	fp := res.Graph.Fingerprint()
-	salt := opt.salt()
-	exSalt := opt.exactSalt(res.N)
-	// The trip-count/window salt of the time cache is constant per request;
-	// format it once instead of per machine.
-	nwSalt := fmt.Sprintf("n=%d w=%d", res.N, opt.Window)
-	res.Machines = make([]MachineResult, len(machines))
-	// One verifier per request: the program's dependence edges are derived
-	// on the first fresh verification and reused for every machine and
-	// schedule after it. It lives only as long as the request.
-	var verifier *check.Verifier
-	verify := func(s *core.Schedule) error {
-		if verifier == nil {
-			verifier = check.NewVerifier(res.Prog)
-		}
-		return check.Err(verifier.Verify(s))
+// machine runs one machine's schedule → check → simulate. The check stage
+// runs only on fresh schedules: the schedule cache holds only sets that
+// already passed it.
+func (r *runner) machine(ctx context.Context, m *machineRun) error {
+	if ctx.Err() != nil {
+		return ctxErr(ctx, r.res.Name, r.metrics)
 	}
-	for k, cfg := range machines {
-		if ctx.Err() != nil {
-			res.Err = ctxErr(ctx, res.Name, metrics)
-			return res
+	m.mr.Machine = m.cfg.Name
+	m.mr.Key = r.keys.key(keySched, m.cfg)
+	sspan := r.opt.Observer.Start(obs.KindStage, StageSchedule, r.rspan)
+	hit, err := readThrough(r, m.mr.Key, m, &m.entry, func() error {
+		err := r.schedule(m)
+		r.endSpan(&sspan, err, m)
+		if err == nil {
+			err = r.check(m)
 		}
-		mr := &res.Machines[k]
-		mr.Machine = cfg.Name
-		if exSalt != "" {
-			mr.Key = dfg.KeyFrom(fp, cfg, "sched", salt, exSalt)
-		} else {
-			mr.Key = dfg.KeyFrom(fp, cfg, "sched", salt)
-		}
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	m.mr.CacheHit = hit
+	m.entry.serve(m.mr, r.res.N)
+	if hit {
+		r.endSpan(&sspan, nil, m)
+	}
+	if ctx.Err() != nil {
+		return ctxErr(ctx, r.res.Name, r.metrics)
+	}
 
-		// Schedule, through the cache when one is attached.
-		sspan := opt.Observer.Start(obs.KindStage, StageSchedule, rspan)
-		endSched := func(err error) {
-			if opt.Observer == nil {
-				return
-			}
-			opt.Observer.End(&sspan, err, obs.S("machine", cfg.Name),
-				obs.B("cache_hit", mr.CacheHit), obs.B("degraded", mr.Degraded))
-		}
-		var entry *schedEntry
-		if useCache {
-			if v, ok := opt.Cache.Get(mr.Key); ok {
-				entry = v.(*schedEntry)
-				mr.CacheHit = true
-				metrics.CacheHit()
-			}
-		}
-		fresh := entry == nil
-		if entry == nil {
-			if useCache {
-				metrics.CacheMiss()
-			}
-			e := &schedEntry{backend: opt.backendName()}
-			err := metrics.timed(StageSchedule, func() error {
-				return safeStage(StageSchedule, res.Name, metrics, func() error {
-					if err := probe(StageSchedule); err != nil {
-						return err
-					}
-					lst, err := sc.List(res.Graph, cfg, opt.Baseline)
-					if err != nil {
-						return err
-					}
-					// Clone: the entry may be cached and outlive the worker's
-					// scratch, whose buffers the next call recycles.
-					e.list = lst.Clone()
-					// The synchronization-aware slot is served by the
-					// configured backend (the paper's heuristic by default,
-					// resolved through the Scheduler seam).
-					sched, err := opt.backendScheduler(res.N)
-					if err != nil {
-						return err
-					}
-					if ss, ok := sched.(core.ScratchScheduler); ok {
-						// Heuristic backends schedule into the worker scratch;
-						// only the surviving schedule is materialized.
-						s, err := ss.ScheduleScratch(sc, res.Graph, cfg)
-						if err != nil {
-							return err
-						}
-						e.sync = s.Clone()
-						e.backend = sched.Name()
-					} else {
-						out, err := sched.Schedule(res.Graph, cfg)
-						if err != nil {
-							return err
-						}
-						e.sync = out.Schedule
-						e.backend = sched.Name()
-						e.predictedT = out.T
-						e.optimal = out.Optimal
-						e.lowerBound = out.LowerBound
-						e.searchNodes = out.Nodes
-						e.note = out.Note
-					}
-					if e.predictedT == 0 && e.sync != nil {
-						// Heuristic backends attach no objective; report the
-						// closed-form prediction for the served schedule.
-						e.predictedT = model.Predict(e.sync, res.N)
-						e.predictedAtN = res.N
-					}
-					// Post-hoc verification of the synchronization-aware
-					// schedule: a scheduler bug degrades the answer, it does
-					// not ship an invalid schedule.
-					if err := e.sync.Validate(); err != nil {
-						return fmt.Errorf("%s schedule failed validation: %w", e.backend, err)
-					}
-					if opt.Best {
-						b, err := sc.Best(res.Graph, cfg)
-						if err != nil {
-							return err
-						}
-						e.best = b.Clone()
-					}
-					return nil
-				})
-			})
-			if err != nil {
-				// Graceful degradation: serve the verified program-order
-				// baseline instead of failing the request. The paper
-				// guarantees it is a correct schedule whenever one exists.
-				fb, ferr := fallbackSchedule(res.Graph, cfg)
-				if ferr != nil {
-					res.Err = fmt.Errorf("pipeline: schedule %s on %s: %v (fallback failed: %w)",
-						res.Name, cfg.Name, err, ferr)
-					endSched(res.Err)
-					return res
-				}
-				e = &schedEntry{list: e.list, sync: fb, backend: e.backend,
-					predictedT: model.Predict(fb, res.N)}
-				if e.list == nil || e.list.Validate() != nil {
-					e.list = fb
-				}
-				if opt.Best {
-					e.best = fb
-				}
-				mr.Degraded = true
-				mr.DegradedReason = err.Error()
-				metrics.Fallback()
-				entry = e
-			} else {
-				entry = e
-			}
-		}
-		mr.List, mr.Sync, mr.Best = entry.list, entry.sync, entry.best
-		entry.fillOutcome(mr, res.N)
-		endSched(nil)
-
-		// Independent verification of every freshly built schedule —
-		// organic or fallback — before it is served or published:
-		// internal/check re-derives the dependence edges from the compiled
-		// code (sharing no code with the schedulers) and re-checks the
-		// synchronization conditions, resource feasibility and deadlock
-		// freedom. A rejected schedule degrades onto the program-order
-		// fallback exactly like a scheduler panic does; a rejected fallback
-		// fails the request. Only verified, non-degraded entries reach the
-		// cache, so cache hits serve schedules that already passed and skip
-		// the stage.
-		if fresh {
-			vspan := opt.Observer.Start(obs.KindStage, StageVerify, rspan)
-			endVerify := func(err error) {
-				if opt.Observer == nil {
-					return
-				}
-				opt.Observer.End(&vspan, err, obs.S("machine", cfg.Name),
-					obs.B("degraded", mr.Degraded))
-			}
-			verr := metrics.timed(StageVerify, func() error {
-				return safeStage(StageVerify, res.Name, metrics, func() error {
-					if err := probe(StageVerify); err != nil {
-						return err
-					}
-					for _, s := range []*core.Schedule{entry.list, entry.sync, entry.best} {
-						if s == nil {
-							continue
-						}
-						if err := verify(s); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-			})
-			if verr != nil {
-				metrics.Rejected()
-				if mr.Degraded {
-					// Even the fallback was rejected; nothing verified is
-					// left to serve.
-					res.Err = fmt.Errorf("pipeline: verify %s on %s: %w", res.Name, cfg.Name, verr)
-					endVerify(res.Err)
-					return res
-				}
-				fb, ferr := fallbackSchedule(res.Graph, cfg)
-				if ferr == nil {
-					ferr = verify(fb)
-				}
-				if ferr != nil {
-					res.Err = fmt.Errorf("pipeline: verify %s on %s: %v (fallback failed: %w)",
-						res.Name, cfg.Name, verr, ferr)
-					endVerify(res.Err)
-					return res
-				}
-				entry = &schedEntry{list: fb, sync: fb, backend: entry.backend,
-					predictedT: model.Predict(fb, res.N)}
-				if opt.Best {
-					entry.best = fb
-				}
-				mr.Degraded = true
-				mr.DegradedReason = verr.Error()
-				metrics.Fallback()
-			} else {
-				metrics.Verified()
-				if useCache && !mr.Degraded && entry.cacheable() {
-					v, _ := opt.Cache.Put(mr.Key, entry)
-					entry = v.(*schedEntry)
-				}
-			}
-			mr.List, mr.Sync, mr.Best = entry.list, entry.sync, entry.best
-			entry.fillOutcome(mr, res.N)
-			endVerify(nil)
-		}
-
-		if ctx.Err() != nil {
-			res.Err = ctxErr(ctx, res.Name, metrics)
-			return res
-		}
-
-		// Simulate; timings additionally key on trip count and window.
-		// Degraded schedules never touch the time cache.
-		simOpt := sim.Options{Lo: 1, Hi: res.N, Window: opt.Window}
-		mspan := opt.Observer.Start(obs.KindStage, StageSimulate, rspan)
-		var times *timeEntry
-		timeCached := false
-		timeKey := dfg.KeyFrom(fp, cfg, "time", salt, nwSalt, exSalt)
-		// Timings of schedules that may not be cached (non-optimal exact
-		// results, which depend on the search budget) stay out of the time
-		// cache too — the budget is not part of the key.
-		if useCache && !mr.Degraded && entry.cacheable() {
-			if v, ok := opt.Cache.Get(timeKey); ok {
-				times = v.(*timeEntry)
-				timeCached = true
-				metrics.CacheHit()
-			} else {
-				metrics.CacheMiss()
-			}
-		}
-		if times == nil {
-			te := &timeEntry{}
-			err := metrics.timed(StageSimulate, func() error {
-				return safeStage(StageSimulate, res.Name, metrics, func() error {
-					if err := probe(StageSimulate); err != nil {
-						return err
-					}
-					// With Options.Utilization the run is traced and the
-					// attribution books are verified against the timing
-					// counters; otherwise this is plain sim.Time.
-					timeOne := func(s *core.Schedule) (sim.Timing, *sim.Utilization, error) {
-						if !opt.Utilization {
-							tm, err := sim.Time(s, simOpt)
-							return tm, nil, err
-						}
-						tm, u, err := sim.Utilize(s, simOpt)
-						if err == nil {
-							u.Loop = res.Name
-						}
-						return tm, u, err
-					}
-					lt, lu, err := timeOne(entry.list)
-					if err != nil {
-						return err
-					}
-					st, su, err := timeOne(entry.sync)
-					if err != nil {
-						return err
-					}
-					te.listUtil, te.syncUtil = lu, su
-					te.listTime, te.listStalls = lt.Total, lt.StallCycles
-					te.syncTime, te.syncStalls = st.Total, st.StallCycles
-					te.listSignals, te.syncSignals = lt.SignalsSent, st.SignalsSent
-					te.listLBD, te.listLFD = arcSplit(entry.list)
-					te.syncLBD, te.syncLFD = arcSplit(entry.sync)
-					if entry.best != nil {
-						bt, err := sim.Time(entry.best, simOpt)
-						if err != nil {
-							return err
-						}
-						te.bestTime = bt.Total
-					}
-					return nil
-				})
-			})
-			if err != nil {
-				if mr.Degraded {
-					// Even the fallback failed to simulate; nothing correct
-					// left to serve.
-					res.Err = fmt.Errorf("pipeline: simulate %s on %s: %w", res.Name, cfg.Name, err)
-					endSim(mspan, res.Err, mr, nil, timeCached, opt.Observer)
-					return res
-				}
-				// Degrade at the simulation stage: time the verified
-				// program-order fallback instead. It too must pass the
-				// independent verifier before being served.
-				fb, ferr := fallbackSchedule(res.Graph, cfg)
-				if ferr == nil {
-					ferr = verify(fb)
-				}
-				var ft sim.Timing
-				if ferr == nil {
-					ft, ferr = sim.Time(fb, simOpt)
-				}
-				if ferr != nil {
-					res.Err = fmt.Errorf("pipeline: simulate %s on %s: %v (fallback failed: %w)",
-						res.Name, cfg.Name, err, ferr)
-					endSim(mspan, res.Err, mr, nil, timeCached, opt.Observer)
-					return res
-				}
-				entry = &schedEntry{list: fb, sync: fb, backend: entry.backend,
-					predictedT: model.Predict(fb, res.N)}
-				if opt.Best {
-					entry.best = fb
-				}
-				mr.List, mr.Sync, mr.Best = entry.list, entry.sync, entry.best
-				entry.fillOutcome(mr, res.N)
-				mr.Degraded = true
-				mr.CacheHit = false // the cached schedules were replaced by the fallback
-				mr.DegradedReason = err.Error()
-				metrics.Fallback()
-				fbLBD, fbLFD := arcSplit(fb)
-				te = &timeEntry{
-					listTime: ft.Total, syncTime: ft.Total,
-					listStalls: ft.StallCycles, syncStalls: ft.StallCycles,
-					listSignals: ft.SignalsSent, syncSignals: ft.SignalsSent,
-					listLBD: fbLBD, syncLBD: fbLBD,
-					listLFD: fbLFD, syncLFD: fbLFD,
-				}
-				if opt.Best {
-					te.bestTime = ft.Total
-				}
-				times = te
-			} else {
-				times = te
-				if useCache && !mr.Degraded && entry.cacheable() {
-					v, _ := opt.Cache.Put(timeKey, times)
-					times = v.(*timeEntry)
-				}
-			}
-		}
-		mr.ListTime, mr.SyncTime, mr.BestTime = times.listTime, times.syncTime, times.bestTime
-		mr.ListUtil, mr.SyncUtil = times.listUtil, times.syncUtil
-		mr.ListStalls, mr.SyncStalls = times.listStalls, times.syncStalls
-		mr.ListLBD, mr.SyncLBD = times.listLBD, times.syncLBD
-		mr.ListLFD, mr.SyncLFD = times.listLFD, times.syncLFD
-		mr.ListSignals, mr.SyncSignals = times.listSignals, times.syncSignals
-		mr.Improvement = model.Speedup(times.listTime, times.syncTime)
+	// Simulate; timings additionally key on trip count and window.
+	mspan := r.opt.Observer.Start(obs.KindStage, StageSimulate, r.rspan)
+	m.timeCached, err = readThrough(r, r.keys.key(keyTime, m.cfg), m, &m.times, func() error {
+		return r.simulate(m)
+	})
+	if err == nil {
+		m.times.serve(m.mr)
 		// Independent timing audit: the simulated total must cover at least
 		// one full iteration and at least the closed-form lower bound
 		// T = (n/d)(i-j) + l of the served schedule. A violation means the
 		// simulator and the analytical model disagree about this schedule —
 		// there is no better answer to fall back on, so the request fails.
-		if err := check.Err(check.VerifyTiming(mr.Sync, mr.SyncTime, res.N)); err != nil {
-			metrics.Error(StageVerify)
-			res.Err = fmt.Errorf("pipeline: verify %s on %s: %w", res.Name, cfg.Name, err)
-			endSim(mspan, res.Err, mr, times, timeCached, opt.Observer)
-			return res
+		if terr := check.Err(check.VerifyTiming(m.mr.Sync, m.mr.SyncTime, r.res.N)); terr != nil {
+			r.metrics.Error(StageVerify)
+			err = fmt.Errorf("pipeline: verify %s on %s: %w", r.res.Name, m.cfg.Name, terr)
 		}
+	}
+	if err == nil {
 		// Write-through to the persistent tier: freshly simulated, verified,
 		// non-degraded, cacheable results survive restarts. Failures are
 		// counted by the store and never fail the request.
-		if opt.Disk != nil && !timeCached && !mr.Degraded && entry.cacheable() {
-			persistResult(opt.Disk, res.Name, src, opt, cfg, fp, res.N, entry, times)
+		if r.opt.Disk != nil && !m.timeCached && !m.mr.Degraded && m.entry.cacheable() {
+			r.persistResult(m)
 		}
 		// Paper-level counters describe the schedule actually served (the
 		// synchronization-aware one, or the fallback standing in for it).
-		metrics.ObserveSim(int64(times.syncSignals), int64(times.syncStalls),
-			int64(times.syncLBD), int64(times.syncLFD))
-		metrics.ObserveUtil(times.syncUtil)
-		endSim(mspan, nil, mr, times, timeCached, opt.Observer)
+		r.metrics.ObserveSim(int64(m.times.SyncSignals), int64(m.times.SyncStalls),
+			int64(m.times.SyncLBD), int64(m.times.SyncLFD))
+		r.metrics.ObserveUtil(m.times.syncUtil)
 	}
-	return res
+	r.endSpan(&mspan, err, m)
+	return err
+}
+
+// schedule builds the list, synchronization-aware and (under Options.Best)
+// Best schedules of a fresh entry.
+func (r *runner) schedule(m *machineRun) error {
+	res, cfg := &r.res, m.cfg
+	e := &schedEntry{backend: r.opt.backendName()}
+	m.entry = e
+	err := r.stage(StageSchedule, func() error {
+		lst, err := r.sc.List(res.Graph, cfg, r.opt.Baseline)
+		if err != nil {
+			return err
+		}
+		// Clone: the entry may be cached and outlive the worker's scratch,
+		// whose buffers the next call recycles.
+		e.list = lst.Clone()
+		// The synchronization-aware slot is served by the configured backend
+		// (the paper's heuristic by default, resolved through the Scheduler
+		// seam).
+		sched, err := r.opt.backendScheduler(res.N)
+		if err != nil {
+			return err
+		}
+		if ss, ok := sched.(core.ScratchScheduler); ok {
+			// Heuristic backends schedule into the worker scratch; only the
+			// surviving schedule is materialized.
+			s, err := ss.ScheduleScratch(r.sc, res.Graph, cfg)
+			if err != nil {
+				return err
+			}
+			e.sync = s.Clone()
+		} else {
+			out, err := sched.Schedule(res.Graph, cfg)
+			if err != nil {
+				return err
+			}
+			e.sync = out.Schedule
+			e.predictedT = out.T
+			e.optimal = out.Optimal
+			e.lowerBound = out.LowerBound
+			e.searchNodes = out.Nodes
+			e.note = out.Note
+		}
+		e.backend = sched.Name()
+		if e.predictedT == 0 && e.sync != nil {
+			// Heuristic backends attach no objective; report the closed-form
+			// prediction for the served schedule.
+			e.predictedT = model.Predict(e.sync, res.N)
+			e.predictedAtN = res.N
+		}
+		// Post-hoc validation of the synchronization-aware schedule: a
+		// scheduler bug degrades the answer, it does not ship an invalid
+		// schedule.
+		if err := e.sync.Validate(); err != nil {
+			return fmt.Errorf("%s schedule failed validation: %w", e.backend, err)
+		}
+		if r.opt.Best {
+			b, err := r.sc.Best(res.Graph, cfg)
+			if err != nil {
+				return err
+			}
+			e.best = b.Clone()
+		}
+		return nil
+	})
+	if err != nil {
+		return r.degrade(m, StageSchedule, err)
+	}
+	e.serve(m.mr, res.N)
+	return nil
+}
+
+// check independently verifies every freshly built schedule — organic or
+// fallback — before it is served or published: internal/check re-derives
+// the dependence edges from the compiled code (sharing no code with the
+// schedulers) and re-checks the synchronization conditions, resource
+// feasibility and deadlock freedom.
+func (r *runner) check(m *machineRun) error {
+	span := r.opt.Observer.Start(obs.KindStage, StageVerify, r.rspan)
+	err := r.stage(StageVerify, func() error {
+		for _, s := range []*core.Schedule{m.entry.list, m.entry.sync, m.entry.best} {
+			if s == nil {
+				continue
+			}
+			if err := r.verify(s); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		r.metrics.Rejected()
+		err = r.degrade(m, StageVerify, err)
+	} else {
+		r.metrics.Verified()
+	}
+	r.endSpan(&span, err, m)
+	return err
+}
+
+// simulate times m's list and synchronization-aware schedules (and Best)
+// into m.times. Under Options.Utilization the runs are traced and the
+// attribution books are verified against the timing counters; otherwise
+// this is plain sim.Time.
+func (r *runner) simulate(m *machineRun) error {
+	e, te := m.entry, &timeEntry{}
+	timeOne := func(s *core.Schedule) (sim.Timing, *sim.Utilization, error) {
+		if !r.opt.Utilization {
+			tm, err := sim.Time(s, r.simOpt)
+			return tm, nil, err
+		}
+		tm, u, err := sim.Utilize(s, r.simOpt)
+		if err == nil {
+			u.Loop = r.res.Name
+		}
+		return tm, u, err
+	}
+	err := r.stage(StageSimulate, func() error {
+		lt, lu, err := timeOne(e.list)
+		if err != nil {
+			return err
+		}
+		st, su, err := timeOne(e.sync)
+		if err != nil {
+			return err
+		}
+		te.timeCounters = countersOf(lt, st, e.list, e.sync)
+		te.listUtil, te.syncUtil = lu, su
+		if e.best != nil {
+			bt, err := sim.Time(e.best, r.simOpt)
+			if err != nil {
+				return err
+			}
+			te.BestTime = bt.Total
+		}
+		return nil
+	})
+	if err != nil {
+		return r.degrade(m, StageSimulate, err)
+	}
+	m.times = te
+	return nil
+}
+
+// verify runs the independent verifier on s with the request's prepared
+// edges.
+func (r *runner) verify(s *core.Schedule) error {
+	if r.verifier == nil {
+		r.verifier = check.NewVerifier(r.res.Prog)
+	}
+	return check.Err(r.verifier.Verify(s))
+}
+
+// degrade applies the one degradation rule (see the package doc) to the
+// failure err of m's schedule, check or simulate stage. The first failure
+// swaps in the program-order fallback, redoing the failed stage's work and
+// every earlier stage's — unprobed, untimed, and not counted as Verified or
+// Rejected — then flags the result Degraded, clears CacheHit and counts one
+// Fallback. Degrading at schedule keeps an organic list schedule that
+// passed Validate. A failure while already degraded, or a failing
+// fallback, fails the request.
+func (r *runner) degrade(m *machineRun, stage string, err error) error {
+	verb := stage
+	if stage == StageVerify {
+		verb = "verify"
+	}
+	if m.mr.Degraded {
+		return fmt.Errorf("pipeline: %s %s on %s: %w", verb, r.res.Name, m.cfg.Name, err)
+	}
+	fb, ferr := fallbackSchedule(r.res.Graph, m.cfg)
+	if ferr == nil && stage != StageSchedule {
+		ferr = r.verify(fb)
+	}
+	var ft sim.Timing
+	if ferr == nil && stage == StageSimulate {
+		ft, ferr = sim.Time(fb, r.simOpt)
+	}
+	if ferr != nil {
+		return fmt.Errorf("pipeline: %s %s on %s: %v (fallback failed: %w)",
+			verb, r.res.Name, m.cfg.Name, err, ferr)
+	}
+	list := fb
+	if stage == StageSchedule && m.entry.list != nil && m.entry.list.Validate() == nil {
+		list = m.entry.list
+	}
+	m.entry = &schedEntry{list: list, sync: fb, backend: m.entry.backend,
+		predictedT: model.Predict(fb, r.res.N)}
+	if r.opt.Best {
+		m.entry.best = fb
+	}
+	m.entry.serve(m.mr, r.res.N)
+	if stage == StageSimulate {
+		m.times = &timeEntry{timeCounters: countersOf(ft, ft, fb, fb)}
+		if r.opt.Best {
+			m.times.BestTime = ft.Total
+		}
+	}
+	m.mr.Degraded = true
+	m.mr.CacheHit = false
+	m.mr.DegradedReason = err.Error()
+	r.metrics.Fallback()
+	return nil
 }
 
 // arcSplit partitions a schedule's synchronization pairs into lexically
@@ -1158,29 +1234,4 @@ func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, op
 func arcSplit(s *core.Schedule) (lbd, lfd int) {
 	lbd = s.NumLBD()
 	return lbd, len(s.PairSpans()) - lbd
-}
-
-// endSim finishes a simulate-stage span with the paper-level attributes of
-// the served result (times may be nil when the stage failed outright). On a
-// nil recorder it returns before building any attributes — the happy path of
-// an unobserved batch allocates nothing here.
-func endSim(sp obs.Span, err error, mr *MachineResult, times *timeEntry, cached bool, rec *obs.Recorder) {
-	if rec == nil {
-		return
-	}
-	attrs := []obs.Attr{
-		obs.S("machine", mr.Machine),
-		obs.B("cache_hit", cached),
-		obs.B("degraded", mr.Degraded),
-	}
-	if times != nil {
-		attrs = append(attrs,
-			obs.I("signals_sent", int64(times.syncSignals)),
-			obs.I("wait_stall_cycles", int64(times.syncStalls)),
-			obs.I("lbd_arcs", int64(times.syncLBD)),
-			obs.I("lfd_arcs", int64(times.syncLFD)),
-			obs.I("sync_cycles", int64(times.syncTime)),
-			obs.I("list_cycles", int64(times.listTime)))
-	}
-	rec.End(&sp, err, attrs...)
 }

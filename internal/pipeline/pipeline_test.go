@@ -312,9 +312,26 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
+// TestInvalidMachine: unusable batch options fail the whole run before any
+// work — an invalid machine, and a default trip count above MaxTrip (the
+// per-request bound must not be bypassable through Options.N).
 func TestInvalidMachine(t *testing.T) {
 	bad := dlx.Config{Issue: 0}
 	if _, err := Run([]Request{{Source: fig1}}, Options{Machines: []dlx.Config{bad}}); err == nil {
 		t.Error("invalid machine accepted")
+	}
+	for _, n := range []int{MaxTrip + 1, 1 << 62} {
+		metrics := NewMetrics()
+		if b, err := Run([]Request{{Source: fig1}}, Options{N: n, Metrics: metrics}); err == nil {
+			t.Errorf("Options.N=%d accepted: sync time %d", n, b.Loops[0].Machines[0].SyncTime)
+		} else if !strings.Contains(err.Error(), "exceeds the limit") {
+			t.Errorf("Options.N=%d: error %q does not name the limit", n, err)
+		}
+		if st := metrics.Stats(); len(st.Stages) != 0 || st.QueueDepth != 0 {
+			t.Errorf("Options.N=%d: rejected batch ran %d stages, left %d queued", n, len(st.Stages), st.QueueDepth)
+		}
+	}
+	if _, err := Run([]Request{{Source: fig1}}, Options{N: MaxTrip}); err != nil {
+		t.Errorf("Options.N=MaxTrip rejected: %v", err)
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"doacross/internal/check"
 	"doacross/internal/core"
-	"doacross/internal/dfg"
 	"doacross/internal/dlx"
 	"doacross/internal/passes"
 )
@@ -36,15 +35,6 @@ type diskSchedule struct {
 	Rows   [][]int `json:"rows"`
 }
 
-// diskTimes is the persisted form of a timeEntry.
-type diskTimes struct {
-	ListTime, SyncTime, BestTime int
-	ListStalls, SyncStalls       int
-	ListLBD, SyncLBD             int
-	ListLFD, SyncLFD             int
-	ListSignals, SyncSignals     int
-}
-
 // diskPayload is the JSON payload of one persistent-tier entry.
 type diskPayload struct {
 	Name        string        `json:"name"`
@@ -65,15 +55,7 @@ type diskPayload struct {
 	LowerBound  int           `json:"lower_bound,omitempty"`
 	SearchNodes int64         `json:"search_nodes,omitempty"`
 	Note        string        `json:"note,omitempty"`
-	Times       diskTimes     `json:"times"`
-}
-
-// diskKey is the content address of a persisted entry: the scheduling
-// problem (graph fingerprint + machine + scheduler salt) plus the
-// simulation coordinates, in a key space disjoint from the "sched"/"time"
-// in-memory keys.
-func diskKey(fp dfg.Fingerprint, cfg dlx.Config, salt, nwSalt, exSalt string) dfg.Fingerprint {
-	return dfg.KeyFrom(fp, cfg, "disk", salt, nwSalt, exSalt)
+	Times       timeCounters  `json:"times"`
 }
 
 // toDisk snapshots a schedule for persistence (nil in, nil out).
@@ -85,10 +67,13 @@ func toDisk(s *core.Schedule) *diskSchedule {
 }
 
 // rebuild reconstructs a core.Schedule from its persisted rows over a
-// freshly recompiled program and graph. It validates only the indexing
-// shape needed to build the struct; semantic verification is
+// freshly recompiled program and graph (nil in, nil out). It validates only
+// the indexing shape needed to build the struct; semantic verification is
 // check.VerifyLoaded's job.
 func (d *diskSchedule) rebuild(prog *core.Schedule) (*core.Schedule, error) {
+	if d == nil {
+		return nil, nil
+	}
 	n := len(prog.Prog.Instrs)
 	cycle := make([]int, n)
 	for i := range cycle {
@@ -120,47 +105,40 @@ func (d *diskSchedule) rebuild(prog *core.Schedule) (*core.Schedule, error) {
 	}, nil
 }
 
-// persistResult writes one fresh, verified, cacheable machine result to the
-// disk tier. Persistence failures are counted by the store and never fail
+// persistResult writes m's fresh, verified, cacheable result to the disk
+// tier, under a content address in a key space disjoint from the in-memory
+// "sched"/"time" keys: the scheduling problem plus the simulation
+// coordinates. Persistence failures are counted by the store and never fail
 // the request — the disk tier is an optimization, not a dependency.
-func persistResult(d *DiskStore, name, src string, opt Options, cfg dlx.Config,
-	fp dfg.Fingerprint, n int, entry *schedEntry, times *timeEntry) {
-	salt := opt.salt()
-	exSalt := opt.exactSalt(n)
-	nwSalt := fmt.Sprintf("n=%d w=%d", n, opt.Window)
+func (r *runner) persistResult(m *machineRun) {
+	e, k := m.entry, &r.keys
 	p := diskPayload{
-		Name:        name,
-		Source:      src,
-		CompileSalt: opt.compileSalt(),
-		SchedSalt:   salt,
-		ExactSalt:   exSalt,
-		Machine:     cfg,
-		N:           n,
-		Window:      opt.Window,
-		Backend:     entry.backend,
-		List:        toDisk(entry.list),
-		Sync:        toDisk(entry.sync),
-		Best:        toDisk(entry.best),
-		PredictedT:  entry.predictedT,
-		PredictedAt: entry.predictedAtN,
-		Optimal:     entry.optimal,
-		LowerBound:  entry.lowerBound,
-		SearchNodes: entry.searchNodes,
-		Note:        entry.note,
-		Times: diskTimes{
-			ListTime: times.listTime, SyncTime: times.syncTime, BestTime: times.bestTime,
-			ListStalls: times.listStalls, SyncStalls: times.syncStalls,
-			ListLBD: times.listLBD, SyncLBD: times.syncLBD,
-			ListLFD: times.listLFD, SyncLFD: times.syncLFD,
-			ListSignals: times.listSignals, SyncSignals: times.syncSignals,
-		},
+		Name:        r.res.Name,
+		Source:      r.src,
+		CompileSalt: r.opt.compileSalt(),
+		SchedSalt:   k.schedSalt,
+		ExactSalt:   k.exSalt,
+		Machine:     m.cfg,
+		N:           k.n,
+		Window:      k.window,
+		Backend:     e.backend,
+		List:        toDisk(e.list),
+		Sync:        toDisk(e.sync),
+		Best:        toDisk(e.best),
+		PredictedT:  e.predictedT,
+		PredictedAt: e.predictedAtN,
+		Optimal:     e.optimal,
+		LowerBound:  e.lowerBound,
+		SearchNodes: e.searchNodes,
+		Note:        e.note,
+		Times:       m.times.timeCounters,
 	}
 	payload, err := json.Marshal(p)
 	if err != nil {
 		return
 	}
 	// Put's error is reflected in the store's WriteErrors counter.
-	_ = d.Put(diskKey(fp, cfg, salt, nwSalt, exSalt), payload)
+	_ = r.opt.Disk.Put(k.key(keyDisk, m.cfg), payload)
 }
 
 // LoadStats summarizes one LoadDisk pass.
@@ -252,7 +230,7 @@ func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (Loa
 			ls.Stale++
 			continue
 		}
-		if p.Source == "" || p.Sync == nil || p.List == nil || p.N < 1 ||
+		if p.Source == "" || p.Sync == nil || p.List == nil || p.N < 1 || p.N > MaxTrip ||
 			p.Machine.Validate() != nil {
 			quarantine()
 			continue
@@ -278,50 +256,26 @@ func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (Loa
 				quarantine()
 				continue
 			}
-			lint := pctx.LintFindings
-			if !opt.Compile.Verify {
-				lint = append(check.Lint(pctx.Loop), check.LintSync(pctx.Sync)...)
-			}
-			compiled = &compileEntry{
-				loop: pctx.Loop, analysis: pctx.Analysis, syncLoop: pctx.Sync,
-				prog: pctx.Code, graph: pctx.Graph, trace: pctx.Trace, diags: pctx.Diags,
-				lint: lint,
-			}
-			v, _ := cache.Put(srcKey, compiled)
+			v, _ := cache.Put(srcKey, newCompileEntry(pctx, opt.Compile.Verify))
 			compiled = v.(*compileEntry)
 		}
-		// Rebuild the schedules over the fresh program and graph.
+		// Rebuild the schedules over the fresh program and graph. The
+		// restored set must pass exactly the checks fresh ones do
+		// (independent semantic verification, timing audit included).
 		base := &core.Schedule{Prog: compiled.prog, Graph: compiled.graph, Cfg: p.Machine}
-		rebuildAll := func() (list, sync, best *core.Schedule, err error) {
-			if list, err = p.List.rebuild(base); err != nil {
-				return nil, nil, nil, err
-			}
-			if sync, err = p.Sync.rebuild(base); err != nil {
-				return nil, nil, nil, err
-			}
-			if p.Best != nil {
-				if best, err = p.Best.rebuild(base); err != nil {
-					return nil, nil, nil, err
-				}
-			}
-			return list, sync, best, nil
-		}
-		list, sync, best, err := rebuildAll()
-		if err != nil {
-			quarantine()
-			continue
-		}
-		// Independent semantic verification: the restored schedules must
-		// pass exactly the checks fresh ones do, timing audit included.
-		if err := check.Err(check.VerifyLoaded(list, sync, best, p.Times.SyncTime, p.N)); err != nil {
+		list, lerr := p.List.rebuild(base)
+		sync, serr := p.Sync.rebuild(base)
+		best, berr := p.Best.rebuild(base)
+		if errors.Join(lerr, serr, berr) != nil ||
+			check.Err(check.VerifyLoaded(list, sync, best, p.Times.SyncTime, p.N)) != nil {
 			quarantine()
 			continue
 		}
 		// Content-address audit: the key recomputed from the entry's own
 		// contents must be the key it was filed under.
-		fp := compiled.graph.Fingerprint()
-		nwSalt := fmt.Sprintf("n=%d w=%d", p.N, p.Window)
-		if diskKey(fp, p.Machine, schedSalt, nwSalt, p.ExactSalt) != k {
+		pk := keySet{fp: compiled.graph.Fingerprint(), schedSalt: schedSalt, exSalt: p.ExactSalt,
+			n: p.N, window: p.Window}
+		if pk.key(keyDisk, p.Machine) != k {
 			quarantine()
 			continue
 		}
@@ -341,20 +295,8 @@ func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (Loa
 			quarantine()
 			continue
 		}
-		var schedK dfg.Fingerprint
-		if p.ExactSalt != "" {
-			schedK = dfg.KeyFrom(fp, p.Machine, "sched", schedSalt, p.ExactSalt)
-		} else {
-			schedK = dfg.KeyFrom(fp, p.Machine, "sched", schedSalt)
-		}
-		cache.Put(schedK, entry)
-		cache.Put(dfg.KeyFrom(fp, p.Machine, "time", schedSalt, nwSalt, p.ExactSalt), &timeEntry{
-			listTime: p.Times.ListTime, syncTime: p.Times.SyncTime, bestTime: p.Times.BestTime,
-			listStalls: p.Times.ListStalls, syncStalls: p.Times.SyncStalls,
-			listLBD: p.Times.ListLBD, syncLBD: p.Times.SyncLBD,
-			listLFD: p.Times.ListLFD, syncLFD: p.Times.SyncLFD,
-			listSignals: p.Times.ListSignals, syncSignals: p.Times.SyncSignals,
-		})
+		cache.Put(pk.key(keySched, p.Machine), entry)
+		cache.Put(pk.key(keyTime, p.Machine), &timeEntry{timeCounters: p.Times})
 		ls.Loaded++
 	}
 	return ls, nil

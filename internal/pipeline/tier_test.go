@@ -5,7 +5,10 @@ import (
 	"os"
 	"testing"
 
+	"doacross/internal/dlx"
 	"doacross/internal/faults"
+	"doacross/internal/model"
+	"doacross/internal/sim"
 )
 
 // diskOpt builds the options of a disk-tier test run.
@@ -181,6 +184,51 @@ func TestLoadDiskSkipsStale(t *testing.T) {
 	}
 	if ls.Stale != entries || ls.Loaded != 0 || ls.Corrupt != 0 {
 		t.Errorf("load stats = %s, want stale=%d loaded=0", ls, entries)
+	}
+}
+
+// TestLoadDiskQuarantinesAboveMaxTrip: a persisted entry whose trip count
+// exceeds MaxTrip is quarantined, like one below 1, even though it is
+// otherwise a well-formed, verifiable answer filed under its own key. No
+// run can produce such an entry, so it is written by hand through the
+// payload and key code a live run uses.
+func TestLoadDiskQuarantinesAboveMaxTrip(t *testing.T) {
+	store, err := OpenDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := run(t, []string{fig1}, Options{N: MaxTrip})
+	if err := b.FirstErr(); err != nil {
+		t.Fatal(err)
+	}
+	lr, mr := b.Loops[0], b.Loops[0].Machines[0]
+	n := MaxTrip + 1
+	lt, err := sim.Time(mr.List, sim.Options{Lo: 1, Hi: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sim.Time(mr.Sync, sim.Options{Lo: 1, Hi: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Disk: store}
+	r := runner{opt: opt, res: LoopResult{Name: "huge"}, src: fig1,
+		keys: keySet{fp: lr.Graph.Fingerprint(), schedSalt: opt.salt(), exSalt: opt.exactSalt(n), n: n}}
+	r.persistResult(&machineRun{
+		cfg: dlx.Standard(4, 1),
+		entry: &schedEntry{list: mr.List, sync: mr.Sync, backend: mr.Backend,
+			predictedT: model.Predict(mr.Sync, n), predictedAtN: n},
+		times: &timeEntry{timeCounters: countersOf(lt, st, mr.List, mr.Sync)},
+	})
+	if store.Len() != 1 {
+		t.Fatalf("hand-written tier holds %d entries, want 1", store.Len())
+	}
+	ls, err := LoadDisk(context.Background(), store, NewCache(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ls.Corrupt != 1 || ls.Loaded != 0 {
+		t.Errorf("load stats = %s, want the N=%d entry quarantined", ls, n)
 	}
 }
 

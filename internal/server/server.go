@@ -511,10 +511,14 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 // finishError classifies a per-request pipeline error into a status code
 // and feeds the circuit breaker (through recordBreaker) only backend-health
-// outcomes: compile diagnostics are the client's bad source (400,
-// breaker-neutral), expired deadlines are timeouts (504, breaker-neutral —
-// the flight may still finish for other waiters), everything else is a
-// server failure (500). Returns the status served, for the decision log.
+// outcomes: validation and compile diagnostics are the client's bad request
+// (400, breaker-neutral), expired deadlines are timeouts (504,
+// breaker-neutral — the flight may still finish for other waiters),
+// everything else is a server failure (500). A request that got past
+// compilation (non-nil Machines) can only fail by the service's fault —
+// a rejected fallback, a failed timing audit — even when the checker
+// reports it as a diagnostic. Returns the status served, for the decision
+// log.
 func (s *Server) finishError(w http.ResponseWriter, res *pipeline.LoopResult, rid string, recordBreaker func(ok bool)) int {
 	err := res.Err
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
@@ -523,7 +527,7 @@ func (s *Server) finishError(w http.ResponseWriter, res *pipeline.LoopResult, ri
 		return http.StatusGatewayTimeout
 	}
 	var d *diag.Diagnostic
-	if errors.As(err, &d) && !strings.Contains(d.Msg, "panic:") {
+	if res.Machines == nil && errors.As(err, &d) && !strings.Contains(d.Msg, "panic:") {
 		s.sm.clientErrors.Add(1)
 		resp := ErrorResponse{Error: err.Error(), RequestID: rid}
 		for _, dd := range res.Diags {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"doacross/internal/diag"
 	"doacross/internal/faults"
 	"doacross/internal/pipeline"
 )
@@ -326,6 +327,44 @@ func TestBreaker(t *testing.T) {
 	h.ServeHTTP(rec, r)
 	if !strings.Contains(rec.Body.String(), "scheduld_breaker_open_total 1") {
 		t.Error("/metrics does not count the circuit opening")
+	}
+}
+
+// TestVerifyFailureIsServerError: a verification failure after compilation
+// is the service's fault, even though the checker reports it as a
+// diagnostic. Here the schedule stage fails (the request degrades onto the
+// fallback) and the check stage then rejects the fallback with a check
+// diagnostic: the answer is a 500 that counts as a backend failure, not a
+// 400 blaming the client's loop.
+func TestVerifyFailureIsServerError(t *testing.T) {
+	hook := func(stage, name string) error {
+		switch {
+		case stage == "schedule" && name == "bad":
+			return fmt.Errorf("injected backend failure")
+		case stage == "check" && name == "bad":
+			return diag.Errorf("check", diag.Pos{}, "injected verifier rejection")
+		}
+		return nil
+	}
+	s := newTestServer(t, Config{BreakerThreshold: 1, BreakerCooldown: time.Hour, FaultHook: hook})
+	h := s.Handler()
+	w, body := post(t, h, ScheduleRequest{Name: "bad", Source: fig1}, nil)
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("rejected fallback: status = %d, want 500 (%s)", w.Code, body)
+	}
+	if er := decodeErr(t, body); !strings.Contains(er.Error, "pipeline: verify bad on") {
+		t.Errorf("500 error text = %q", er.Error)
+	}
+	if st := s.sm.snapshot(s.breakers.openCount()); st.ServerErrors != 1 || st.ClientErrors != 0 {
+		t.Errorf("server/client errors = %d/%d, want 1/0", st.ServerErrors, st.ClientErrors)
+	}
+	// The failure was recorded against the backend: its circuit is open.
+	w, body = post(t, h, ScheduleRequest{Name: "good", Source: fig1}, nil)
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("after a backend failure at threshold 1: status = %d, want 503 (%s)", w.Code, body)
+	}
+	if er := decodeErr(t, body); er.Reason != "breaker" {
+		t.Errorf("shed reason = %q, want breaker", er.Reason)
 	}
 }
 
