@@ -8,6 +8,7 @@
 package doacross_test
 
 import (
+	"fmt"
 	"testing"
 
 	"doacross"
@@ -15,6 +16,7 @@ import (
 	"doacross/internal/hotbench"
 	"doacross/internal/obs"
 	"doacross/internal/pipeline"
+	"doacross/internal/scheditest"
 )
 
 // TestScratchScheduleAllocs pins steady-state scheduling into a warm
@@ -147,10 +149,11 @@ func TestPipelineObservedHitAllocs(t *testing.T) {
 }
 
 // TestVerifierAllocs pins a prepared Verifier on a clean Fig. 1 schedule:
-// the edges were derived once by NewVerifier, so a call allocates only its
-// working set (the row-position table, the unit-occupancy table, the
-// wait-for graph and the LBD recount). Deriving the edges again on every
-// call, or going back to maps, exceeds the pin.
+// the edges were derived once by NewVerifier, and with every wait at a
+// positive distance the deadlock check is one pass over the waits, so a
+// call allocates only the row-position and unit-occupancy tables. Deriving
+// the edges again on every call, materializing the wait-for graph, or
+// allocating for the LBD recount exceeds the pin.
 func TestVerifierAllocs(t *testing.T) {
 	prog := doacross.MustCompile(hotbench.Fig1)
 	s, err := prog.ScheduleSync(doacross.Machine4Issue(1))
@@ -167,9 +170,40 @@ func TestVerifierAllocs(t *testing.T) {
 	if failed != nil {
 		t.Fatal(failed)
 	}
-	const limit = 15
+	const limit = 2
 	if got > limit {
 		t.Errorf("prepared Verifier.Verify: %v allocs/op, want <= %d", got, limit)
+	}
+}
+
+// TestSizeSweepAllocs pins the rows of BenchmarkHotSizeSweep: one op runs
+// the six size-sweep loops of one size as fresh default-options requests.
+// Each pin is the measured count plus 1% (map growth and the pipeline's
+// goroutines vary it by about 0.1%). A lookup, lint search or arc test that
+// goes superlinear again multiplies the count: the linter alone used to
+// allocate about 20 million times per 80-statement request. The 80-statement
+// row takes seconds and runs without -short.
+func TestSizeSweepAllocs(t *testing.T) {
+	pins := map[int]float64{10: 13_800, 20: 38_650, 40: 125_700, 80: 468_540}
+	for _, stmts := range scheditest.SweepStmts {
+		if testing.Short() && stmts > 40 {
+			continue
+		}
+		t.Run(fmt.Sprintf("stmts=%d", stmts), func(t *testing.T) {
+			srcs := scheditest.SweepSources(stmts)
+			var failed error
+			got := testing.AllocsPerRun(1, func() {
+				if err := hotbench.SweepOnce(srcs); err != nil {
+					failed = err
+				}
+			})
+			if failed != nil {
+				t.Fatal(failed)
+			}
+			if limit := pins[stmts] * 1.01; got > limit {
+				t.Errorf("size sweep, %d statements: %v allocs/op, want <= %.0f", stmts, got, limit)
+			}
+		})
 	}
 }
 

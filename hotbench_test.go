@@ -7,9 +7,11 @@ package doacross_test
 // hotbench imports doacross itself.
 
 import (
+	"fmt"
 	"testing"
 
 	"doacross/internal/hotbench"
+	"doacross/internal/scheditest"
 )
 
 // BenchmarkBatch64 compares scheduling the 64-loop corpus one loop at a time
@@ -55,4 +57,14 @@ func BenchmarkHotSim(b *testing.B) {
 func BenchmarkHotVerify(b *testing.B) {
 	b.Run("oneshot", hotbench.VerifyOneShot)
 	b.Run("prepared", hotbench.VerifyPrepared)
+}
+
+// BenchmarkHotSizeSweep measures fresh default-options requests for loops
+// of 10 to 80 statements: one op is the six loopgen shapes' loops of one
+// size, each compiled, linted, scheduled, verified and simulated through
+// its own pipeline.Run (see scheditest.SweepSources).
+func BenchmarkHotSizeSweep(b *testing.B) {
+	for _, stmts := range scheditest.SweepStmts {
+		b.Run(fmt.Sprintf("stmts=%d", stmts), func(b *testing.B) { hotbench.SizeSweep(b, stmts) })
+	}
 }

@@ -21,7 +21,9 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"doacross/internal/core"
 	"doacross/internal/dep"
@@ -84,8 +86,8 @@ type Edge struct {
 // by consumer, then memory edges, then synchronization-condition edges. The
 // derivation runs over dense tables: temps are numbered 1..NumTemps, so a
 // temp outside that range is an error, and duplicates can only arise among
-// one instruction's operands or among the few memory and synchronization
-// edges, which are deduplicated by a linear scan.
+// one instruction's operands or among the memory and synchronization
+// edges, which are deduplicated by one sort.
 func Edges(p *tac.Program) ([]Edge, error) {
 	if p == nil || p.Sync == nil || p.Sync.Analysis == nil {
 		return nil, fmt.Errorf("check: program carries no dependence analysis")
@@ -144,7 +146,7 @@ func Edges(p *tac.Program) ([]Edge, error) {
 		if !ok1 || !ok2 {
 			return nil, fmt.Errorf("check: dependence %v has unmapped reference", d)
 		}
-		out = appendEdge(out, mem, Edge{From: src.ID - 1, To: snk.ID - 1, Kind: EdgeMem})
+		out = append(out, Edge{From: src.ID - 1, To: snk.ID - 1, Kind: EdgeMem})
 	}
 
 	// Synchronization-condition edges for every synchronized dependence.
@@ -161,34 +163,69 @@ func Edges(p *tac.Program) ([]Edge, error) {
 		if !ok {
 			return nil, fmt.Errorf("check: dependence %v source unmapped", d)
 		}
-		out = appendEdge(out, mem, Edge{From: srcIn.ID - 1, To: send.ID - 1, Kind: EdgeSrcToSend})
-		wi, ok := waitIndex(p, d.Snk.Stmt, label, d.Distance)
-		if !ok {
+		out = append(out, Edge{From: srcIn.ID - 1, To: send.ID - 1, Kind: EdgeSrcToSend})
+		wi := p.WaitFor(d.Snk.Stmt, label, d.Distance)
+		if wi < 0 {
 			return nil, fmt.Errorf("check: missing wait for %v", d)
 		}
 		snkIn, ok := refInstr(p, d.Snk)
 		if !ok {
 			return nil, fmt.Errorf("check: dependence %v sink unmapped", d)
 		}
-		out = appendEdge(out, mem, Edge{From: wi, To: snkIn.ID - 1, Kind: EdgeWaitToSnk})
+		out = append(out, Edge{From: wi, To: snkIn.ID - 1, Kind: EdgeWaitToSnk})
 	}
-	return out, nil
+	return dedupEdges(out, mem), nil
 }
 
-// appendEdge appends e to out unless it is a self-edge or already among
-// out[from:]. A self-edge cannot constrain a schedule (the builders skip
-// them the same way: a reference pair mapping to one instruction orders
-// itself).
+// appendEdge appends e to out unless it is already among out[from:].
 func appendEdge(out []Edge, from int, e Edge) []Edge {
-	if e.From == e.To {
-		return out
-	}
 	for _, x := range out[from:] {
 		if x == e {
 			return out
 		}
 	}
 	return append(out, e)
+}
+
+// dedupEdges drops from out[from:] every self-edge and every edge equal to
+// an earlier one, keeping first occurrences in order. A self-edge cannot
+// constrain a schedule (the builders skip them the same way: a reference
+// pair mapping to one instruction orders itself). The memory and
+// synchronization edges number up to two per synchronized dependence, so
+// instead of scanning the kept ones per append it sorts their positions by
+// (edge, position): each run of equal edges keeps its first position.
+func dedupEdges(out []Edge, from int) []Edge {
+	tail := out[from:]
+	pos := make([]int32, len(tail))
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	slices.SortFunc(pos, func(a, b int32) int {
+		x, y := tail[a], tail[b]
+		if c := cmp.Compare(x.From, y.From); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.To, y.To); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.Kind, y.Kind); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for k := len(pos) - 1; k > 0; k-- {
+		if tail[pos[k]] == tail[pos[k-1]] {
+			tail[pos[k]].From = -1 // a duplicate; instruction indexes are >= 0
+		}
+	}
+	k := from
+	for _, e := range tail {
+		if e.From >= 0 && e.From != e.To {
+			out[k] = e
+			k++
+		}
+	}
+	return out[:k]
 }
 
 // refInstr maps a dependence reference to the instruction that performs it.
@@ -203,16 +240,6 @@ func refInstr(p *tac.Program, r dep.Ref) (*tac.Instr, bool) {
 	}
 	in, ok := p.ScalarInstr[tac.ScalarKey{Stmt: r.Stmt, Name: r.ScalarName, Write: r.Write}]
 	return in, ok
-}
-
-// waitIndex finds the wait instruction of statement stmt for (signal, dist).
-func waitIndex(p *tac.Program, stmt int, signal string, dist int) (int, bool) {
-	for i, in := range p.Instrs {
-		if in.Op == tac.Wait && in.Stmt == stmt && in.Signal == signal && in.SigDist == dist {
-			return i, true
-		}
-	}
-	return 0, false
 }
 
 // Err reduces a diagnostic list to its first error, or nil. It is the
@@ -288,14 +315,7 @@ func (vr *Verifier) Verify(s *core.Schedule) diag.List {
 		return out
 	}
 	n := len(s.Prog.Instrs)
-	pos := func(v int) (diag.Pos, string) {
-		in := s.Prog.Instrs[v]
-		if s.Prog.Sync != nil && in.Stmt >= 0 && in.Stmt < len(s.Prog.Sync.Base.Body) {
-			st := s.Prog.Sync.Base.Body[in.Stmt]
-			return st.Pos(), st.Label
-		}
-		return diag.Pos{}, ""
-	}
+	pos := func(v int) (diag.Pos, string) { return stmtPos(s.Prog, s.Prog.Instrs[v]) }
 
 	// Shape: every instruction scheduled exactly once, rows and cycles in
 	// agreement, issue width respected. Everything after this section may
@@ -417,120 +437,131 @@ func (vr *Verifier) Verify(s *core.Schedule) diag.List {
 // The schedule deadlocks exactly when this graph has a cycle of total
 // weight <= 0: the dependence then fails to recede toward earlier
 // iterations and can never bottom out at the loop's first iterations.
-// Positive distances alone make every cycle positive, so organic schedules
-// pass; a distance-0 or negative wait whose send sits at or after it is
-// caught here.
+//
+// Stall arcs strictly descend in schedule order, so every cycle contains a
+// wait → send arc, and when every such arc has d >= 1 every cycle weighs at
+// least 1. Organic schedules (positive distances) are therefore checked by
+// one pass that reports the waits whose signal is never sent; only a wait
+// with distance <= 0 whose signal is sent starts the cycle search.
 func verifyDeadlockFree(s *core.Schedule, rowPos []int) diag.List {
 	var out diag.List
-	var syncs []int
+	search := false
 	for v, in := range s.Prog.Instrs {
-		if in.IsSync() {
-			syncs = append(syncs, v)
+		if in.Op != tac.Wait {
+			continue
 		}
-	}
-	if len(syncs) == 0 {
-		return nil
-	}
-	idx := make([]int, len(s.Prog.Instrs)) // instruction -> position in syncs
-	for i, v := range syncs {
-		idx[v] = i
-	}
-	type arc struct {
-		from, to, w int
-	}
-	var arcs []arc
-	for i, v := range syncs {
-		in := s.Prog.Instrs[v]
-		if in.Op == tac.Wait {
-			send := s.Prog.SendFor(in.Signal)
-			if send == nil {
-				st := ""
-				p := diag.Pos{}
-				if s.Prog.Sync != nil && in.Stmt >= 0 && in.Stmt < len(s.Prog.Sync.Base.Body) {
-					stmt := s.Prog.Sync.Base.Body[in.Stmt]
-					p, st = stmt.Pos(), stmt.Label
-				}
-				d := diag.Errorf(Stage, p, "deadlock: %v waits for a signal that is never sent", in)
-				if st != "" {
-					d = d.WithStmt(st)
-				}
-				out = append(out, d)
-				continue
-			}
-			to := 0
-			if j := send.ID - 1; j >= 0 && j < len(idx) {
-				to = idx[j]
-			}
-			arcs = append(arcs, arc{from: i, to: to, w: in.SigDist})
-			// Same-iteration stall arcs into this wait.
-			for j, x := range syncs {
-				if x == v {
-					continue
-				}
-				if s.Cycle[x] > s.Cycle[v] || (s.Cycle[x] == s.Cycle[v] && rowPos[x] > rowPos[v]) {
-					arcs = append(arcs, arc{from: j, to: i, w: 0})
-				}
-			}
+		if s.Prog.SendOf(v) >= 0 {
+			search = search || in.SigDist <= 0
+			continue
 		}
-	}
-	if len(arcs) == 0 {
-		return out
-	}
-	// Detect a cycle with total weight <= 0: scale weights by K = |arcs|+1
-	// and subtract 1 per arc, then any such cycle (and only such a cycle)
-	// is strictly negative; Bellman-Ford from an implicit all-zero source.
-	k := len(arcs) + 1
-	dist := make([]int, len(syncs))
-	pred := make([]int, len(syncs))
-	for i := range pred {
-		pred[i] = -1
-	}
-	bad := -1
-	for pass := 0; pass < len(syncs); pass++ {
-		changed := false
-		for _, a := range arcs {
-			if w := dist[a.from] + a.w*k - 1; w < dist[a.to] {
-				dist[a.to] = w
-				pred[a.to] = a.from
-				changed = true
-				if pass == len(syncs)-1 {
-					bad = a.to
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	if bad >= 0 {
-		// Walk predecessors into the cycle and collect it for the report.
-		v := bad
-		for i := 0; i < len(syncs); i++ {
-			v = pred[v]
-		}
-		var names []string
-		start := v
-		for {
-			names = append(names, s.Prog.Instrs[syncs[v]].String())
-			v = pred[v]
-			if v == start || len(names) > len(syncs) {
-				break
-			}
-		}
-		in := s.Prog.Instrs[syncs[start]]
-		p := diag.Pos{}
-		st := ""
-		if s.Prog.Sync != nil && in.Stmt >= 0 && in.Stmt < len(s.Prog.Sync.Base.Body) {
-			stmt := s.Prog.Sync.Base.Body[in.Stmt]
-			p, st = stmt.Pos(), stmt.Label
-		}
-		d := diag.Errorf(Stage, p, "cross-iteration deadlock: wait-for cycle with non-positive total distance through %v", names)
+		p, st := stmtPos(s.Prog, in)
+		d := diag.Errorf(Stage, p, "deadlock: %v waits for a signal that is never sent", in)
 		if st != "" {
 			d = d.WithStmt(st)
 		}
 		out = append(out, d)
 	}
-	return out
+	if !search {
+		return out
+	}
+	cycle := deadlockCycle(s, rowPos)
+	if cycle == nil {
+		return out
+	}
+	names := make([]string, len(cycle))
+	for i, v := range cycle {
+		names[i] = s.Prog.Instrs[v].String()
+	}
+	p, st := stmtPos(s.Prog, s.Prog.Instrs[cycle[0]])
+	d := diag.Errorf(Stage, p, "cross-iteration deadlock: wait-for cycle with non-positive total distance through %v", names)
+	if st != "" {
+		d = d.WithStmt(st)
+	}
+	return append(out, d)
+}
+
+// stmtPos returns the position and label of the statement an instruction
+// was generated from, or zero values when it has none.
+func stmtPos(p *tac.Program, in *tac.Instr) (diag.Pos, string) {
+	if p.Sync != nil && in.Stmt >= 0 && in.Stmt < len(p.Sync.Base.Body) {
+		st := p.Sync.Base.Body[in.Stmt]
+		return st.Pos(), st.Label
+	}
+	return diag.Pos{}, ""
+}
+
+// deadlockCycle searches the wait-for graph of verifyDeadlockFree for a
+// cycle of total weight <= 0 and returns its instructions, each preceded
+// in the list by its successor on the cycle, or nil when there is none.
+//
+// It is Bellman-Ford from an implicit all-zero source over weights scaled
+// by K = (number of sync instructions) + 1 less one per arc, so a cycle of
+// total weight <= 0, and only such a cycle, is strictly negative (a simple
+// cycle has fewer than K arcs). The stall arcs are not materialized: those
+// into a wait all come from later-issued instructions and weigh -1 scaled,
+// so they relax as one running minimum over the instructions in reverse
+// schedule order, and a pass costs O(syncs).
+func deadlockCycle(s *core.Schedule, rowPos []int) []int {
+	var syncs []int // sync instructions in schedule order
+	for v, in := range s.Prog.Instrs {
+		if in.IsSync() {
+			syncs = append(syncs, v)
+		}
+	}
+	slices.SortFunc(syncs, func(a, b int) int {
+		if c := cmp.Compare(s.Cycle[a], s.Cycle[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(rowPos[a], rowPos[b])
+	})
+	n := len(syncs)
+	tab := make([]int, len(s.Prog.Instrs)+3*n)
+	at := tab[:len(s.Prog.Instrs)] // instruction -> position in syncs
+	to, dist, pred := tab[len(at):len(at)+n], tab[len(at)+n:len(at)+2*n], tab[len(at)+2*n:]
+	for i, v := range syncs {
+		at[v] = i
+	}
+	for i, v := range syncs {
+		to[i], pred[i] = -1, -1
+		if send := s.Prog.SendOf(v); send >= 0 {
+			to[i] = at[send] // a wait: its arc to its send
+		}
+	}
+	k := n + 1
+	bad := -1
+	for pass := 0; pass < n; pass++ {
+		changed := -1
+		for i, v := range syncs {
+			if j := to[i]; j >= 0 {
+				if w := dist[i] + s.Prog.Instrs[v].SigDist*k - 1; w < dist[j] {
+					dist[j], pred[j], changed = w, i, j
+				}
+			}
+		}
+		low := -1 // the later-issued position of least distance
+		for i := n - 1; i >= 0; i-- {
+			if to[i] >= 0 && low >= 0 && dist[low]-1 < dist[i] {
+				dist[i], pred[i], changed = dist[low]-1, low, i
+			}
+			if low < 0 || dist[i] < dist[low] {
+				low = i
+			}
+		}
+		if changed < 0 {
+			return nil
+		}
+		bad = changed
+	}
+	// A position relaxed in the last pass leads back, through n
+	// predecessors, onto a negative cycle.
+	for i := 0; i < n; i++ {
+		bad = pred[bad]
+	}
+	cycle := []int{syncs[bad]}
+	for v := pred[bad]; v != bad && len(cycle) <= n; v = pred[v] {
+		cycle = append(cycle, syncs[v])
+	}
+	return cycle
 }
 
 // verifyLBDAccounting recomputes the LBD/LFD classification of every
@@ -546,11 +577,11 @@ func verifyLBDAccounting(s *core.Schedule) diag.List {
 		if in.Op != tac.Wait {
 			continue
 		}
-		send := s.Prog.SendFor(in.Signal)
-		if send == nil {
+		send := s.Prog.SendOf(v)
+		if send < 0 {
 			continue // reported by the deadlock check
 		}
-		span := s.Cycle[send.ID-1] - s.Cycle[v]
+		span := s.Cycle[send] - s.Cycle[v]
 		if span < 0 {
 			continue // LFD in the schedule
 		}

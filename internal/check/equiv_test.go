@@ -2,6 +2,7 @@ package check_test
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"doacross/internal/core"
 	"doacross/internal/diag"
 	"doacross/internal/dlx"
+	"doacross/internal/lang"
 	"doacross/internal/scheditest"
 	"doacross/internal/tac"
 )
@@ -165,4 +167,159 @@ func TestEdgesRejectTempsOutOfRange(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLintSyncEquivalence holds LintSync to the linter it replaced on the
+// compiler-inserted synchronization of the wide corpus and the size-sweep
+// loops up to 40 statements: the same findings with the same text, in the
+// same order. No search of these loops reaches the budget, so no finding
+// is allowed to differ.
+func TestLintSyncEquivalence(t *testing.T) {
+	sweep := 40
+	if testing.Short() {
+		sweep = 20
+	}
+	cases := append(equivCorpus(t), scheditest.SweepCorpus(t, sweep)...)
+	for _, c := range cases {
+		sl := c.Graph.Prog.Sync
+		if got, want := check.LintSync(sl), refLintSync(sl); !sameDiags(got, want) {
+			t.Fatalf("%s: LintSync differs from the reference\n got %s\nwant %s", c.Name, got, want)
+		}
+	}
+}
+
+// TestLintEquivalence does the same for explicitly written synchronization:
+// the lint fixtures, whose goldens pin the text as well.
+func TestLintEquivalence(t *testing.T) {
+	fixtures, err := filepath.Glob(filepath.Join("testdata", "*.loop"))
+	if err != nil || len(fixtures) == 0 {
+		t.Fatalf("no lint fixtures: %v", err)
+	}
+	for _, path := range fixtures {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loop, err := lang.Parse(string(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := check.Lint(loop), refLint(loop); !sameDiags(got, want) {
+			t.Fatalf("%s: Lint differs from the reference\n got %s\nwant %s", path, got, want)
+		}
+	}
+}
+
+// TestRedundantSearchWithinBudget checks that no redundant-wait search of
+// the wide corpus or the size sweep reaches the search budget, so the
+// budget changes no finding on them.
+func TestRedundantSearchWithinBudget(t *testing.T) {
+	sweep := 80
+	if testing.Short() {
+		sweep = 20
+	}
+	for _, c := range append(equivCorpus(t), scheditest.SweepCorpus(t, sweep)...) {
+		if peak := check.RedundantSearchPeak(c.Graph.Prog.Sync); peak >= check.RedundantBudget {
+			t.Errorf("%s: a redundant-wait search visits %d states, budget %d", c.Name, peak, check.RedundantBudget)
+		}
+	}
+}
+
+// TestDeadlockEquivalence holds the deadlock check to the Bellman-Ford
+// search over materialized arcs it replaced. Every wait of every sync
+// schedule of the wide corpus is given its own distance, 0 and -1, with
+// its send issued first, in place and last: the verdicts and the
+// missing-send findings must agree, and a reported cycle must be a real
+// wait-for cycle of non-positive total distance.
+func TestDeadlockEquivalence(t *testing.T) {
+	checked, deadlocked := 0, 0
+	for _, c := range equivCorpus(t) {
+		for _, m := range dlx.PaperConfigs() {
+			s, err := core.Sync(c.Graph, m)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", c.Name, m.Name, err)
+			}
+			for v, in := range s.Prog.Instrs {
+				send := s.Prog.SendOf(v)
+				if send < 0 {
+					continue
+				}
+				for _, d := range []int{in.SigDist, 0, -1} {
+					mut := withWaitDistance(s, v, d)
+					for _, at := range []int{0, s.Cycle[send], len(s.Rows)} {
+						mut := cloneSchedule(mut)
+						mut.Cycle[send] = at
+						rebuildRows(mut)
+						checked++
+						if sameDeadlockVerdict(t, fmt.Sprintf("%s on %s, wait %d at distance %d, send at %d", c.Name, m.Name, v, d, at), mut) {
+							deadlocked++
+						}
+					}
+				}
+			}
+		}
+	}
+	if deadlocked == 0 || deadlocked == checked {
+		t.Fatalf("%d of %d mutated schedules deadlock: the corpus does not exercise both verdicts", deadlocked, checked)
+	}
+}
+
+// withWaitDistance returns a copy of s whose program gives wait v distance d.
+func withWaitDistance(s *core.Schedule, v, d int) *core.Schedule {
+	cp := *s
+	cp.Prog = withInstr(s.Prog, v, func(in *tac.Instr) { in.SigDist = d })
+	return &cp
+}
+
+// sameDeadlockVerdict fails unless the deadlock check agrees with the
+// reference on s: the same findings, except that the text of a reported
+// wait-for cycle may name another cycle, which must be real. It reports
+// whether a cycle was found.
+func sameDeadlockVerdict(t *testing.T, name string, s *core.Schedule) bool {
+	t.Helper()
+	got, want := check.VerifyDeadlockFree(s), refVerifyDeadlockFree(s, check.RowPos(s))
+	const cycleMsg = "cross-iteration deadlock"
+	sameExceptCycle := slices.EqualFunc(got, want, func(x, y *diag.Diagnostic) bool {
+		if strings.Contains(x.Msg, cycleMsg) {
+			return strings.Contains(y.Msg, cycleMsg)
+		}
+		return *x == *y
+	})
+	if !sameExceptCycle {
+		t.Fatalf("%s: deadlock check differs from the reference\n got %s\nwant %s", name, got, want)
+	}
+	cycle := check.DeadlockCycle(s)
+	if reported := len(got) > 0 && strings.Contains(got[len(got)-1].Msg, cycleMsg); reported != (cycle != nil) {
+		t.Fatalf("%s: cycle %v, findings %s", name, cycle, got)
+	}
+	if cycle != nil && !realDeadlockCycle(s, cycle) {
+		t.Fatalf("%s: reported cycle %v is not a wait-for cycle of non-positive distance", name, cycle)
+	}
+	return cycle != nil
+}
+
+// realDeadlockCycle reports whether cycle, each instruction preceded by
+// its successor, is a cycle of the wait-for graph with total distance <= 0:
+// consecutive instructions are joined by a wait's arc to its send (weight
+// d) or by an in-order stall arc into a wait from an instruction issued
+// after it (weight 0), the lighter when both exist.
+func realDeadlockCycle(s *core.Schedule, cycle []int) bool {
+	rowPos := check.RowPos(s)
+	total := 0
+	for i, to := range cycle {
+		from := cycle[(i+1)%len(cycle)]
+		w, ok := 0, false
+		if in := s.Prog.Instrs[from]; in.Op == tac.Wait && s.Prog.SendOf(from) == to {
+			w, ok = in.SigDist, true
+		}
+		later := s.Cycle[from] > s.Cycle[to] || s.Cycle[from] == s.Cycle[to] && rowPos[from] > rowPos[to]
+		if s.Prog.Instrs[to].Op == tac.Wait && s.Prog.SendOf(to) >= 0 && later && (!ok || w > 0) {
+			w, ok = 0, true
+		}
+		if !ok {
+			return false
+		}
+		total += w
+	}
+	return total <= 0
 }

@@ -6,7 +6,12 @@ import (
 	"doacross"
 	"doacross/internal/check"
 	"doacross/internal/core"
+	"doacross/internal/dep"
 	"doacross/internal/diag"
+	"doacross/internal/lang"
+	"doacross/internal/loopgen"
+	"doacross/internal/syncop"
+	"doacross/internal/tac"
 )
 
 // fuzzCorpus are the loops FuzzVerify mutates schedules of. Fuzzing varies
@@ -19,11 +24,12 @@ var fuzzCorpus = []string{
 	"DO I = 1, N\n  S1: A[I] = B[I-3] / C[I]\n  S2: B[I] = A[I-2] * A[I-1]\nENDDO",
 }
 
-// FuzzVerify checks three properties of the verifier under arbitrary
+// FuzzVerify checks four properties of the verifier under arbitrary
 // schedule mutations: it never panics, any mutation that breaks a derived
-// dependence edge is flagged (mutation kill), and a Verifier prepared once
-// for the program reports exactly the one-shot Verify's diagnostics. The
-// unmutated schedule must always be accepted.
+// dependence edge is flagged (mutation kill), a Verifier prepared once for
+// the program reports exactly the one-shot Verify's diagnostics, and with
+// a wait's distance mutated to 0 or below the deadlock check reaches the
+// reference's verdict. The unmutated schedule must always be accepted.
 func FuzzVerify(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint16(1), uint16(2), uint16(7))
 	f.Add(uint8(1), uint8(1), uint16(9), uint16(0), uint16(3))
@@ -70,6 +76,20 @@ func FuzzVerify(f *testing.F) {
 		rebuildRows(mut)
 		verify(mut)
 
+		// Distance mutation on top of it: a wait at distance 0 or below is
+		// what sends the deadlock check into its cycle search.
+		var waits []int
+		for v, in := range p.Code.Instrs {
+			if in.Op == tac.Wait {
+				waits = append(waits, v)
+			}
+		}
+		if len(waits) > 0 {
+			dmut := withWaitDistance(mut, waits[int(a)%len(waits)], -int(c%3))
+			sameDeadlockVerdict(t, "distance mutation", dmut)
+			check.Verify(dmut)
+		}
+
 		// Deletion mutation: always flagged.
 		if n > 1 {
 			mut = cloneSchedule(s)
@@ -94,6 +114,32 @@ func FuzzVerify(f *testing.F) {
 			if check.Err(verify(mut)) == nil {
 				t.Fatalf("broken %v edge %d->%d accepted", e.Kind, e.From, e.To)
 			}
+		}
+	})
+}
+
+// FuzzLintSync holds LintSync to the reference linter on the compiler-
+// inserted synchronization of generated loops: the same findings with the
+// same text, in the same order.
+func FuzzLintSync(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(3), false)
+	f.Add(uint64(7), uint8(1), uint8(6), true)
+	f.Add(uint64(42), uint8(2), uint8(9), false)
+	f.Add(uint64(0xED6E), uint8(5), uint8(11), true)
+	f.Fuzz(func(t *testing.T, seed uint64, shape, stmts uint8, constBounds bool) {
+		shapes := loopgen.Shapes()
+		src := loopgen.Generate(seed, loopgen.Options{
+			Shape:       shapes[int(shape)%len(shapes)],
+			Stmts:       1 + int(stmts)%12,
+			ConstBounds: constBounds,
+		})
+		loop, err := lang.Parse(src)
+		if err != nil {
+			t.Fatalf("generated loop does not parse: %v\n%s", err, src)
+		}
+		sl := syncop.Insert(dep.Analyze(loop), syncop.Options{})
+		if got, want := check.LintSync(sl), refLintSync(sl); !sameDiags(got, want) {
+			t.Fatalf("LintSync differs from the reference on\n%s\n got %s\nwant %s", src, got, want)
 		}
 	})
 }

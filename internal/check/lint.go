@@ -1,7 +1,10 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 
 	"doacross/internal/dep"
@@ -23,6 +26,7 @@ type lintOp struct {
 	seq    int // textual order among sync ops and statements
 	prev   int // statement index textually before the op, -1 if none
 	next   int // statement index textually after the op, len(Body) if none
+	src    int // index of the signal's source statement, -1: unknown label
 	pos    diag.Pos
 	stmt   string // label of the anchor statement, "" past the last one
 }
@@ -31,8 +35,11 @@ type lintOp struct {
 // returns positioned findings (stage "lint"): waits that can never be
 // satisfied (static deadlock), dead sends, non-positive or mismatched
 // distances, self-synchronization, and redundant waits subsumed by the
-// transitive closure of the remaining synchronization. A loop without
-// explicit sync ops has nothing to lint and yields nil.
+// transitive closure of the remaining synchronization. The search for a
+// subsuming chain visits at most 4,096 states per wait, so its cost does
+// not grow with the distances; a wait whose search would visit more is not
+// reported redundant. A loop without explicit sync ops has nothing to lint
+// and yields nil.
 func Lint(loop *lang.Loop) diag.List {
 	if loop == nil || len(loop.Syncs) == 0 {
 		return nil
@@ -67,6 +74,11 @@ func LintSync(sl *syncop.Loop) diag.List {
 	if sl == nil {
 		return nil
 	}
+	return lintOps(sl.Base, sl.Analysis, syncOps(sl))
+}
+
+// syncOps lists the compiler-inserted synchronization of sl as lint ops.
+func syncOps(sl *syncop.Loop) []lintOp {
 	var ops []lintOp
 	for seq, it := range sl.Items() {
 		if it.Op == nil {
@@ -87,7 +99,7 @@ func LintSync(sl *syncop.Loop) diag.List {
 		}
 		ops = append(ops, op)
 	}
-	return lintOps(sl.Base, sl.Analysis, ops)
+	return ops
 }
 
 // lintOps runs every lint rule over the neutral op list.
@@ -119,26 +131,43 @@ func lintOps(base *lang.Loop, a *dep.Analysis, ops []lintOp) diag.List {
 		}
 	}
 
-	srcOf := func(signal string) int { return base.StmtIndex(signal) }
-	firstSendSeq := map[string]int{}
-	awaited := map[string]bool{}
-	for _, op := range ops {
-		if op.wait {
-			awaited[op.signal] = true
-		} else if _, dup := firstSendSeq[op.signal]; !dup {
-			firstSendSeq[op.signal] = op.seq
+	// Resolve every op's signal once. A signal names its source statement,
+	// so the per-signal facts are kept per statement: firstSend[s] is one
+	// past the seq of the first send of statement s's signal (0: never
+	// sent).
+	labels := base.Labels()
+	firstSend := make([]int, len(base.Body))
+	awaited := make([]bool, len(base.Body))
+	for i := range ops {
+		op := &ops[i]
+		op.src = labels.StmtIndex(op.signal)
+		switch {
+		case op.src < 0:
+		case op.wait:
+			awaited[op.src] = true
+		case firstSend[op.src] == 0:
+			firstSend[op.src] = op.seq + 1
 		}
+	}
+	var deps stmtPairs // carried dependences by (source, sink) statement
+	if a != nil {
+		deps = make(stmtPairs, 0, len(a.Deps))
+		for i, d := range a.Deps {
+			if d.Distance > 0 {
+				deps = append(deps, stmtPair{int32(d.Src.Stmt), int32(d.Snk.Stmt), int32(i)})
+			}
+		}
+		deps.sort()
 	}
 
 	for _, op := range ops {
-		src := srcOf(op.signal)
+		src := op.src
 		if src < 0 {
 			report(op, true, "%s references unknown statement label %q", render(op), op.signal)
 			continue
 		}
 		if op.wait {
-			sendSeq, sent := firstSendSeq[op.signal]
-			if !sent {
+			if firstSend[src] == 0 {
 				report(op, true, "static deadlock: %s has no matching Send_Signal(%s)", render(op), op.signal)
 				continue
 			}
@@ -147,7 +176,7 @@ func lintOps(base *lang.Loop, a *dep.Analysis, ops []lintOp) diag.List {
 				continue
 			}
 			if op.dist == 0 {
-				if sendSeq > op.seq {
+				if firstSend[src]-1 > op.seq {
 					if src == op.next {
 						report(op, true, "self-synchronization deadlock: %s waits for its own statement's signal within the same iteration", render(op))
 					} else {
@@ -161,19 +190,18 @@ func lintOps(base *lang.Loop, a *dep.Analysis, ops []lintOp) diag.List {
 			// Distance audit against the dependence analysis: the wait
 			// guards its anchor statement against the signal's source.
 			if a != nil && op.next < len(base.Body) {
-				var dists []int
+				found := deps.find(src, op.next)
 				match := false
-				for _, d := range a.Deps {
-					if d.Src.Stmt == src && d.Snk.Stmt == op.next && d.Distance > 0 {
-						dists = append(dists, d.Distance)
-						if d.Distance == op.dist {
-							match = true
-						}
-					}
+				for _, e := range found {
+					match = match || a.Deps[e.at].Distance == op.dist
 				}
-				if len(dists) == 0 {
+				if len(found) == 0 {
 					report(op, false, "no loop-carried dependence from %s to %s requires %s", op.signal, base.Body[op.next].Label, render(op))
 				} else if !match {
+					dists := make([]int, len(found))
+					for i, e := range found {
+						dists[i] = a.Deps[e.at].Distance
+					}
 					report(op, false, "%s distance %d matches no analyzed dependence %s->%s (analysis finds distances %v)",
 						render(op), op.dist, op.signal, base.Body[op.next].Label, dists)
 				}
@@ -182,18 +210,49 @@ func lintOps(base *lang.Loop, a *dep.Analysis, ops []lintOp) diag.List {
 			if op.prev < src {
 				report(op, true, "%s precedes its source statement %s (synchronization condition 1)", render(op), op.signal)
 			}
-			if !awaited[op.signal] {
+			if !awaited[src] {
 				report(op, false, "signal %s is sent but never awaited (dead synchronization)", op.signal)
 			}
-			if firstSendSeq[op.signal] != op.seq {
+			if firstSend[src]-1 != op.seq {
 				report(op, false, "duplicate %s", render(op))
 			}
 		}
 	}
 
-	lintRedundantWaits(base, ops, report, render)
+	lintRedundantWaits(ops, report, render)
 	out = append(out, lintDepPrecision(base, a, ops, render)...)
 	return out
+}
+
+// stmtPair keys entry at of a dependence or pair list by a statement pair.
+type stmtPair struct{ a, b, at int32 }
+
+// stmtPairs is a list of keyed entries sorted by (a, b, at), so the entries
+// of one statement pair are found by binary search, in list order.
+type stmtPairs []stmtPair
+
+func (x stmtPairs) sort() {
+	slices.SortFunc(x, func(p, q stmtPair) int {
+		if c := cmp.Compare(p.a, q.a); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(p.b, q.b); c != 0 {
+			return c
+		}
+		return cmp.Compare(p.at, q.at)
+	})
+}
+
+// find returns the entries keyed (a, b).
+func (x stmtPairs) find(a, b int) stmtPairs {
+	lo := sort.Search(len(x), func(i int) bool {
+		return int(x[i].a) > a || int(x[i].a) == a && int(x[i].b) >= b
+	})
+	hi := lo
+	for hi < len(x) && int(x[hi].a) == a && int(x[hi].b) == b {
+		hi++
+	}
+	return x[lo:hi]
 }
 
 // hotspotThreshold is how many conservative pair decisions one statement must
@@ -210,27 +269,31 @@ func lintDepPrecision(base *lang.Loop, a *dep.Analysis, ops []lintOp, render fun
 		return nil
 	}
 	var out diag.List
+	// Pair decisions by unordered statement pair.
+	pairs := make(stmtPairs, len(a.Pairs))
+	for i := range a.Pairs {
+		x, y := a.Pairs[i].A.Stmt, a.Pairs[i].B.Stmt
+		pairs[i] = stmtPair{int32(min(x, y)), int32(max(x, y)), int32(i)}
+	}
+	pairs.sort()
 	for _, op := range ops {
 		if !op.wait || op.dist <= 0 || op.next >= len(base.Body) {
 			continue
 		}
-		src := base.StmtIndex(op.signal)
+		src := op.src
 		if src < 0 || src == op.next {
 			continue
 		}
-		indep, total := 0, 0
+		found := pairs.find(min(src, op.next), max(src, op.next))
+		indep := 0
 		var rule dep.Rule
-		for i := range a.Pairs {
-			p := &a.Pairs[i]
-			if (p.A.Stmt == src && p.B.Stmt == op.next) || (p.A.Stmt == op.next && p.B.Stmt == src) {
-				total++
-				if p.Verdict == dep.VerdictIndependent {
-					indep++
-					rule = p.Evidence.Rule
-				}
+		for _, e := range found {
+			if p := &a.Pairs[e.at]; p.Verdict == dep.VerdictIndependent {
+				indep++
+				rule = p.Evidence.Rule
 			}
 		}
-		if total > 0 && indep == total {
+		if len(found) > 0 && indep == len(found) {
 			d := diag.Warningf(LintStage, op.pos,
 				"provably-redundant synchronization arc: %s guards %s against %s, but every subscript pair between them is proven independent (%s)",
 				render(op), base.Body[op.next].Label, op.signal, rule)
@@ -244,16 +307,13 @@ func lintDepPrecision(base *lang.Loop, a *dep.Analysis, ops []lintOp, render fun
 	// analysis could not refine. Counted once per pair even when both
 	// references sit in the same statement.
 	counts := make([]int, len(base.Body))
-	reasons := make([]map[dep.Rule]bool, len(base.Body))
+	reasons := make([]uint32, len(base.Body)) // bit r: some pair's rule is r
 	note := func(stmt int, r dep.Rule) {
 		if stmt < 0 || stmt >= len(base.Body) {
 			return
 		}
 		counts[stmt]++
-		if reasons[stmt] == nil {
-			reasons[stmt] = map[dep.Rule]bool{}
-		}
-		reasons[stmt][r] = true
+		reasons[stmt] |= 1 << r
 	}
 	for i := range a.Pairs {
 		p := &a.Pairs[i]
@@ -271,7 +331,7 @@ func lintDepPrecision(base *lang.Loop, a *dep.Analysis, ops []lintOp, render fun
 		}
 		var rules []string
 		for r := dep.Rule(0); int(r) < 16; r++ {
-			if reasons[s][r] {
+			if reasons[s]&(1<<r) != 0 {
 				rules = append(rules, r.String())
 			}
 		}
@@ -283,6 +343,10 @@ func lintDepPrecision(base *lang.Loop, a *dep.Analysis, ops []lintOp, render fun
 	return out
 }
 
+// redundantBudget is how many search states one wait's redundant-wait
+// search may visit before it is abandoned.
+const redundantBudget = 1 << 12
+
 // lintRedundantWaits flags waits subsumed by the transitive closure of the
 // other waits. A wait W for signal src(W) with distance d guarantees that
 // statement src(W) of iteration i-d completed before W's anchor statement
@@ -292,59 +356,141 @@ func lintDepPrecision(base *lang.Loop, a *dep.Analysis, ops []lintOp, render fun
 // requirement matters because iterations of a DOACROSS loop are otherwise
 // unordered. Waits already flagged redundant are excluded from chains, so
 // of two identical waits only the later is flagged.
-func lintRedundantWaits(base *lang.Loop, ops []lintOp, report func(lintOp, bool, string, ...any), render func(lintOp) string) {
-	// Waits eligible to participate: positive distance, known signal.
-	var waits []lintOp
-	for _, op := range ops {
-		if op.wait && op.dist > 0 && base.StmtIndex(op.signal) >= 0 {
-			waits = append(waits, op)
+//
+// Each wait runs one breadth-first search over states (anchor, distance
+// used so far), which reports the shortest chain, first found in wait
+// order. A search may visit at most redundantBudget states, so its cost
+// does not grow with the distances: a wait whose search would visit more
+// gets no finding, even if a chain exists.
+func lintRedundantWaits(ops []lintOp, report func(lintOp, bool, string, ...any), render func(lintOp) string) {
+	var search waitSearch
+	waits := search.load(ops)
+	if len(waits) < 2 {
+		return
+	}
+	for wi, w := range waits {
+		if last := search.run(wi); last >= 0 {
+			var chain []string
+			for k := last; k >= 0; k = int(search.states[k].parent) {
+				chain = append(chain, render(ops[waits[search.states[k].via]]))
+			}
+			slices.Reverse(chain)
+			report(ops[w], false, "%s is redundant: subsumed by transitive synchronization through %v", render(ops[w]), chain)
+			search.waits[wi].redundant = true
 		}
 	}
-	redundant := map[int]bool{} // seq -> flagged
-	for _, w := range waits {
-		srcW := base.StmtIndex(w.signal)
-		type state struct {
-			anchor, used int
+}
+
+// waitSearch is the working state of lintRedundantWaits, reused across its
+// searches: the eligible waits, the visited states, which are also the
+// breadth-first queue, and an open-addressing set of their keys.
+type waitSearch struct {
+	waits  []chainWait
+	states []searchState
+	slots  []int32 // state index + 1 by key hash, 0: empty
+}
+
+// load takes the waits eligible to form chains — positive distance, known
+// signal — and returns their indexes in ops.
+func (ws *waitSearch) load(ops []lintOp) []int {
+	waits := make([]int, 0, len(ops))
+	ws.waits = make([]chainWait, 0, len(ops))
+	for i, op := range ops {
+		if op.wait && op.dist > 0 && op.src >= 0 {
+			waits = append(waits, i)
+			ws.waits = append(ws.waits, chainWait{src: int32(op.src), next: int32(op.next), dist: op.dist})
 		}
-		type entry struct {
-			st    state
-			chain []string
-		}
-		var queue []entry
-		seen := map[state]bool{}
-		push := func(st state, chain []string) {
-			if st.used > w.dist || seen[st] {
-				return
-			}
-			seen[st] = true
-			queue = append(queue, entry{st: st, chain: chain})
-		}
-		for _, v := range waits {
-			if v.seq == w.seq || redundant[v.seq] {
+	}
+	return waits
+}
+
+// chainWait is an eligible wait as the search sees it.
+type chainWait struct {
+	src, next int32
+	dist      int
+	redundant bool // flagged already: no longer part of any chain
+}
+
+// searchState is one visited (anchor, used) state, reached through the
+// wait waits[via] from the state at index parent (-1: a chain's first
+// wait). It is complete when used is the searched wait's distance and
+// anchor is at or before its anchor.
+type searchState struct {
+	used                int
+	anchor, parent, via int32
+}
+
+// run searches for a chain subsuming waits[wi] and returns the index of
+// its last state, or -1 when there is none or the budget ran out. The
+// reported state is the first complete one in breadth-first order; it is
+// recognized when it is enqueued, since every state enqueued before it is
+// dequeued, and found incomplete, first.
+func (ws *waitSearch) run(wi int) int {
+	// Empty the key set of the previous search. Removing linear-probing
+	// keys in reverse insertion order restores each earlier table exactly.
+	for i := len(ws.states) - 1; i >= 0; i-- {
+		ws.slots[ws.find(ws.states[i].anchor, ws.states[i].used)] = 0
+	}
+	ws.states = ws.states[:0]
+	w := ws.waits[wi]
+	last := -1
+	// expand enqueues the unvisited states one more wait reaches from
+	// (anchor, used), in wait order, and reports false once the chain is
+	// complete or the budget is spent.
+	expand := func(anchor int32, used int, parent int32) bool {
+		for vi := range ws.waits {
+			v := &ws.waits[vi]
+			if v.src < anchor || used+v.dist > w.dist || v.redundant || vi == wi {
 				continue
 			}
-			if base.StmtIndex(v.signal) >= srcW {
-				push(state{anchor: v.next, used: v.dist}, []string{render(v)})
+			st := searchState{used + v.dist, v.next, parent, int32(vi)}
+			if len(ws.slots) < 2*(len(ws.states)+1) {
+				ws.grow()
+			}
+			k := ws.find(st.anchor, st.used)
+			if ws.slots[k] != 0 {
+				continue
+			}
+			if len(ws.states) == redundantBudget {
+				return false
+			}
+			ws.states = append(ws.states, st)
+			ws.slots[k] = int32(len(ws.states))
+			if st.used == w.dist && st.anchor <= w.next {
+				last = len(ws.states) - 1
+				return false
 			}
 		}
-		found := false
-		for len(queue) > 0 && !found {
-			e := queue[0]
-			queue = queue[1:]
-			if e.st.used == w.dist && e.st.anchor <= w.next {
-				report(w, false, "%s is redundant: subsumed by transitive synchronization through %v", render(w), e.chain)
-				redundant[w.seq] = true
-				found = true
+		return true
+	}
+	if expand(w.src, 0, -1) {
+		for head := 0; head < len(ws.states); head++ {
+			if !expand(ws.states[head].anchor, ws.states[head].used, int32(head)) {
 				break
 			}
-			for _, v := range waits {
-				if v.seq == w.seq || redundant[v.seq] {
-					continue
-				}
-				if base.StmtIndex(v.signal) >= e.st.anchor {
-					push(state{anchor: v.next, used: e.st.used + v.dist}, append(append([]string{}, e.chain...), render(v)))
-				}
-			}
 		}
+	}
+	return last
+}
+
+// find returns the slot holding (anchor, used), or the empty slot where it
+// belongs.
+func (ws *waitSearch) find(anchor int32, used int) int {
+	mask := len(ws.slots) - 1
+	k := int(uint32(anchor)*0x9E3779B1^uint32(used)*0x85EBCA77) & mask
+	for {
+		s := ws.slots[k]
+		if s == 0 || ws.states[s-1].anchor == anchor && ws.states[s-1].used == used {
+			return k
+		}
+		k = (k + 1) & mask
+	}
+}
+
+// grow doubles the key set and reinserts the visited states.
+func (ws *waitSearch) grow() {
+	ws.slots = make([]int32, max(64, 2*len(ws.slots)))
+	for i, st := range ws.states {
+		ws.slots[ws.find(st.anchor, st.used)] = int32(i + 1)
 	}
 }

@@ -1,8 +1,11 @@
 package check_test
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"doacross/internal/check"
 	"doacross/internal/dep"
@@ -258,5 +261,58 @@ ENDDO`)
 	}
 	if !found {
 		t.Errorf("hotspot finding carries no source position; got %q", warns)
+	}
+}
+
+// TestLintDistanceBudget lints the compiler-inserted synchronization of a
+// three-statement loop whose S2 waits on S1 at distance d. That wait is
+// subsumed by a chain of d copies of Wait_Signal(S1, I-1), and finding the
+// chain visits about 3d search states. At d = 1000 that is within the
+// budget: the finding is the reference linter's, chain and all. At d =
+// 100000 the search runs out of budget, so the wait gets no finding. Either
+// way linting stays within fixed time and allocation bounds; the linter it
+// replaced took seconds and gigabytes at d = 4000 and beyond.
+func TestLintDistanceBudget(t *testing.T) {
+	for _, c := range []struct {
+		d         int
+		redundant bool
+	}{{1000, true}, {100000, false}} {
+		src := fmt.Sprintf("DO I = 1, N\n  S1: A[I] = A[I-1] + B[I]\n  S2: C[I] = A[I-%d] + C[I-1]\n  S3: E[I] = C[I-2] + A[I-3]\nENDDO", c.d)
+		loop, err := lang.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sl := syncop.Insert(dep.Analyze(loop), syncop.Options{})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		l := check.LintSync(sl)
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 4<<20 {
+			t.Errorf("d = %d: linting allocated %d bytes, want at most 4 MiB", c.d, bytes)
+		}
+		if elapsed > 2*time.Second {
+			t.Errorf("d = %d: linting took %v, want at most 2s", c.d, elapsed)
+		}
+		subsumed := fmt.Sprintf("Wait_Signal(S1, I-%d) is redundant", c.d)
+		var finding string
+		for _, d := range l {
+			if strings.Contains(d.Msg, subsumed) {
+				finding = d.Msg
+			}
+		}
+		if got := finding != ""; got != c.redundant {
+			t.Fatalf("d = %d: redundant-wait finding present = %v, want %v:\n%s", c.d, got, c.redundant, l)
+		}
+		if !c.redundant {
+			continue
+		}
+		if n := strings.Count(finding, "Wait_Signal(S1, I-1)"); n != c.d {
+			t.Errorf("d = %d: the chain has %d links, want %d", c.d, n, c.d)
+		}
+		if want := refLintSync(sl); !sameDiags(l, want) {
+			t.Errorf("d = %d: findings differ from the reference\n got %s\nwant %s", c.d, l, want)
+		}
 	}
 }

@@ -146,34 +146,62 @@ func (s *Schedule) PairSpans() []PairSpan {
 // callers with a reusable buffer.
 func (s *Schedule) PairSpansAppend(dst []PairSpan) []PairSpan {
 	for v, in := range s.Prog.Instrs {
-		if in.Op != tac.Wait {
-			continue
+		if p, ok := s.pairAt(v, in); ok {
+			dst = append(dst, p)
 		}
-		send := s.Prog.SendFor(in.Signal)
-		if send == nil {
-			continue
-		}
-		dst = append(dst, PairSpan{
-			Signal:    in.Signal,
-			Distance:  in.SigDist,
-			WaitCycle: s.Cycle[v],
-			SendCycle: s.Cycle[send.ID-1],
-			WaitNode:  v,
-			SendNode:  send.ID - 1,
-		})
 	}
 	return dst
+}
+
+// pairAt returns the placement of the pair whose wait is instruction v, or
+// false when v is not a wait or its signal is never sent.
+func (s *Schedule) pairAt(v int, in *tac.Instr) (PairSpan, bool) {
+	if in.Op != tac.Wait {
+		return PairSpan{}, false
+	}
+	send := s.Prog.SendOf(v)
+	if send < 0 {
+		return PairSpan{}, false
+	}
+	return PairSpan{
+		Signal:    in.Signal,
+		Distance:  in.SigDist,
+		WaitCycle: s.Cycle[v],
+		SendCycle: s.Cycle[send],
+		WaitNode:  v,
+		SendNode:  send,
+	}, true
 }
 
 // NumLBD returns the number of synchronization pairs that remain LBD.
 func (s *Schedule) NumLBD() int {
 	n := 0
-	for _, p := range s.PairSpans() {
-		if p.LBD() {
+	for v, in := range s.Prog.Instrs {
+		if p, ok := s.pairAt(v, in); ok && p.LBD() {
 			n++
 		}
 	}
 	return n
+}
+
+// ChainBound is the LBD-chain bound on the parallel time of n >= 1
+// iterations, ⌊(n−1)/d⌋·(i−j+1) + l maximized over the pairs that remain
+// LBD, or l, the completion length, when none does: the dynamic form of the
+// paper's (n/d)(i−j) + l (model.Predict). The synchronization-aware
+// scheduler prices its candidate schedules with it.
+func (s *Schedule) ChainBound(n int) int {
+	l := s.CompletionLength()
+	best := l
+	for v, in := range s.Prog.Instrs {
+		p, ok := s.pairAt(v, in)
+		if !ok || !p.LBD() {
+			continue
+		}
+		if t := (n-1)/p.Distance*(p.Span()+1) + l; t > best {
+			best = t
+		}
+	}
+	return best
 }
 
 // MaxLBDStall returns the worst per-iteration pipeline recurrence
@@ -181,15 +209,15 @@ func (s *Schedule) NumLBD() int {
 // max(span/d). This is the slope of the parallel execution time in n.
 func (s *Schedule) MaxLBDStall() float64 {
 	worst := 0.0
-	for _, p := range s.PairSpans() {
-		if !p.LBD() {
+	for v, in := range s.Prog.Instrs {
+		p, ok := s.pairAt(v, in)
+		if !ok || !p.LBD() {
 			continue
 		}
 		// The iteration-to-iteration recurrence advances d iterations per
 		// span cycles (+1 cycle for the send to become visible).
-		v := float64(p.Span()+1) / float64(p.Distance)
-		if v > worst {
-			worst = v
+		if r := float64(p.Span()+1) / float64(p.Distance); r > worst {
+			worst = r
 		}
 	}
 	return worst

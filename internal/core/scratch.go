@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"doacross/internal/bitset"
@@ -41,18 +44,16 @@ type Scratch struct {
 	all  []*schedBuf
 	free []*schedBuf
 
-	// Arc-adder state: accepted extra arcs plus a per-node linked list so
-	// duplicate and reachability checks run over base + extras with no map.
-	adExtra []dfg.Arc
-	adHead  []int32 // node -> first extra arc index + 1 (0 = none)
-	adNext  []int32
-	adMark  bitset.Bits
-	adStack []int
+	// The arc adder syncImpl schedules with, and a test's substitute for it
+	// (nil: ad).
+	ad    dagAdder
+	adder arcAdder
 
 	// Lazy-wait / priority state.
 	desc    bitset.Bits
 	inPath  bitset.Bits
 	visited bitset.Bits
+	stack   []int
 	anc     []int
 	lazyBuf []dfg.Arc
 	pairBuf []dfg.Arc
@@ -60,7 +61,6 @@ type Scratch struct {
 	class   []int
 	rank    []int
 	cp      []int
-	spans   []PairSpan
 }
 
 // NewScratch returns an empty Scratch (equivalent to new(Scratch); provided
@@ -471,23 +471,27 @@ func (sc *Scratch) SyncWithOptions(g *dfg.Graph, cfg dlx.Config, opt SyncOptions
 }
 
 func (sc *Scratch) syncImpl(g *dfg.Graph, cfg dlx.Config, opt SyncOptions) (*Schedule, error) {
-	sc.adReset(g)
+	ad := sc.adder
+	if ad == nil {
+		ad = &sc.ad
+	}
+	ad.reset(g)
 	if !opt.NoPairArcs {
 		// Provably safe Sig/Wat pair arcs first (the paper's rule).
 		for _, a := range sc.pairArcs(g) {
-			sc.adAdd(g, a)
+			ad.add(g, a)
 		}
 	}
 	if !opt.NoLazyWaits {
 		for _, a := range sc.lazyWaitArcs(g) {
-			sc.adAdd(g, a)
+			ad.add(g, a)
 		}
 	}
 	priority, err := sc.syncPriority(g, cfg, opt)
 	if err != nil {
 		return nil, err
 	}
-	best, err := sc.engine(g, cfg, sc.adExtra, priority, "sync")
+	best, err := sc.engine(g, cfg, ad.arcs(), priority, "sync")
 	if err != nil {
 		return nil, err
 	}
@@ -505,21 +509,20 @@ func (sc *Scratch) syncImpl(g *dfg.Graph, cfg dlx.Config, opt SyncOptions) (*Sch
 		if in.Op != tac.Wait {
 			continue
 		}
-		send := g.Prog.SendFor(in.Signal)
-		if send == nil {
+		s := g.Prog.SendOf(i)
+		if s < 0 {
 			continue
 		}
-		s := send.ID - 1
 		if best.Cycle[s] < best.Cycle[i] {
 			continue // already LFD
 		}
-		if !sc.adAdd(g, dfg.Arc{From: s, To: i, Kind: dfg.SrcToSend}) {
+		if !ad.add(g, dfg.Arc{From: s, To: i, Kind: dfg.SrcToSend}) {
 			continue
 		}
-		cand, err := sc.engine(g, cfg, sc.adExtra, priority, "sync")
-		if err != nil || !sc.betterThan(cand, best) {
+		cand, err := sc.engine(g, cfg, ad.arcs(), priority, "sync")
+		if err != nil || !betterThan(cand, best) {
 			sc.releaseSched(cand)
-			sc.adRemoveLast()
+			ad.removeLast()
 			continue
 		}
 		sc.releaseSched(best)
@@ -542,7 +545,7 @@ func (sc *Scratch) Best(g *dfg.Graph, cfg dlx.Config) (*Schedule, error) {
 		if err != nil {
 			return nil, err
 		}
-		if sc.betterThan(s, best) {
+		if betterThan(s, best) {
 			sc.releaseSched(best)
 			best = s
 		} else {
@@ -555,121 +558,259 @@ func (sc *Scratch) Best(g *dfg.Graph, cfg dlx.Config) (*Schedule, error) {
 // betterThan compares schedules by predicted parallel time at a large and a
 // small trip count (the recurrence slope dominates the first, the schedule
 // length the second), strictly.
-func (sc *Scratch) betterThan(a, b *Schedule) bool {
-	la, lb := sc.predictTotal(a, 1024), sc.predictTotal(b, 1024)
+func betterThan(a, b *Schedule) bool {
+	la, lb := a.ChainBound(1024), b.ChainBound(1024)
 	if la != lb {
 		return la < lb
 	}
 	return a.CompletionLength() < b.CompletionLength()
 }
 
-// predictTotal is the LBD-chain bound ⌊(n−1)/d⌋·(span+1) + l (the dynamic
-// form of the paper's (n/d)(i−j)+l), maximized over pairs.
-func (sc *Scratch) predictTotal(s *Schedule, n int) int {
-	l := s.CompletionLength()
-	best := l
-	sc.spans = s.PairSpansAppend(sc.spans[:0])
-	for _, p := range sc.spans {
-		if !p.LBD() {
-			continue
-		}
-		if t := (n-1)/p.Distance*(p.Span()+1) + l; t > best {
-			best = t
-		}
-	}
-	return best
+// arcAdder accepts extra ordering arcs on top of a dependence graph: add
+// refuses an arc that already exists (in the graph or among the accepted
+// arcs) or would close a cycle, and arcs lists the accepted ones in
+// acceptance order. syncImpl schedules with whatever it accepts, so two
+// adders making the same decisions produce the same schedules.
+type arcAdder interface {
+	reset(g *dfg.Graph)
+	add(g *dfg.Graph, arc dfg.Arc) bool
+	removeLast() // undoes the most recent successful add
+	arcs() []dfg.Arc
 }
 
-// adReset clears the arc-adder state for a new graph.
-func (sc *Scratch) adReset(g *dfg.Graph) {
+// dagAdder is the arc adder of the heuristic schedulers. It keeps a
+// topological order of the graph plus its accepted arcs and repairs it
+// incrementally (Pearce and Kelly's dynamic topological sort): an arc that
+// agrees with the order cannot close a cycle and costs nothing, and one
+// that disagrees is checked and repaired by searches confined to the nodes
+// between its endpoints in the order. Removing an arc keeps the order
+// valid. The duplicate test is a hash set of every arc's endpoints. All
+// state is grown once and reused, so a warm adder allocates nothing.
+type dagAdder struct {
+	extra   []dfg.Arc
+	outHead []int32 // node -> last accepted arc leaving it, index + 1 (0: none)
+	inHead  []int32 // node -> last accepted arc entering it, index + 1
+	outNext []int32 // accepted arc -> the previous one leaving its From
+	inNext  []int32 // accepted arc -> the previous one entering its To
+
+	ord []int32 // node -> position in the topological order
+
+	set   []uint64 // open addressing: from<<32 | to + 1 per arc, 0: empty
+	setN  int      // keys held
+	mark  bitset.Bits
+	stack []int
+	fwd   []int // the repair's descendants of the arc's head
+	bwd   []int // the repair's ancestors of the arc's tail
+	pool  []int32
+}
+
+func (d *dagAdder) arcs() []dfg.Arc { return d.extra }
+
+// reset clears the adder for g, orders g's nodes topologically (Kahn) and
+// fills the arc set with g's arcs.
+func (d *dagAdder) reset(g *dfg.Graph) {
 	n := g.N()
-	sc.adExtra = sc.adExtra[:0]
-	sc.adNext = sc.adNext[:0]
-	head := growInt32s(&sc.adHead, n)
-	for i := range head {
-		head[i] = 0
+	d.extra, d.outNext, d.inNext = d.extra[:0], d.outNext[:0], d.inNext[:0]
+	d.outHead, d.inHead = growInt32s(&d.outHead, n), growInt32s(&d.inHead, n)
+	clear(d.outHead)
+	clear(d.inHead)
+	d.ord = growInt32s(&d.ord, n)
+	// Kahn, with ord counting the unplaced predecessors until a node is
+	// placed. A cyclic graph (which scheduling rejects anyway) leaves its
+	// cycles' nodes unplaced; they take the last positions in index order.
+	queue := d.stack[:0]
+	for v := 0; v < n; v++ {
+		d.ord[v] = int32(len(g.Pred[v]))
+		if d.ord[v] == 0 {
+			queue = append(queue, v)
+		}
+	}
+	placed := bitset.Make(d.mark, n)
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		placed.Set(v)
+		for _, w := range g.Succ[v] {
+			if d.ord[w]--; d.ord[w] == 0 {
+				queue = append(queue, w)
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		if !placed.Has(v) {
+			queue = append(queue, v)
+		}
+	}
+	for i, v := range queue {
+		d.ord[v] = int32(i)
+	}
+	d.stack = queue[:0]
+	placed.Reset()
+	d.mark = placed
+
+	d.setN = 0
+	d.rehash(g, max(64, 4*len(g.Arcs)))
+}
+
+// rehash rebuilds the arc set with size slots (a power of two at least 64):
+// first g's arcs, then the accepted ones in order, which keeps removing the
+// most recent key an exact undo.
+func (d *dagAdder) rehash(g *dfg.Graph, size int) {
+	size = 1 << bits.Len(uint(size-1))
+	if cap(d.set) < size {
+		d.set = make([]uint64, size)
+	}
+	d.set = d.set[:size]
+	clear(d.set)
+	d.setN = 0
+	for v, succ := range g.Succ {
+		for _, w := range succ {
+			d.insert(v, w)
+		}
+	}
+	for _, a := range d.extra {
+		d.insert(a.From, a.To)
 	}
 }
 
-// adHas reports whether from→to exists in the base graph or the accepted
-// extra arcs.
-func (sc *Scratch) adHas(g *dfg.Graph, from, to int) bool {
-	for _, t := range g.Succ[from] {
-		if t == to {
-			return true
-		}
+// slot returns the slot holding from→to, or the empty slot where it
+// belongs.
+func (d *dagAdder) slot(from, to int) int {
+	key := uint64(from)<<32 | uint64(to) + 1
+	mask := len(d.set) - 1
+	k := int((key*0x9E3779B97F4A7C15)>>32) & mask
+	for d.set[k] != 0 && d.set[k] != key {
+		k = (k + 1) & mask
 	}
-	for e := sc.adHead[from]; e != 0; e = sc.adNext[e-1] {
-		if sc.adExtra[e-1].To == to {
-			return true
-		}
-	}
-	return false
+	return k
 }
 
-// adAdd accepts the arc unless it already exists or would close a cycle.
-func (sc *Scratch) adAdd(g *dfg.Graph, arc dfg.Arc) bool {
-	if arc.From == arc.To || sc.adHas(g, arc.From, arc.To) {
+func (d *dagAdder) insert(from, to int) {
+	if k := d.slot(from, to); d.set[k] == 0 {
+		d.set[k] = uint64(from)<<32 | uint64(to) + 1
+		d.setN++
+	}
+}
+
+// add accepts the arc unless it already exists or would close a cycle.
+func (d *dagAdder) add(g *dfg.Graph, arc dfg.Arc) bool {
+	x, y := arc.From, arc.To
+	if x == y || d.set[d.slot(x, y)] != 0 {
 		return false
 	}
-	if sc.adReaches(g, arc.To, arc.From) {
+	if lb, ub := d.ord[y], d.ord[x]; lb < ub && !d.reorder(g, x, y, lb, ub) {
 		return false
 	}
-	idx := len(sc.adExtra)
-	sc.adExtra = append(sc.adExtra, arc)
-	sc.adNext = append(sc.adNext, sc.adHead[arc.From])
-	sc.adHead[arc.From] = int32(idx) + 1
+	if 2*(d.setN+1) > len(d.set) {
+		d.rehash(g, 2*len(d.set))
+	}
+	d.insert(x, y)
+	k := int32(len(d.extra)) + 1
+	d.extra = append(d.extra, arc)
+	d.outNext = append(d.outNext, d.outHead[x])
+	d.inNext = append(d.inNext, d.inHead[y])
+	d.outHead[x], d.inHead[y] = k, k
 	return true
 }
 
-// adRemoveLast undoes the most recent successful adAdd.
-func (sc *Scratch) adRemoveLast() {
-	k := len(sc.adExtra) - 1
-	if k < 0 {
-		return
+// reorder makes room for x→y when y precedes x in the order (positions lb
+// < ub). It collects y's descendants up to position ub; reaching x means
+// the arc closes a cycle, and reorder reports false with the order
+// untouched. Otherwise it collects x's ancestors down to position lb and
+// moves them, in their relative order, before the descendants, onto the
+// positions both sets held.
+func (d *dagAdder) reorder(g *dfg.Graph, x, y int, lb, ub int32) bool {
+	d.fwd = d.fwd[:0]
+	d.bwd = d.bwd[:0]
+	stack := append(d.stack[:0], y)
+	d.mark.Set(y)
+	cyclic := false
+	for len(stack) > 0 && !cyclic {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		d.fwd = append(d.fwd, v)
+		visit := func(w int) {
+			if w == x {
+				cyclic = true
+			} else if d.ord[w] < ub && !d.mark.Has(w) {
+				d.mark.Set(w)
+				stack = append(stack, w)
+			}
+		}
+		for _, w := range g.Succ[v] {
+			visit(w)
+		}
+		for e := d.outHead[v]; e != 0; e = d.outNext[e-1] {
+			visit(d.extra[e-1].To)
+		}
 	}
-	arc := sc.adExtra[k]
-	sc.adHead[arc.From] = sc.adNext[k]
-	sc.adExtra = sc.adExtra[:k]
-	sc.adNext = sc.adNext[:k]
-}
-
-// adReaches reports whether dst is reachable from src over base + extras.
-func (sc *Scratch) adReaches(g *dfg.Graph, src, dst int) bool {
-	if src == dst {
-		return true
+	for _, v := range stack {
+		d.fwd = append(d.fwd, v) // marked but unexpanded
 	}
-	mark := bitset.Make(sc.adMark, g.N())
-	sc.adMark = mark
-	stack := append(sc.adStack[:0], src)
-	mark.Set(src)
+	if cyclic {
+		for _, v := range d.fwd {
+			d.mark.Clear(v)
+		}
+		d.stack = stack[:0]
+		return false
+	}
+	stack = append(stack[:0], x)
+	d.mark.Set(x)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range g.Succ[v] {
-			if w == dst {
-				sc.adStack = stack
-				return true
-			}
-			if !mark.Has(w) {
-				mark.Set(w)
+		d.bwd = append(d.bwd, v)
+		visit := func(w int) {
+			if d.ord[w] > lb && !d.mark.Has(w) {
+				d.mark.Set(w)
 				stack = append(stack, w)
 			}
 		}
-		for e := sc.adHead[v]; e != 0; e = sc.adNext[e-1] {
-			w := sc.adExtra[e-1].To
-			if w == dst {
-				sc.adStack = stack
-				return true
-			}
-			if !mark.Has(w) {
-				mark.Set(w)
-				stack = append(stack, w)
-			}
+		for _, w := range g.Pred[v] {
+			visit(w)
+		}
+		for e := d.inHead[v]; e != 0; e = d.inNext[e-1] {
+			visit(d.extra[e-1].From)
 		}
 	}
-	sc.adStack = stack
-	return false
+	d.stack = stack[:0]
+	// Both sets keep their relative order; together they take the sorted
+	// positions they held, ancestors first.
+	byOrd := func(a, b int) int { return cmp.Compare(d.ord[a], d.ord[b]) }
+	slices.SortFunc(d.bwd, byOrd)
+	slices.SortFunc(d.fwd, byOrd)
+	pool := d.pool[:0]
+	for _, v := range d.bwd {
+		pool = append(pool, d.ord[v])
+	}
+	for _, v := range d.fwd {
+		pool = append(pool, d.ord[v])
+	}
+	slices.Sort(pool)
+	i := 0
+	for _, set := range [2][]int{d.bwd, d.fwd} {
+		for _, v := range set {
+			d.ord[v] = pool[i]
+			d.mark.Clear(v)
+			i++
+		}
+	}
+	d.pool = pool
+	return true
+}
+
+// removeLast undoes the most recent successful add. The order stays a
+// topological order of the smaller graph.
+func (d *dagAdder) removeLast() {
+	k := len(d.extra) - 1
+	if k < 0 {
+		return
+	}
+	a := d.extra[k]
+	d.outHead[a.From], d.inHead[a.To] = d.outNext[k], d.inNext[k]
+	d.extra, d.outNext, d.inNext = d.extra[:k], d.outNext[:k], d.inNext[:k]
+	// The key went in last, so emptying its slot restores the set exactly.
+	d.set[d.slot(a.From, a.To)] = 0
+	d.setN--
 }
 
 // pairArcs is Graph.PairArcs into a scratch buffer.
@@ -679,11 +820,10 @@ func (sc *Scratch) pairArcs(g *dfg.Graph) []dfg.Arc {
 		if in.Op != tac.Wait {
 			continue
 		}
-		send := g.Prog.SendFor(in.Signal)
-		if send == nil {
+		s := g.Prog.SendOf(i)
+		if s < 0 {
 			continue
 		}
-		s := send.ID - 1
 		if g.ComponentOf(s) == g.ComponentOf(i) {
 			continue
 		}
@@ -759,7 +899,7 @@ func (sc *Scratch) lazyWaitArcs(g *dfg.Graph) []dfg.Arc {
 		visited := bitset.Make(sc.visited, n)
 		sc.visited = visited
 		anc := sc.anc[:0]
-		stack := sc.adStack[:0]
+		stack := sc.stack[:0]
 		for _, k := range sp.Nodes[1:] {
 			for _, p := range g.Pred[k] {
 				if !visited.Has(p) {
@@ -781,7 +921,7 @@ func (sc *Scratch) lazyWaitArcs(g *dfg.Graph) []dfg.Arc {
 				}
 			}
 		}
-		sc.adStack = stack[:0]
+		sc.stack = stack[:0]
 		sortInts(anc) // ascending node order: arc emission is stable
 		sc.anc = anc
 		for _, a := range anc {

@@ -222,14 +222,6 @@ func Build(p *tac.Program, a *dep.Analysis) (*Graph, error) {
 	}
 
 	// 3. Synchronization-condition arcs for every synchronized dependence.
-	waitIdx := func(stmt int, signal string, dist int) (int, bool) {
-		for i, in := range p.Instrs {
-			if in.Op == tac.Wait && in.Stmt == stmt && in.Signal == signal && in.SigDist == dist {
-				return i, true
-			}
-		}
-		return 0, false
-	}
 	for _, d := range p.Sync.Synced {
 		label := p.Sync.Base.Body[d.Src.Stmt].Label
 		send := p.SendFor(label)
@@ -241,8 +233,8 @@ func Build(p *tac.Program, a *dep.Analysis) (*Graph, error) {
 			return nil, fmt.Errorf("dfg: dependence %v source unmapped", d)
 		}
 		addArc(srcIn.ID-1, send.ID-1, SrcToSend)
-		wi, ok := waitIdx(d.Snk.Stmt, label, d.Distance)
-		if !ok {
+		wi := p.WaitFor(d.Snk.Stmt, label, d.Distance)
+		if wi < 0 {
 			return nil, fmt.Errorf("dfg: missing wait for %v", d)
 		}
 		snkIn, ok := refInstr(d.Snk)
@@ -586,11 +578,10 @@ func (g *Graph) PairArcs() []Arc {
 		if in.Op != tac.Wait {
 			continue
 		}
-		send := g.Prog.SendFor(in.Signal)
-		if send == nil {
+		s := g.Prog.SendOf(i)
+		if s < 0 {
 			continue
 		}
-		s := send.ID - 1
 		if g.compOf[s] == g.compOf[i] {
 			continue
 		}

@@ -304,8 +304,8 @@ func newSearcher(g *dfg.Graph, cfg dlx.Config, opt Options) (*searcher, error) {
 		if in.Op != tac.Wait || in.SigDist <= 0 {
 			continue
 		}
-		send := g.Prog.SendFor(in.Signal)
-		if send == nil {
+		send := g.Prog.SendOf(v)
+		if send < 0 {
 			continue
 		}
 		// Longest latency-weighted path wait → send: any dependency path
@@ -326,12 +326,12 @@ func newSearcher(g *dfg.Graph, cfg dlx.Config, opt Options) (*searcher, error) {
 				}
 			}
 		}
-		minsep := dist[send.ID-1]
+		minsep := dist[send]
 		if minsep == unreached {
 			minsep = -1 // convertible: can go LFD, no forced penalty
 		}
 		s.pairs = append(s.pairs, pair{
-			wait: v, send: send.ID - 1, dist: in.SigDist,
+			wait: v, send: send, dist: in.SigDist,
 			links:  (s.nTrip - 1) / in.SigDist,
 			minsep: minsep,
 		})

@@ -2,8 +2,10 @@
 // BENCH_hotpath.json: the 64-loop batch corpus scheduled serially and
 // through the pipeline, the single-loop compile→schedule path, the
 // steady-state warm-Scratch scheduling kernel, a cached-hit pipeline
-// request, the simulator, and the independent verifier. The workloads take
-// *testing.B so the same code serves both the `go test -bench` entry points
+// request, the simulator, and the independent verifier; and, outside the
+// snapshot, a size sweep of fresh requests for growing loops. The
+// workloads take *testing.B so the same code serves both the `go test
+// -bench` entry points
 // (hotbench_test.go at the repo root) and the committed-snapshot emitter
 // (`go run ./cmd/report -hotpath-json`), keeping the numbers in CI, in the
 // benchmarks and in the JSON artifact from drifting apart.
@@ -18,6 +20,7 @@ import (
 	"doacross"
 	"doacross/internal/check"
 	"doacross/internal/pipeline"
+	"doacross/internal/scheditest"
 )
 
 // Fig1 is the paper's Fig. 1 loop, the single-loop workload.
@@ -254,6 +257,37 @@ func VerifyPrepared(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// SizeSweep measures fresh requests as loops grow: one op runs the size
+// sweep's six loops of stmts statements (scheditest.SweepSources, one per
+// loopgen shape) through pipeline.Run, each on its own with default options
+// and no cache, so every request compiles, lints, schedules, verifies and
+// simulates its loop as a fresh scheduld request does.
+func SizeSweep(b *testing.B, stmts int) {
+	srcs := scheditest.SweepSources(stmts)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := SweepOnce(srcs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// SweepOnce runs each source as one fresh default-options request, the op
+// of SizeSweep.
+func SweepOnce(srcs []string) error {
+	for k, src := range srcs {
+		batch, err := pipeline.Run([]pipeline.Request{{Name: fmt.Sprintf("sweep%d", k), Source: src}}, pipeline.Options{Workers: 1})
+		if err != nil {
+			return err
+		}
+		if err := batch.FirstErr(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func simSchedule(b *testing.B) *doacross.Schedule {

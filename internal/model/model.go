@@ -47,18 +47,7 @@ func Predict(s *core.Schedule, n int) int {
 	if n <= 0 {
 		return 0
 	}
-	l := s.CompletionLength()
-	best := l
-	for _, p := range s.PairSpans() {
-		if !p.LBD() {
-			continue
-		}
-		links := (n - 1) / p.Distance
-		if total := links*(p.Span()+1) + l; total > best {
-			best = total
-		}
-	}
-	return best
+	return s.ChainBound(n)
 }
 
 // Slope returns the asymptotic cycles-per-iteration growth of the schedule's

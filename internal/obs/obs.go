@@ -214,7 +214,7 @@ func (r *Recorder) Snapshot() []Span {
 	if r == nil {
 		return nil
 	}
-	out := make([]Span, 0, len(r.slots))
+	out := make([]Span, 0, r.Len()) // concurrent writers may add a few more
 	for i := range r.slots {
 		if sp := r.slots[i].Load(); sp != nil {
 			out = append(out, *sp)

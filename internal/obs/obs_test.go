@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -297,5 +298,31 @@ func TestServerStartClose(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotSizedByContent pins what a snapshot of a nearly empty ring
+// allocates: scheduld gives every flight a 512-slot recorder that ends up
+// holding about a dozen spans, so a snapshot sized by the ring's capacity
+// (64 KiB of spans) instead of its content dominated each request's
+// allocated bytes.
+func TestSnapshotSizedByContent(t *testing.T) {
+	r := NewRecorder(512)
+	for i := 0; i < 12; i++ {
+		sp := r.Start(KindStage, "stage", Span{})
+		r.End(&sp, nil)
+	}
+	if n := len(r.Snapshot()); n != 12 {
+		t.Fatalf("snapshot holds %d spans, want 12", n)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		r.Snapshot()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4<<10 {
+		t.Errorf("snapshot of 12 spans in a 512-slot ring allocates %d bytes, want under 4 KiB", per)
 	}
 }

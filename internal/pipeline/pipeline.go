@@ -1233,5 +1233,10 @@ func (r *runner) degrade(m *machineRun, stage string, err error) error {
 // backward and forward arcs.
 func arcSplit(s *core.Schedule) (lbd, lfd int) {
 	lbd = s.NumLBD()
-	return lbd, len(s.PairSpans()) - lbd
+	for v := range s.Prog.Instrs {
+		if s.Prog.SendOf(v) >= 0 {
+			lfd++
+		}
+	}
+	return lbd, lfd - lbd
 }

@@ -104,6 +104,39 @@ func WideCorpus(t testing.TB, dir string, count int) []Case {
 	return cases
 }
 
+// SweepStmts are the loop sizes of the size sweep, in statements.
+var SweepStmts = []int{10, 20, 40, 80}
+
+// SweepSources returns the size sweep's loops of stmts statements: one
+// loopgen loop per shape, each from a fixed seed.
+func SweepSources(stmts int) []string {
+	var out []string
+	for _, sh := range loopgen.Shapes() {
+		out = append(out, loopgen.Generate(0x5EED+uint64(sh), loopgen.Options{Shape: sh, Stmts: stmts}))
+	}
+	return out
+}
+
+// SweepCorpus compiles the size sweep's loops of at most maxStmts
+// statements into cases named "sweep<stmts>/<shape>".
+func SweepCorpus(t testing.TB, maxStmts int) []Case {
+	t.Helper()
+	var cases []Case
+	for _, stmts := range SweepStmts {
+		if stmts > maxStmts {
+			break
+		}
+		for i, src := range SweepSources(stmts) {
+			l, err := lang.Parse(src)
+			if err != nil {
+				t.Fatalf("scheditest: sweep %d/%d: %v", stmts, i, err)
+			}
+			cases = append(cases, compileCase(t, fmt.Sprintf("sweep%d/%s", stmts, loopgen.Shape(i)), l))
+		}
+	}
+	return cases
+}
+
 // compileCase compiles one loop the default way into a conformance case.
 func compileCase(t testing.TB, name string, l *lang.Loop) Case {
 	t.Helper()

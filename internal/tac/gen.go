@@ -1,7 +1,11 @@
 package tac
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sort"
+	"strings"
 
 	"doacross/internal/diag"
 	"doacross/internal/lang"
@@ -35,6 +39,15 @@ type Program struct {
 	// MergeLoad maps the LHS array reference of a conditional assignment to
 	// the merge load of the old element value emitted by if-conversion.
 	MergeLoad map[*lang.ArrayRef]*Instr
+
+	// The synchronization lookups, built once by Generate: sendOf[v] is the
+	// index of wait v's send (-1 for no send, and for every other
+	// instruction), sends the send indexes ordered by (Signal, index), and
+	// waits the wait indexes ordered by (Stmt, Signal, SigDist, index).
+	// Compiled programs are shared through the caches, so the tables are
+	// never filled later: a program assembled by hand has none, and its
+	// lookups scan the instructions.
+	sendOf, sends, waits []int32
 }
 
 // instrArena hands out pointer-stable Instr storage in fixed-capacity
@@ -126,6 +139,7 @@ func Generate(sl *syncop.Loop) (*Program, error) {
 		}
 	}
 	g.prog.NumTemps = g.nextTemp
+	g.prog.index()
 	return g.prog, nil
 }
 
@@ -412,12 +426,117 @@ func (p *Program) Sends() []*Instr {
 	return out
 }
 
-// SendFor returns the send instruction for the given signal name, or nil.
-func (p *Program) SendFor(signal string) *Instr {
+// index builds the synchronization lookups of a freshly generated program
+// in one allocation.
+func (p *Program) index() {
+	n, sends, waits := len(p.Instrs), 0, 0
 	for _, in := range p.Instrs {
-		if in.Op == Send && in.Signal == signal {
-			return in
+		switch in.Op {
+		case Send:
+			sends++
+		case Wait:
+			waits++
 		}
 	}
+	tab := make([]int32, n+sends+waits)
+	p.sendOf, p.sends, p.waits = tab[:n:n], tab[n:n:n+sends], tab[n+sends:n+sends]
+	for i, in := range p.Instrs {
+		switch in.Op {
+		case Send:
+			p.sends = append(p.sends, int32(i))
+		case Wait:
+			p.waits = append(p.waits, int32(i))
+		}
+	}
+	slices.SortFunc(p.sends, func(a, b int32) int {
+		if c := strings.Compare(p.Instrs[a].Signal, p.Instrs[b].Signal); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	slices.SortFunc(p.waits, func(a, b int32) int {
+		y := p.Instrs[b]
+		if c := compareWait(p.Instrs[a], y.Stmt, y.Signal, y.SigDist); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for v, in := range p.Instrs {
+		p.sendOf[v] = -1
+		if in.Op == Wait {
+			p.sendOf[v] = int32(p.sendIndex(in.Signal))
+		}
+	}
+}
+
+// compareWait orders a wait against the key (stmt, signal, dist).
+func compareWait(in *Instr, stmt int, signal string, dist int) int {
+	if c := cmp.Compare(in.Stmt, stmt); c != 0 {
+		return c
+	}
+	if c := strings.Compare(in.Signal, signal); c != 0 {
+		return c
+	}
+	return cmp.Compare(in.SigDist, dist)
+}
+
+// indexed reports whether the program carries Generate's lookups.
+func (p *Program) indexed() bool { return p.sendOf != nil && len(p.sendOf) == len(p.Instrs) }
+
+// sendIndex returns the index of the first send of signal in program order,
+// or -1.
+func (p *Program) sendIndex(signal string) int {
+	if !p.indexed() {
+		for i, in := range p.Instrs {
+			if in.Op == Send && in.Signal == signal {
+				return i
+			}
+		}
+		return -1
+	}
+	k := sort.Search(len(p.sends), func(k int) bool { return p.Instrs[p.sends[k]].Signal >= signal })
+	if k == len(p.sends) || p.Instrs[p.sends[k]].Signal != signal {
+		return -1
+	}
+	return int(p.sends[k])
+}
+
+// SendFor returns the send instruction for the given signal name — the
+// first in program order — or nil.
+func (p *Program) SendFor(signal string) *Instr {
+	if i := p.sendIndex(signal); i >= 0 {
+		return p.Instrs[i]
+	}
 	return nil
+}
+
+// SendOf returns the index of the send that wait v pairs with — the first
+// send of its signal — or -1 when v is not a wait or its signal is never
+// sent. It is the per-wait form of SendFor and costs one table read.
+func (p *Program) SendOf(v int) int {
+	if p.indexed() {
+		return int(p.sendOf[v])
+	}
+	if p.Instrs[v].Op != Wait {
+		return -1
+	}
+	return p.sendIndex(p.Instrs[v].Signal)
+}
+
+// WaitFor returns the index of the first wait of statement stmt for
+// (signal, dist) in program order, or -1.
+func (p *Program) WaitFor(stmt int, signal string, dist int) int {
+	if !p.indexed() {
+		for i, in := range p.Instrs {
+			if in.Op == Wait && compareWait(in, stmt, signal, dist) == 0 {
+				return i
+			}
+		}
+		return -1
+	}
+	k := sort.Search(len(p.waits), func(k int) bool { return compareWait(p.Instrs[p.waits[k]], stmt, signal, dist) >= 0 })
+	if k == len(p.waits) || compareWait(p.Instrs[p.waits[k]], stmt, signal, dist) != 0 {
+		return -1
+	}
+	return int(p.waits[k])
 }
