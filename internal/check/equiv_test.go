@@ -29,6 +29,16 @@ func equivCorpus(t *testing.T) []scheditest.Case {
 	return scheditest.WideCorpus(t, filepath.Join("..", "..", "testdata", "kernels"), count)
 }
 
+// sweepCorpus is the size sweep's loops up to 40 statements (20 under
+// -short), on which the rewritten lint, edge derivation and deadlock check
+// are also held to their references.
+func sweepCorpus(t *testing.T) []scheditest.Case {
+	if testing.Short() {
+		return scheditest.SweepCorpus(t, 20)
+	}
+	return scheditest.SweepCorpus(t, 40)
+}
+
 // sameDiags reports whether two diagnostic lists are identical, diagnostic
 // for diagnostic.
 func sameDiags(a, b diag.List) bool {
@@ -38,7 +48,7 @@ func sameDiags(a, b diag.List) bool {
 // TestEdgesEquivalence holds Edges to the map-based reference: the same
 // edges in the same order, or the same error.
 func TestEdgesEquivalence(t *testing.T) {
-	for _, c := range equivCorpus(t) {
+	for _, c := range append(equivCorpus(t), sweepCorpus(t)...) {
 		got, err := check.Edges(c.Graph.Prog)
 		want, werr := refEdges(c.Graph.Prog)
 		if fmt.Sprint(err) != fmt.Sprint(werr) {
@@ -175,12 +185,7 @@ func TestEdgesRejectTempsOutOfRange(t *testing.T) {
 // same order. No search of these loops reaches the budget, so no finding
 // is allowed to differ.
 func TestLintSyncEquivalence(t *testing.T) {
-	sweep := 40
-	if testing.Short() {
-		sweep = 20
-	}
-	cases := append(equivCorpus(t), scheditest.SweepCorpus(t, sweep)...)
-	for _, c := range cases {
+	for _, c := range append(equivCorpus(t), sweepCorpus(t)...) {
 		sl := c.Graph.Prog.Sync
 		if got, want := check.LintSync(sl), refLintSync(sl); !sameDiags(got, want) {
 			t.Fatalf("%s: LintSync differs from the reference\n got %s\nwant %s", c.Name, got, want)
@@ -230,8 +235,21 @@ func TestRedundantSearchWithinBudget(t *testing.T) {
 // schedule of the wide corpus is given its own distance, 0 and -1, with
 // its send issued first, in place and last: the verdicts and the
 // missing-send findings must agree, and a reported cycle must be a real
-// wait-for cycle of non-positive total distance.
+// wait-for cycle of non-positive total distance. The size sweep's
+// schedules up to 20 statements are checked as scheduled: the reference
+// materializes arcs quadratic in their hundreds of sync instructions.
 func TestDeadlockEquivalence(t *testing.T) {
+	for _, c := range scheditest.SweepCorpus(t, 20) {
+		for _, m := range dlx.PaperConfigs() {
+			s, err := core.Sync(c.Graph, m)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", c.Name, m.Name, err)
+			}
+			if sameDeadlockVerdict(t, c.Name+" on "+m.Name, s) {
+				t.Fatalf("%s on %s: organic schedule deadlocks", c.Name, m.Name)
+			}
+		}
+	}
 	checked, deadlocked := 0, 0
 	for _, c := range equivCorpus(t) {
 		for _, m := range dlx.PaperConfigs() {
