@@ -138,19 +138,13 @@ func (p PairSpan) Span() int { return p.SendCycle - p.WaitCycle }
 // PairSpans returns the placement of every synchronization pair, ordered by
 // wait node index.
 func (s *Schedule) PairSpans() []PairSpan {
-	return s.PairSpansAppend(nil)
-}
-
-// PairSpansAppend appends the placement of every synchronization pair to dst
-// and returns the extended slice — the allocation-free form of PairSpans for
-// callers with a reusable buffer.
-func (s *Schedule) PairSpansAppend(dst []PairSpan) []PairSpan {
+	var out []PairSpan
 	for v, in := range s.Prog.Instrs {
 		if p, ok := s.pairAt(v, in); ok {
-			dst = append(dst, p)
+			out = append(out, p)
 		}
 	}
-	return dst
+	return out
 }
 
 // pairAt returns the placement of the pair whose wait is instruction v, or
