@@ -121,14 +121,18 @@ func TestVerifierOtherProgramFallsBack(t *testing.T) {
 }
 
 // withInstr returns a copy of p whose instruction k is replaced by the
-// result of edit on a copy of it.
+// result of edit on a copy of it. The copy is assembled from p's exported
+// fields, without the lookups Generate built for p's instructions, so its
+// lookups scan the edited instructions.
 func withInstr(p *tac.Program, k int, edit func(*tac.Instr)) *tac.Program {
-	cp := *p
-	cp.Instrs = slices.Clone(p.Instrs)
+	cp := &tac.Program{
+		Sync: p.Sync, Instrs: slices.Clone(p.Instrs), NumTemps: p.NumTemps,
+		ArrayInstr: p.ArrayInstr, ScalarInstr: p.ScalarInstr, MergeLoad: p.MergeLoad,
+	}
 	in := *cp.Instrs[k]
 	edit(&in)
 	cp.Instrs[k] = &in
-	return &cp
+	return cp
 }
 
 // TestEdgesRejectTempsOutOfRange hand-builds programs naming a temp above
@@ -215,17 +219,21 @@ func TestLintEquivalence(t *testing.T) {
 	}
 }
 
-// TestRedundantSearchWithinBudget checks that no redundant-wait search of
-// the wide corpus or the size sweep reaches the search budget, so the
-// budget changes no finding on them.
+// TestRedundantSearchWithinBudget checks that the redundant-wait searches
+// of the wide corpus and the size sweep stay within both of their bounds,
+// so the bounds change no finding on them.
 func TestRedundantSearchWithinBudget(t *testing.T) {
 	sweep := 80
 	if testing.Short() {
 		sweep = 20
 	}
 	for _, c := range append(equivCorpus(t), scheditest.SweepCorpus(t, sweep)...) {
-		if peak := check.RedundantSearchPeak(c.Graph.Prog.Sync); peak >= check.RedundantBudget {
-			t.Errorf("%s: a redundant-wait search visits %d states, budget %d", c.Name, peak, check.RedundantBudget)
+		peak, work := check.RedundantSearchCost(c.Graph.Prog.Sync)
+		if peak >= check.RedundantStates {
+			t.Errorf("%s: a redundant-wait search visits %d states, bound %d", c.Name, peak, check.RedundantStates)
+		}
+		if work >= check.RedundantWork {
+			t.Errorf("%s: the redundant-wait searches examine %d (state, wait) pairs, bound %d", c.Name, work, check.RedundantWork)
 		}
 	}
 }

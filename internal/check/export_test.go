@@ -6,8 +6,12 @@ import (
 	"doacross/internal/syncop"
 )
 
-// RedundantBudget exposes the redundant-wait search's state budget.
-const RedundantBudget = redundantBudget
+// RedundantStates and RedundantWork expose the redundant-wait search's
+// bounds.
+const (
+	RedundantStates = redundantStates
+	RedundantWork   = redundantWork
+)
 
 // VerifyDeadlockFree and DeadlockCycle expose the deadlock check and its
 // cycle search to the external tests, for schedules whose rows give each
@@ -26,22 +30,21 @@ func RowPos(s *core.Schedule) []int {
 	return rowPos
 }
 
-// RedundantSearchPeak runs LintSync's redundant-wait searches on sl and
-// returns the most states one of them visited.
-func RedundantSearchPeak(sl *syncop.Loop) int {
+// RedundantSearchCost runs LintSync's redundant-wait searches on sl and
+// returns the most states one of them visited and the (state, wait) pairs
+// they examined in all.
+func RedundantSearchCost(sl *syncop.Loop) (peak, work int) {
 	ops := syncOps(sl)
-	labels := sl.Base.Labels()
 	for i := range ops {
-		ops[i].src = labels.StmtIndex(ops[i].signal)
+		ops[i].src = sl.Base.StmtIndex(ops[i].signal)
 	}
 	var ws waitSearch
 	ws.load(ops)
-	peak := 0
 	for wi := range ws.waits {
 		if ws.run(wi) >= 0 {
 			ws.waits[wi].redundant = true
 		}
 		peak = max(peak, len(ws.states))
 	}
-	return peak
+	return peak, redundantWork - ws.work
 }

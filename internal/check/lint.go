@@ -36,10 +36,11 @@ type lintOp struct {
 // satisfied (static deadlock), dead sends, non-positive or mismatched
 // distances, self-synchronization, and redundant waits subsumed by the
 // transitive closure of the remaining synchronization. The search for a
-// subsuming chain visits at most 4,096 states per wait, so its cost does
-// not grow with the distances; a wait whose search would visit more is not
-// reported redundant. A loop without explicit sync ops has nothing to lint
-// and yields nil.
+// subsuming chain visits at most 4,096 states per wait, and the searches
+// of one call examine at most 2^24 (state, wait) pairs between them, so
+// linting costs the same whatever the distances and the number of waits;
+// a wait whose search would exceed either bound is not reported redundant.
+// A loop without explicit sync ops has nothing to lint and yields nil.
 func Lint(loop *lang.Loop) diag.List {
 	if loop == nil || len(loop.Syncs) == 0 {
 		return nil
@@ -135,12 +136,11 @@ func lintOps(base *lang.Loop, a *dep.Analysis, ops []lintOp) diag.List {
 	// so the per-signal facts are kept per statement: firstSend[s] is one
 	// past the seq of the first send of statement s's signal (0: never
 	// sent).
-	labels := base.Labels()
 	firstSend := make([]int, len(base.Body))
 	awaited := make([]bool, len(base.Body))
 	for i := range ops {
 		op := &ops[i]
-		op.src = labels.StmtIndex(op.signal)
+		op.src = base.StmtIndex(op.signal)
 		switch {
 		case op.src < 0:
 		case op.wait:
@@ -343,9 +343,15 @@ func lintDepPrecision(base *lang.Loop, a *dep.Analysis, ops []lintOp, render fun
 	return out
 }
 
-// redundantBudget is how many search states one wait's redundant-wait
-// search may visit before it is abandoned.
-const redundantBudget = 1 << 12
+// The bounds of lintRedundantWaits: one wait's search visits at most
+// redundantStates states, which bounds its memory, and the searches of one
+// call examine at most redundantWork (state, wait) pairs between them,
+// which bounds its time: every visited state is examined against every
+// wait.
+const (
+	redundantStates = 1 << 12
+	redundantWork   = 1 << 24
+)
 
 // lintRedundantWaits flags waits subsumed by the transitive closure of the
 // other waits. A wait W for signal src(W) with distance d guarantees that
@@ -359,9 +365,11 @@ const redundantBudget = 1 << 12
 //
 // Each wait runs one breadth-first search over states (anchor, distance
 // used so far), which reports the shortest chain, first found in wait
-// order. A search may visit at most redundantBudget states, so its cost
-// does not grow with the distances: a wait whose search would visit more
-// gets no finding, even if a chain exists.
+// order. A search may visit at most redundantStates states, and once the
+// call's searches have examined redundantWork (state, wait) pairs the
+// remaining searches stop, so the cost grows neither with the distances
+// nor with the number of waits: a wait whose search is cut short gets no
+// finding, even if a chain exists.
 func lintRedundantWaits(ops []lintOp, report func(lintOp, bool, string, ...any), render func(lintOp) string) {
 	var search waitSearch
 	waits := search.load(ops)
@@ -383,16 +391,19 @@ func lintRedundantWaits(ops []lintOp, report func(lintOp, bool, string, ...any),
 
 // waitSearch is the working state of lintRedundantWaits, reused across its
 // searches: the eligible waits, the visited states, which are also the
-// breadth-first queue, and an open-addressing set of their keys.
+// breadth-first queue, an open-addressing set of their keys, and the
+// examinations left to the searches.
 type waitSearch struct {
 	waits  []chainWait
 	states []searchState
 	slots  []int32 // state index + 1 by key hash, 0: empty
+	work   int
 }
 
 // load takes the waits eligible to form chains — positive distance, known
 // signal — and returns their indexes in ops.
 func (ws *waitSearch) load(ops []lintOp) []int {
+	ws.work = redundantWork
 	waits := make([]int, 0, len(ops))
 	ws.waits = make([]chainWait, 0, len(ops))
 	for i, op := range ops {
@@ -421,7 +432,7 @@ type searchState struct {
 }
 
 // run searches for a chain subsuming waits[wi] and returns the index of
-// its last state, or -1 when there is none or the budget ran out. The
+// its last state, or -1 when there is none or a bound was reached. The
 // reported state is the first complete one in breadth-first order; it is
 // recognized when it is enqueued, since every state enqueued before it is
 // dequeued, and found incomplete, first.
@@ -436,9 +447,13 @@ func (ws *waitSearch) run(wi int) int {
 	last := -1
 	// expand enqueues the unvisited states one more wait reaches from
 	// (anchor, used), in wait order, and reports false once the chain is
-	// complete or the budget is spent.
+	// complete or a bound is reached.
 	expand := func(anchor int32, used int, parent int32) bool {
 		for vi := range ws.waits {
+			if ws.work == 0 {
+				return false
+			}
+			ws.work--
 			v := &ws.waits[vi]
 			if v.src < anchor || used+v.dist > w.dist || v.redundant || vi == wi {
 				continue
@@ -451,7 +466,7 @@ func (ws *waitSearch) run(wi int) int {
 			if ws.slots[k] != 0 {
 				continue
 			}
-			if len(ws.states) == redundantBudget {
+			if len(ws.states) == redundantStates {
 				return false
 			}
 			ws.states = append(ws.states, st)

@@ -24,10 +24,7 @@
 package lang
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
-	"sort"
 	"strings"
 
 	"doacross/internal/diag"
@@ -382,38 +379,6 @@ func (l *Loop) StmtIndex(label string) int {
 		}
 	}
 	return -1
-}
-
-// LabelIndex answers StmtIndex by binary search, for callers resolving many
-// labels of one loop: building it sorts the labels once.
-type LabelIndex struct {
-	body  []*Assign
-	order []int32 // body positions ordered by (label, position)
-}
-
-// Labels indexes the loop's statement labels.
-func (l *Loop) Labels() LabelIndex {
-	order := make([]int32, len(l.Body))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if c := strings.Compare(l.Body[a].Label, l.Body[b].Label); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	return LabelIndex{body: l.Body, order: order}
-}
-
-// StmtIndex returns the 0-based position of the labeled statement, or -1,
-// exactly as Loop.StmtIndex does.
-func (x LabelIndex) StmtIndex(label string) int {
-	k := sort.Search(len(x.order), func(k int) bool { return x.body[x.order[k]].Label >= label })
-	if k == len(x.order) || x.body[x.order[k]].Label != label {
-		return -1
-	}
-	return int(x.order[k])
 }
 
 // Clone returns a deep copy of the loop.
