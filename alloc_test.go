@@ -24,33 +24,46 @@ import (
 // schedule is borrowed from the scratch, every buffer is grown once and
 // recycled, so a scheduling service in steady state puts no pressure on
 // the garbage collector.
+//
+// The alternating case schedules two programs in turn, so every call
+// rebuilds the per-graph state a Scratch keeps for the last graph it saw
+// (orders, critical paths, base arcs): that must not allocate either once
+// the buffers fit the larger program.
 func TestScratchScheduleAllocs(t *testing.T) {
-	prog := doacross.MustCompile(hotbench.Fig1)
+	fig1 := doacross.MustCompile(hotbench.Fig1)
+	other := doacross.MustCompile(hotbench.Corpus64()[7].Source)
 	m := doacross.Machine4Issue(1)
 	for _, backend := range []string{"sync", "list", "order", "best"} {
-		t.Run(backend, func(t *testing.T) {
-			sc := doacross.NewScratch()
-			// One cold call grows the buffers; the pin is on the warm
-			// steady state after it.
-			if _, err := prog.ScheduleWith(backend, m, sc); err != nil {
-				t.Fatal(err)
+		for _, progs := range [][]*doacross.Program{{fig1}, {fig1, other}} {
+			name := backend
+			if len(progs) > 1 {
+				name += "/alternating"
 			}
-			var failed error
-			got := testing.AllocsPerRun(100, func() {
-				s, err := prog.ScheduleWith(backend, m, sc)
-				if err != nil {
-					failed = err
-				} else if s.Length() == 0 {
-					t.Error("empty schedule")
+			t.Run(name, func(t *testing.T) {
+				sc := doacross.NewScratch()
+				var failed error
+				run := func() {
+					for _, prog := range progs {
+						s, err := prog.ScheduleWith(backend, m, sc)
+						if err != nil {
+							failed = err
+						} else if s.Length() == 0 {
+							t.Error("empty schedule")
+						}
+					}
+				}
+				// One cold run grows the buffers; the pin is on the warm
+				// steady state after it.
+				run()
+				got := testing.AllocsPerRun(100, run)
+				if failed != nil {
+					t.Fatal(failed)
+				}
+				if got != 0 {
+					t.Errorf("warm-scratch %s scheduling: %v allocs/op, want 0", name, got)
 				}
 			})
-			if failed != nil {
-				t.Fatal(failed)
-			}
-			if got != 0 {
-				t.Errorf("warm-scratch %s scheduling: %v allocs/op, want 0", backend, got)
-			}
-		})
+		}
 	}
 }
 

@@ -302,8 +302,11 @@ func (p *Program) ScheduleBest(m Machine) (*Schedule, error) {
 
 // Scratch is reusable scheduler working state: every buffer the heuristic
 // schedulers need, grown once and recycled, so steady-state scheduling with a
-// warm Scratch allocates nothing. A Scratch is not safe for concurrent use —
-// give each worker its own.
+// warm Scratch allocates nothing. It also keeps what it derived from the last
+// program's graph (priority orders, critical paths, base arcs), keyed by the
+// graph, the latencies and the sync options, so scheduling one program on
+// several machines derives them once. A Scratch is not safe for concurrent
+// use — give each worker its own.
 type Scratch = core.Scratch
 
 // NewScratch returns fresh scheduler scratch state for ScheduleWith.

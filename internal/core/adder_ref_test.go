@@ -17,7 +17,7 @@ type refAdder struct {
 	adStack []int
 }
 
-func (sc *refAdder) reset(g *dfg.Graph) {
+func (sc *refAdder) reset(g *dfg.Graph, _ []int32) {
 	n := g.N()
 	sc.adExtra = sc.adExtra[:0]
 	sc.adNext = sc.adNext[:0]

@@ -93,8 +93,7 @@ func (s *Schedule) latency(node int) int {
 // every cycle up to CompletionLength. Units are not pipelined — an
 // instruction holds its unit for its full latency — matching Validate's
 // resource model. Classes that need no unit (synchronization) are absent.
-// Validate uses it for the oversubscription check and the simulator's
-// tracer for empty-slot attribution.
+// The simulator's tracer uses it for empty-slot attribution.
 func (s *Schedule) Occupancy() map[dlx.Class][]int {
 	occupancy := map[dlx.Class][]int{}
 	horizon := s.CompletionLength()
@@ -255,12 +254,27 @@ func (s *Schedule) Validate() error {
 		}
 	}
 	// Function-unit occupancy (units are not pipelined: an instruction holds
-	// its unit for its full latency).
-	for cls, occ := range s.Occupancy() {
-		for c, busy := range occ {
-			if busy > s.Cfg.Units[cls] {
+	// its unit for its full latency), one row per class of a dense table.
+	// Classes are checked in order, so the reported class and cycle do not
+	// depend on anything but the schedule.
+	horizon := s.CompletionLength()
+	busy := make([]int, int(dlx.NumClasses)*horizon)
+	for v, c := range s.Cycle {
+		if cls := s.Prog.Instrs[v].Class(); dlx.NeedsUnit(cls) {
+			row := busy[int(cls)*horizon:]
+			for t, end := c, c+s.latency(v); t < end; t++ {
+				row[t]++
+			}
+		}
+	}
+	for cls := dlx.Class(0); cls < dlx.NumClasses; cls++ {
+		if !dlx.NeedsUnit(cls) {
+			continue
+		}
+		for c, b := range busy[int(cls)*horizon : int(cls+1)*horizon] {
+			if b > s.Cfg.Units[cls] {
 				return fmt.Errorf("core: cycle %d oversubscribes %s units (%d > %d)",
-					c, cls, busy, s.Cfg.Units[cls])
+					c, cls, b, s.Cfg.Units[cls])
 			}
 		}
 	}
@@ -381,8 +395,8 @@ func (s *Schedule) Order() []*tac.Instr {
 	return out
 }
 
-// The shared resource-constrained cycle engine lives in scratch.go: it runs
-// entirely over reusable Scratch state (merged CSR successors, per-class
-// occupancy slices, a statically prioritized live list) and the package-level
-// Sync/List/Best entry points below borrow a pooled Scratch and Clone the
-// result.
+// The shared resource-constrained cycle engine lives in engine.go: it runs
+// entirely over reusable Scratch state (a calendar ring of pending nodes, a
+// ready bitset over a static priority order, per-class occupancy slices) and
+// the package-level Sync/List/Best entry points borrow a pooled Scratch and
+// Clone the result.

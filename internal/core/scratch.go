@@ -2,7 +2,7 @@ package core
 
 import (
 	"cmp"
-	"fmt"
+	"errors"
 	"math/bits"
 	"slices"
 	"sync"
@@ -18,6 +18,17 @@ import (
 // priority computation need, grown once to the largest problem seen and
 // reused. Steady-state scheduling of a warm Scratch allocates nothing.
 //
+// A Scratch also keeps what it derived from the last graph it scheduled,
+// and the next call on the same graph reuses it: the graph's topological
+// order; under the same latency vector, the critical paths and the list and
+// synchronization priority orders (the latter also under the same
+// SyncOptions); and the sync heuristic's arc adder holding the pair and
+// lazy-wait arcs of the same SyncOptions. The key is the graph pointer:
+// graphs are immutable, and the Scratch holds a reference to its graph, so
+// the address cannot be reused by a new one meanwhile. Scheduling the same
+// graph on several machines, as the pipeline does for each request, derives
+// these once per graph and latency vector.
+//
 // Lifetime rules:
 //
 //   - A Scratch is NOT safe for concurrent use; give each worker its own.
@@ -28,16 +39,11 @@ import (
 //     immutable values).
 //   - The zero value is ready to use.
 type Scratch struct {
-	// Cycle-engine state (struct-of-arrays over node indices).
-	lat     []int // per-node latency under the current config
-	deg     []int // merged out-degree, then reused as the fill cursor
-	succOff []int // merged CSR successor offsets (len n+1)
-	succ    []int // merged CSR successor backing
-	rem     []int // unscheduled-predecessor counts
-	readyAt []int // earliest issue cycle by latency constraints
-	live    []int // unscheduled nodes in static priority order
-	indeg   []int // acyclicity-check scratch
-	queue   []int // Kahn/BFS queue scratch
+	// Cycle-engine state.
+	readyAt []int   // per-node earliest issue cycle; Kahn's in-degrees in bind
+	links   []int32 // rem, calendar links, extra-arc heads, calendar heads
+	xnext   []int32 // extra arc -> the previous one leaving its From, index + 1
+	ready   bitset.Bits
 	occ     [dlx.NumClasses][]int
 
 	// Schedule buffers: all ever created, and the currently free ones.
@@ -49,18 +55,40 @@ type Scratch struct {
 	ad    dagAdder
 	adder arcAdder
 
+	// Per-graph state (see the type's doc). graphBuf backs topo, the orders
+	// and the base arcs' in-degrees and heads, latBuf lat and cp; xnext[:adBase]
+	// links the base arcs.
+	g         *dfg.Graph
+	acyclic   bool
+	topo      []int32 // Kahn order of g; shorter than g.N() when g is cyclic
+	ident     order   // program order (nodes and pos are the same slice)
+	latency   [dlx.NumClasses]int
+	latOK     bool  // lat and cp hold latency's values
+	lat       []int // per-node latency
+	cp        []int // per-node critical path (valid when acyclic)
+	cpList    order // the CriticalPath list order
+	cpListOK  bool
+	syncOrd   order // the sync order under AscendingSP = syncAsc
+	syncAsc   bool
+	syncOK    bool
+	adKey     SyncOptions // the NoPairArcs and NoLazyWaits the adder's base arcs follow
+	adBase    int         // number of base arcs; later ones are LBD conversions
+	adOK      bool
+	baseRem   []int32 // per-node predecessors in g plus the base arcs
+	baseXhead []int32 // per-node last base arc leaving it, index + 1 (0: none)
+	graphBuf  []int32
+	latBuf    []int
+
 	// Lazy-wait / priority state.
 	desc    bitset.Bits
 	inPath  bitset.Bits
 	visited bitset.Bits
 	stack   []int
+	queue   []int
 	anc     []int
 	lazyBuf []dfg.Arc
 	pairBuf []dfg.Arc
-	prio    []int
-	class   []int
-	rank    []int
-	cp      []int
+	prioBuf []int // priority, class and rank
 }
 
 // NewScratch returns an empty Scratch (equivalent to new(Scratch); provided
@@ -131,259 +159,65 @@ func (sc *Scratch) releaseSched(s *Schedule) {
 	}
 }
 
-// sortByKey sorts a by (key[a[i]], a[i]) ascending, in place, with heapsort:
-// no allocation, and the comparator is a strict weak order with unique keys
-// (ties broken by index), so the result is deterministic.
-func sortByKey(a []int, key []int) {
-	n := len(a)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDownKey(a, key, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		a[0], a[i] = a[i], a[0]
-		siftDownKey(a, key, 0, i)
-	}
-}
-
-func keyLess(key []int, x, y int) bool {
-	if key[x] != key[y] {
-		return key[x] < key[y]
-	}
-	return x < y
-}
-
-func siftDownKey(a, key []int, root, n int) {
-	for {
-		c := 2*root + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && keyLess(key, a[c], a[c+1]) {
-			c++
-		}
-		if !keyLess(key, a[root], a[c]) {
-			return
-		}
-		a[root], a[c] = a[c], a[root]
-		root = c
-	}
-}
-
-// sortInts sorts a ascending in place (heapsort; no allocation).
-func sortInts(a []int) {
-	n := len(a)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDownInts(a, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		a[0], a[i] = a[i], a[0]
-		siftDownInts(a, 0, i)
-	}
-}
-
-func siftDownInts(a []int, root, n int) {
-	for {
-		c := 2*root + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && a[c] < a[c+1] {
-			c++
-		}
-		if a[root] >= a[c] {
-			return
-		}
-		a[root], a[c] = a[c], a[root]
-		root = c
-	}
-}
-
-// engine is the shared resource-constrained cycle scheduler over scratch
-// state. priority maps node -> rank (lower = scheduled first among ready
-// nodes); extra arcs are added on top of the dependence graph (the caller
-// guarantees they are duplicate-free and acyclicity-checked). The returned
-// Schedule is borrowed from the Scratch.
-func (sc *Scratch) engine(g *dfg.Graph, cfg dlx.Config, extra []dfg.Arc, priority []int, method string) (*Schedule, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// bind points the per-graph state at g on a machine with cfg's latencies,
+// keeping what is still valid: everything while g is the graph of the last
+// call, and the latency-dependent parts while the latencies are the same.
+// Each part is marked valid only once it is complete, so a call that
+// panics halfway leaves nothing stale for the next call (the pipeline
+// recovers a stage's panic and keeps the worker's Scratch).
+func (sc *Scratch) bind(g *dfg.Graph, cfg dlx.Config) {
 	n := g.N()
-
-	// Merged successor CSR (base graph + extra arcs) and predecessor counts.
-	deg := growInts(&sc.deg, n)
-	for i := 0; i < n; i++ {
-		deg[i] = len(g.Succ[i])
-	}
-	for _, a := range extra {
-		deg[a.From]++
-	}
-	off := growInts(&sc.succOff, n+1)
-	total := 0
-	for i := 0; i < n; i++ {
-		off[i] = total
-		total += deg[i]
-	}
-	off[n] = total
-	succ := growInts(&sc.succ, total)
-	for i := 0; i < n; i++ {
-		copy(succ[off[i]:], g.Succ[i])
-		deg[i] = off[i] + len(g.Succ[i]) // reuse deg as the extra-fill cursor
-	}
-	for _, a := range extra {
-		succ[deg[a.From]] = a.To
-		deg[a.From]++
-	}
-	rem := growInts(&sc.rem, n)
-	for i := 0; i < n; i++ {
-		rem[i] = len(g.Pred[i])
-	}
-	for _, a := range extra {
-		rem[a.To]++
-	}
-
-	// Cycle check on the augmented graph (Kahn over the merged CSR).
-	indeg := growInts(&sc.indeg, n)
-	copy(indeg, rem)
-	queue := sc.queue[:0]
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
+	if g != sc.g {
+		sc.g = nil
+		sc.latOK, sc.adOK = false, false
+		buf := growInt32s(&sc.graphBuf, 8*n)
+		sc.topo = buf[:0:n]
+		sc.ident = order{nodes: buf[n : 2*n], pos: buf[n : 2*n]}
+		sc.cpList = order{nodes: buf[2*n : 3*n], pos: buf[3*n : 4*n]}
+		sc.syncOrd = order{nodes: buf[4*n : 5*n], pos: buf[5*n : 6*n]}
+		sc.baseRem, sc.baseXhead = buf[6*n:7*n], buf[7*n:]
+		for v := range sc.ident.nodes {
+			sc.ident.nodes[v] = int32(v)
 		}
-	}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, w := range succ[off[v]:off[v+1]] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
+		indeg := growInts(&sc.readyAt, n)
+		for v := 0; v < n; v++ {
+			if indeg[v] = len(g.Pred[v]); indeg[v] == 0 {
+				sc.topo = append(sc.topo, int32(v))
 			}
 		}
-	}
-	sc.queue = queue[:0]
-	if len(queue) != n {
-		return nil, fmt.Errorf("core: %s: augmented dependence graph is cyclic", method)
-	}
-
-	lat := growInts(&sc.lat, n)
-	for i, in := range g.Prog.Instrs {
-		lat[i] = cfg.Latency[in.Class()]
-	}
-	readyAt := growInts(&sc.readyAt, n)
-	for i := range readyAt {
-		readyAt[i] = 0
-	}
-	// Static issue preference: (priority, index) ascending. Candidates are
-	// scanned in this order every cycle, which is exactly the per-cycle
-	// candidate sort of the reference engine with the sort hoisted out (the
-	// priority vector is constant across cycles).
-	live := growInts(&sc.live, n)
-	for i := range live {
-		live[i] = i
-	}
-	sortByKey(live, priority)
-	for c := range sc.occ {
-		sc.occ[c] = sc.occ[c][:0]
-	}
-
-	sb := sc.acquire(n)
-	cyc := sb.cycle
-	done := 0
-	for cycle := 0; done < n; cycle++ {
-		if cycle > n*64+1024 {
-			sc.release(sb)
-			return nil, fmt.Errorf("core: %s: scheduler livelock at cycle %d (%d/%d scheduled)", method, cycle, done, n)
-		}
-		slots := cfg.Issue
-		kept := 0
-		for scan := 0; scan < len(live); scan++ {
-			v := live[scan]
-			if slots == 0 || rem[v] != 0 || readyAt[v] > cycle {
-				live[kept] = v
-				kept++
-				continue
-			}
-			cls := g.Prog.Instrs[v].Class()
-			l := lat[v]
-			if dlx.NeedsUnit(cls) && !sc.fuFree(cls, cycle, cycle+l, cfg.Units[cls]) {
-				live[kept] = v
-				kept++
-				continue
-			}
-			// Issue v.
-			cyc[v] = cycle
-			sb.rowBk = append(sb.rowBk, v)
-			slots--
-			done++
-			if dlx.NeedsUnit(cls) {
-				sc.occupy(cls, cycle, cycle+l)
-			}
-			for _, s := range succ[off[v]:off[v+1]] {
-				rem[s]--
-				// A successor can never issue in the cycle its predecessor
-				// issues (the reference engine snapshots candidates before
-				// issuing), so the ready time is at least cycle+1 even at
-				// latency 0.
-				ra := cycle + l
-				if ra <= cycle {
-					ra = cycle + 1
-				}
-				if ra > readyAt[s] {
-					readyAt[s] = ra
+		for head := 0; head < len(sc.topo); head++ {
+			for _, w := range g.Succ[sc.topo[head]] {
+				if indeg[w]--; indeg[w] == 0 {
+					sc.topo = append(sc.topo, int32(w))
 				}
 			}
 		}
-		live = live[:kept]
-		sb.rowEnd = append(sb.rowEnd, len(sb.rowBk))
+		sc.acyclic = len(sc.topo) == n
+		sc.g = g
 	}
-	// Trim trailing empty rows (can appear when the last issues left gaps).
-	for len(sb.rowEnd) > 0 {
-		prev := 0
-		if len(sb.rowEnd) > 1 {
-			prev = sb.rowEnd[len(sb.rowEnd)-2]
-		}
-		if sb.rowEnd[len(sb.rowEnd)-1] != prev {
-			break
-		}
-		sb.rowEnd = sb.rowEnd[:len(sb.rowEnd)-1]
+	if sc.latOK && sc.latency == cfg.Latency {
+		return
 	}
-	// Materialize the row views over the flat backing. Empty mid-schedule
-	// rows stay nil, matching the reference engine's representation.
-	start := 0
-	for _, end := range sb.rowEnd {
-		if end == start {
-			sb.rows = append(sb.rows, nil)
-			continue
-		}
-		sb.rows = append(sb.rows, sb.rowBk[start:end:end])
-		start = end
+	sc.latOK, sc.cpListOK, sc.syncOK = false, false, false
+	buf := growInts(&sc.latBuf, 2*n)
+	sc.lat, sc.cp = buf[:n], buf[n:]
+	for v, in := range g.Prog.Instrs {
+		sc.lat[v] = cfg.Latency[in.Class()]
 	}
-	sb.s = Schedule{Prog: g.Prog, Graph: g, Cfg: cfg, Cycle: cyc, Rows: sb.rows, Method: method, scratch: sb}
-	return &sb.s, nil
+	// Latency-weighted longest path to a sink, the values of
+	// Graph.CriticalPathLengths (they do not depend on the topological order).
+	for i := n - 1; i >= 0 && sc.acyclic; i-- {
+		v := sc.topo[i]
+		best := 0
+		for _, w := range g.Succ[v] {
+			best = max(best, sc.cp[w])
+		}
+		sc.cp[v] = sc.lat[v] + best
+	}
+	sc.latency, sc.latOK = cfg.Latency, true
 }
 
-func (sc *Scratch) occupy(cls dlx.Class, from, until int) {
-	occ := sc.occ[cls]
-	for len(occ) < until {
-		occ = append(occ, 0)
-	}
-	for c := from; c < until; c++ {
-		occ[c]++
-	}
-	sc.occ[cls] = occ
-}
-
-func (sc *Scratch) fuFree(cls dlx.Class, from, until, limit int) bool {
-	occ := sc.occ[cls]
-	if until > len(occ) {
-		until = len(occ)
-	}
-	for c := from; c < until; c++ {
-		if occ[c] >= limit {
-			return false
-		}
-	}
-	return true
-}
+var errCycle = errors.New("dfg: dependence cycle detected")
 
 // List builds the baseline list schedule into scratch state. The returned
 // schedule is borrowed until the next call on this Scratch.
@@ -393,69 +227,24 @@ func (sc *Scratch) List(g *dfg.Graph, cfg dlx.Config, pri ListPriority) (*Schedu
 }
 
 func (sc *Scratch) listImpl(g *dfg.Graph, cfg dlx.Config, pri ListPriority) (*Schedule, error) {
-	n := g.N()
-	priority := growInts(&sc.prio, n)
-	switch pri {
-	case ProgramOrder:
-		for i := range priority {
-			priority[i] = i
+	sc.bind(g, cfg)
+	ord := &sc.ident
+	if pri == CriticalPath {
+		if !sc.acyclic {
+			return nil, errCycle
 		}
-	case CriticalPath:
-		cp, err := sc.criticalPaths(g, cfg)
-		if err != nil {
-			return nil, err
-		}
-		for i := range priority {
+		if !sc.cpListOK {
 			// Longer critical path = higher priority = lower rank value.
-			priority[i] = -cp[i]
-		}
-	}
-	return sc.engine(g, cfg, nil, priority, "list")
-}
-
-// criticalPaths computes latency-weighted longest path to a sink per node
-// over scratch buffers (same values as Graph.CriticalPathLengths: the
-// distances are topological-order independent).
-func (sc *Scratch) criticalPaths(g *dfg.Graph, cfg dlx.Config) ([]int, error) {
-	n := g.N()
-	indeg := growInts(&sc.indeg, n)
-	for i := 0; i < n; i++ {
-		indeg[i] = len(g.Pred[i])
-	}
-	queue := sc.queue[:0]
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, w := range g.Succ[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
+			priority := growInts(&sc.prioBuf, g.N())
+			for v, c := range sc.cp {
+				priority[v] = -c
 			}
+			sc.cpList.sort(priority)
+			sc.cpListOK = true
 		}
+		ord = &sc.cpList
 	}
-	sc.queue = queue[:0]
-	if len(queue) != n {
-		return nil, fmt.Errorf("dfg: dependence cycle detected")
-	}
-	cp := growInts(&sc.cp, n)
-	for i := range cp {
-		cp[i] = 0
-	}
-	for i := n - 1; i >= 0; i-- {
-		v := queue[i]
-		best := 0
-		for _, w := range g.Succ[v] {
-			if cp[w] > best {
-				best = cp[w]
-			}
-		}
-		cp[v] = cfg.Latency[g.Prog.Instrs[v].Class()] + best
-	}
-	return cp, nil
+	return sc.engine(g, cfg, nil, ord, "list", nil, 0)
 }
 
 // Sync builds the paper's synchronization-aware schedule into scratch
@@ -471,27 +260,21 @@ func (sc *Scratch) SyncWithOptions(g *dfg.Graph, cfg dlx.Config, opt SyncOptions
 }
 
 func (sc *Scratch) syncImpl(g *dfg.Graph, cfg dlx.Config, opt SyncOptions) (*Schedule, error) {
-	ad := sc.adder
-	if ad == nil {
-		ad = &sc.ad
-	}
-	ad.reset(g)
-	if !opt.NoPairArcs {
-		// Provably safe Sig/Wat pair arcs first (the paper's rule).
-		for _, a := range sc.pairArcs(g) {
-			ad.add(g, a)
+	sc.bind(g, cfg)
+	ad := sc.baseArcs(g, opt)
+	ord := &sc.ident
+	if !opt.NoSPPriority {
+		if !sc.acyclic {
+			return nil, errCycle
 		}
-	}
-	if !opt.NoLazyWaits {
-		for _, a := range sc.lazyWaitArcs(g) {
-			ad.add(g, a)
+		if !sc.syncOK || sc.syncAsc != opt.AscendingSP {
+			sc.syncOK = false
+			sc.syncOrd.sort(sc.syncPriority(g, opt))
+			sc.syncOK, sc.syncAsc = true, opt.AscendingSP
 		}
+		ord = &sc.syncOrd
 	}
-	priority, err := sc.syncPriority(g, cfg, opt)
-	if err != nil {
-		return nil, err
-	}
-	best, err := sc.engine(g, cfg, ad.arcs(), priority, "sync")
+	best, err := sc.engine(g, cfg, ad.arcs(), ord, "sync", nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -505,6 +288,20 @@ func (sc *Scratch) syncImpl(g *dfg.Graph, cfg dlx.Config, opt SyncOptions) (*Sch
 	// keep the arc only when the rescheduled result is no worse. Serializing
 	// one pair can delay another pair's send, so each candidate is verified
 	// rather than assumed.
+	//
+	// A candidate repeats best's rows before the wait's cycle c, so it
+	// replays them and schedules only from c on. By induction on the cycle
+	// t < c: with the rows before t equal, both runs start t with the same
+	// issued nodes, unit occupancy and ready times, except that the wait is
+	// not ready in the candidate, because its new predecessor, the send,
+	// issues at or after c in best and so has not issued. In best the wait
+	// does not issue at t either, so it takes no slot or unit there, and
+	// every other node meets the same slots and units in the same priority
+	// order: row t is the same.
+	//
+	// The adder is marked invalid while the loop changes it, so a call that
+	// panics halfway leaves it to be rebuilt.
+	sc.adOK = false
 	for i, in := range g.Prog.Instrs {
 		if in.Op != tac.Wait {
 			continue
@@ -519,7 +316,7 @@ func (sc *Scratch) syncImpl(g *dfg.Graph, cfg dlx.Config, opt SyncOptions) (*Sch
 		if !ad.add(g, dfg.Arc{From: s, To: i, Kind: dfg.SrcToSend}) {
 			continue
 		}
-		cand, err := sc.engine(g, cfg, ad.arcs(), priority, "sync")
+		cand, err := sc.engine(g, cfg, ad.arcs(), ord, "sync", best, best.Cycle[i])
 		if err != nil || !betterThan(cand, best) {
 			sc.releaseSched(cand)
 			ad.removeLast()
@@ -528,7 +325,53 @@ func (sc *Scratch) syncImpl(g *dfg.Graph, cfg dlx.Config, opt SyncOptions) (*Sch
 		sc.releaseSched(best)
 		best = cand
 	}
+	sc.adOK = true
 	return best, nil
+}
+
+// baseArcs returns the arc adder holding the pair and lazy-wait arcs opt
+// asks for, and nothing else: the adder left by the last call when it holds
+// g's arcs under the same options, with that call's LBD conversions removed.
+func (sc *Scratch) baseArcs(g *dfg.Graph, opt SyncOptions) arcAdder {
+	ad := sc.adder
+	if ad == nil {
+		ad = &sc.ad
+	}
+	key := SyncOptions{NoPairArcs: opt.NoPairArcs, NoLazyWaits: opt.NoLazyWaits}
+	if sc.adOK && sc.adKey == key {
+		for len(ad.arcs()) > sc.adBase {
+			ad.removeLast()
+		}
+		return ad
+	}
+	sc.adOK = false
+	ad.reset(g, sc.topo)
+	if !opt.NoPairArcs {
+		// Provably safe Sig/Wat pair arcs first (the paper's rule).
+		for _, a := range sc.pairArcs(g) {
+			ad.add(g, a)
+		}
+	}
+	if !opt.NoLazyWaits {
+		for _, a := range sc.lazyWaitArcs(g) {
+			ad.add(g, a)
+		}
+	}
+	// The engine starts every call on these arcs from their in-degrees and
+	// successor lists.
+	base := ad.arcs()
+	for v := range sc.baseRem {
+		sc.baseRem[v] = int32(len(g.Pred[v]))
+	}
+	clear(sc.baseXhead)
+	sc.xnext = sc.xnext[:0]
+	for i, a := range base {
+		sc.xnext = append(sc.xnext, sc.baseXhead[a.From])
+		sc.baseXhead[a.From] = int32(i) + 1
+		sc.baseRem[a.To]++
+	}
+	sc.adKey, sc.adBase, sc.adOK = key, len(base), true
+	return ad
 }
 
 // Best builds the sync schedule and both list baselines into scratch state
@@ -572,7 +415,7 @@ func betterThan(a, b *Schedule) bool {
 // acceptance order. syncImpl schedules with whatever it accepts, so two
 // adders making the same decisions produce the same schedules.
 type arcAdder interface {
-	reset(g *dfg.Graph)
+	reset(g *dfg.Graph, topo []int32) // topo: g's Kahn order, as Scratch.topo
 	add(g *dfg.Graph, arc dfg.Arc) bool
 	removeLast() // undoes the most recent successful add
 	arcs() []dfg.Arc
@@ -606,46 +449,31 @@ type dagAdder struct {
 
 func (d *dagAdder) arcs() []dfg.Arc { return d.extra }
 
-// reset clears the adder for g, orders g's nodes topologically (Kahn) and
-// fills the arc set with g's arcs.
-func (d *dagAdder) reset(g *dfg.Graph) {
+// reset clears the adder for g, orders g's nodes by topo and fills the arc
+// set with g's arcs. topo is a Kahn order of g, shorter than g.N() when g is
+// cyclic (which scheduling rejects anyway): the nodes it leaves out take the
+// last positions in index order.
+func (d *dagAdder) reset(g *dfg.Graph, topo []int32) {
 	n := g.N()
 	d.extra, d.outNext, d.inNext = d.extra[:0], d.outNext[:0], d.inNext[:0]
 	d.outHead, d.inHead = growInt32s(&d.outHead, n), growInt32s(&d.inHead, n)
 	clear(d.outHead)
 	clear(d.inHead)
 	d.ord = growInt32s(&d.ord, n)
-	// Kahn, with ord counting the unplaced predecessors until a node is
-	// placed. A cyclic graph (which scheduling rejects anyway) leaves its
-	// cycles' nodes unplaced; they take the last positions in index order.
-	queue := d.stack[:0]
-	for v := 0; v < n; v++ {
-		d.ord[v] = int32(len(g.Pred[v]))
-		if d.ord[v] == 0 {
-			queue = append(queue, v)
-		}
+	for v := range d.ord {
+		d.ord[v] = -1
 	}
-	placed := bitset.Make(d.mark, n)
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		placed.Set(v)
-		for _, w := range g.Succ[v] {
-			if d.ord[w]--; d.ord[w] == 0 {
-				queue = append(queue, w)
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		if !placed.Has(v) {
-			queue = append(queue, v)
-		}
-	}
-	for i, v := range queue {
+	for i, v := range topo {
 		d.ord[v] = int32(i)
 	}
-	d.stack = queue[:0]
-	placed.Reset()
-	d.mark = placed
+	pos := int32(len(topo))
+	for v, p := range d.ord {
+		if p < 0 {
+			d.ord[v] = pos
+			pos++
+		}
+	}
+	d.mark = bitset.Make(d.mark, n)
 
 	d.setN = 0
 	d.rehash(g, max(64, 4*len(g.Arcs)))
@@ -922,7 +750,7 @@ func (sc *Scratch) lazyWaitArcs(g *dfg.Graph) []dfg.Arc {
 			}
 		}
 		sc.stack = stack[:0]
-		sortInts(anc) // ascending node order: arc emission is stable
+		slices.Sort(anc) // ascending node order: arc emission is stable
 		sc.anc = anc
 		for _, a := range anc {
 			out = append(out, dfg.Arc{From: a, To: w, Kind: dfg.WaitToSnk})
@@ -932,26 +760,18 @@ func (sc *Scratch) lazyWaitArcs(g *dfg.Graph) []dfg.Arc {
 	return out
 }
 
-func (sc *Scratch) syncPriority(g *dfg.Graph, cfg dlx.Config, opt SyncOptions) ([]int, error) {
+// syncPriority returns the synchronization-aware priority of every node
+// (lower issues first) from the bound critical paths, into scratch.
+func (sc *Scratch) syncPriority(g *dfg.Graph, opt SyncOptions) []int {
 	n := g.N()
-	priority := growInts(&sc.prio, n)
-	if opt.NoSPPriority {
-		for i := range priority {
-			priority[i] = i
-		}
-		return priority, nil
-	}
+	buf := growInts(&sc.prioBuf, 3*n)
+	priority, class, rank := buf[:n], buf[n:2*n], buf[2*n:]
 	// Per §3.2, nodes outside the synchronization paths are scheduled "by
 	// the list scheduling": rank them by critical-path length within their
 	// class. On a loop with no synchronization at all this makes the new
 	// scheduler coincide with the critical-path baseline.
-	cp, err := sc.criticalPaths(g, cfg)
-	if err != nil {
-		return nil, err
-	}
+	cp := sc.cp
 	const stride = 1 << 20
-	class := growInts(&sc.class, n)
-	rank := growInts(&sc.rank, n)
 	maxCP := 0
 	for _, v := range cp {
 		if v > maxCP {
@@ -1000,7 +820,7 @@ func (sc *Scratch) syncPriority(g *dfg.Graph, cfg dlx.Config, opt SyncOptions) (
 	for i := 0; i < n; i++ {
 		priority[i] = class[i]*stride + rank[i]
 	}
-	return priority, nil
+	return priority
 }
 
 // scratchPool serves the non-scratch package-level entry points (Sync,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -135,6 +136,38 @@ func TestValidateFailureInjection(t *testing.T) {
 		c.Cfg = dlx.Standard(4, 1)
 		if err := c.Validate(); err == nil {
 			t.Fatal("unit oversubscription not detected")
+		}
+	})
+
+	t.Run("FU oversubscription in two classes", func(t *testing.T) {
+		// Claim one unit per class of a schedule that doubles up both its
+		// loads and its multiplies: the report names the first class in
+		// class order at its first oversubscribed cycle, every time.
+		g := buildGraph(t, "DO I = 1, N\nA[I] = E[I] * F[I]\nB[I] = G[I] * H[I]\nENDDO")
+		wide, err := List(g, dlx.Standard(4, 2), ProgramOrder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := corrupt(t, wide)
+		c.Cfg = dlx.Standard(4, 1)
+		first := map[dlx.Class]int{}
+		for cls, occ := range c.Occupancy() {
+			for cyc, busy := range occ {
+				if busy > 1 {
+					first[cls] = cyc
+					break
+				}
+			}
+		}
+		ls, ok := first[dlx.LoadStore]
+		if _, mul := first[dlx.Multiplier]; !ok || !mul {
+			t.Fatalf("schedule does not oversubscribe both load/store and multiplier units: %v", first)
+		}
+		want := fmt.Sprintf("cycle %d oversubscribes load/store units", ls)
+		for i := 0; i < 20; i++ {
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Validate = %v, want %q", err, want)
+			}
 		}
 	})
 

@@ -145,7 +145,10 @@ func CompileSchedule(b *testing.B) {
 // ScheduleWarm is the steady-state scheduling kernel alone: a compiled
 // program rescheduled into a warm Scratch. The schedule is borrowed from
 // the scratch, so the loop body allocates nothing (pinned to 0 by
-// TestScratchScheduleAllocs at the repo root).
+// TestScratchScheduleAllocs at the repo root). Every call schedules the same
+// graph, so it also reuses the Scratch's per-graph state: priority orders,
+// critical paths and base arcs are derived once, and each call runs the
+// cycle engine and the LBD candidates.
 func ScheduleWarm(b *testing.B) {
 	prog := doacross.MustCompile(Fig1)
 	m := doacross.Machine4Issue(1)
