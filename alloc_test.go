@@ -13,7 +13,9 @@ import (
 	"doacross"
 	"doacross/internal/check"
 	"doacross/internal/hotbench"
+	"doacross/internal/lang"
 	"doacross/internal/obs"
+	"doacross/internal/perfect"
 	"doacross/internal/pipeline"
 	"doacross/internal/scheditest"
 )
@@ -160,12 +162,13 @@ func TestPipelineObservedHitAllocs(t *testing.T) {
 	}
 }
 
-// TestVerifierAllocs pins a prepared Verifier on a clean Fig. 1 schedule:
-// the edges were derived once by NewVerifier, and with every wait at a
-// positive distance the deadlock check is one pass over the waits, so a
-// call allocates only the row-position and unit-occupancy tables. Deriving
-// the edges again on every call, materializing the wait-for graph, or
-// allocating for the LBD recount exceeds the pin.
+// TestVerifierAllocs pins a prepared Verifier on a clean Fig. 1 schedule
+// at zero allocations per call: the edges were derived once by
+// NewVerifier, with every wait at a positive distance the deadlock check is
+// one pass over the waits, and the row-position and unit-occupancy tables
+// come from a pool. Deriving the edges again on every call, materializing
+// the wait-for graph, allocating for the LBD recount or a table per call
+// exceeds the pin.
 func TestVerifierAllocs(t *testing.T) {
 	prog := doacross.MustCompile(hotbench.Fig1)
 	s, err := prog.ScheduleSync(doacross.Machine4Issue(1))
@@ -182,9 +185,31 @@ func TestVerifierAllocs(t *testing.T) {
 	if failed != nil {
 		t.Fatal(failed)
 	}
-	const limit = 2
-	if got > limit {
-		t.Errorf("prepared Verifier.Verify: %v allocs/op, want <= %d", got, limit)
+	if got != 0 {
+		t.Errorf("prepared Verifier.Verify: %v allocs/op, want 0", got)
+	}
+}
+
+// TestValidateAllocs pins Schedule.Validate on a valid Fig. 1 schedule at
+// zero allocations per call: its seen and unit-occupancy tables come from a
+// pool, and only a rejection allocates (its error).
+func TestValidateAllocs(t *testing.T) {
+	prog := doacross.MustCompile(hotbench.Fig1)
+	s, err := prog.ScheduleSync(doacross.Machine4Issue(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failed error
+	got := testing.AllocsPerRun(100, func() {
+		if err := s.Validate(); err != nil {
+			failed = err
+		}
+	})
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if got != 0 {
+		t.Errorf("Schedule.Validate: %v allocs/op, want 0", got)
 	}
 }
 
@@ -227,8 +252,8 @@ func TestSizeSweepAllocs(t *testing.T) {
 	}
 }
 
-// TestMaxLiveAllocs pins MaxLive at one allocation per call: the def,
-// last-use and sweep tables share one slice.
+// TestMaxLiveAllocs pins MaxLive at zero allocations per call: the def,
+// last-use and sweep tables share one slice, taken from a pool.
 func TestMaxLiveAllocs(t *testing.T) {
 	prog := doacross.MustCompile(hotbench.Fig1)
 	s, err := prog.ScheduleSync(doacross.Machine4Issue(1))
@@ -240,7 +265,47 @@ func TestMaxLiveAllocs(t *testing.T) {
 	if live < 1 {
 		t.Fatalf("MaxLive = %d", live)
 	}
-	if got > 1 {
-		t.Errorf("MaxLive: %v allocs/op, want <= 1", got)
+	if got != 0 {
+		t.Errorf("MaxLive: %v allocs/op, want 0", got)
 	}
+}
+
+// TestLoopStringAllocs pins Loop.String at a constant number of allocations
+// per call, whatever the loop's size: the printer appends into a pooled
+// buffer and the returned string is the one allocation. The pipeline
+// renders every parsed request loop to key its compile memo, so a printer
+// that allocates per node (as the fmt-based one did) shows here on the
+// 80-statement sweep loops first.
+func TestLoopStringAllocs(t *testing.T) {
+	suites, err := perfect.Suites()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loops []*lang.Loop
+	for _, su := range suites {
+		for _, l := range su.Loops {
+			loops = append(loops, l.AST)
+		}
+	}
+	for _, src := range scheditest.SweepSources(80) {
+		l, err := lang.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loops = append(loops, l)
+	}
+	const limit = 2
+	worst := 0.0
+	for i, l := range loops {
+		text := ""
+		got := testing.AllocsPerRun(20, func() { text = l.String() })
+		if text == "" {
+			t.Fatalf("loop %d printed nothing", i)
+		}
+		if got > limit {
+			t.Errorf("loop %d (%d statements, %d bytes): Loop.String %v allocs/op, want <= %d", i, len(l.Body), len(text), got, limit)
+		}
+		worst = max(worst, got)
+	}
+	t.Logf("%d loops: at most %v allocs per Loop.String", len(loops), worst)
 }

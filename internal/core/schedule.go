@@ -19,6 +19,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"doacross/internal/dfg"
 	"doacross/internal/dlx"
@@ -49,12 +50,15 @@ type Schedule struct {
 func (s *Schedule) Clone() *Schedule {
 	c := *s
 	c.scratch = nil
-	c.Cycle = append([]int(nil), s.Cycle...)
-	total := 0
+	total := len(s.Cycle)
 	for _, r := range s.Rows {
 		total += len(r)
 	}
+	// Cycle and every row share one allocation; each is capacity-capped, so
+	// appending to one never writes into the next.
 	flat := make([]int, 0, total)
+	flat = append(flat, s.Cycle...)
+	c.Cycle = flat[:len(flat):len(flat)]
 	c.Rows = make([][]int, len(s.Rows))
 	for i, r := range s.Rows {
 		if len(r) == 0 {
@@ -217,32 +221,36 @@ func (s *Schedule) MaxLBDStall() float64 {
 }
 
 // Validate checks that the schedule is well formed: every node scheduled
-// exactly once, dependence arcs respected with latencies, issue width and
-// function-unit capacity never exceeded, and the synchronization conditions
-// hold (they follow from the graph arcs, but Validate re-checks them
-// directly as a second line of defense).
+// exactly once, dependence arcs respected with latencies, and issue width
+// and function-unit capacity never exceeded. The synchronization conditions
+// are graph arcs (source store -> send, wait -> sink), so the arc check
+// covers them. Its tables come from tablePool: a call allocates only the
+// error it returns.
 func (s *Schedule) Validate() error {
 	n := s.Graph.N()
 	if len(s.Cycle) != n {
 		return fmt.Errorf("core: schedule covers %d of %d nodes", len(s.Cycle), n)
 	}
-	seen := make([]bool, n)
+	horizon := s.CompletionLength()
+	tab := getTable(n + int(dlx.NumClasses)*horizon)
+	defer putTable(tab)
+	seen, busy := (*tab)[:n], (*tab)[n:]
 	for c, row := range s.Rows {
 		if len(row) > s.Cfg.Issue {
 			return fmt.Errorf("core: cycle %d issues %d > width %d", c, len(row), s.Cfg.Issue)
 		}
 		for _, v := range row {
-			if seen[v] {
+			if seen[v] != 0 {
 				return fmt.Errorf("core: node %d scheduled twice", v)
 			}
-			seen[v] = true
+			seen[v] = 1
 			if s.Cycle[v] != c {
 				return fmt.Errorf("core: node %d cycle mismatch (%d vs row %d)", v, s.Cycle[v], c)
 			}
 		}
 	}
 	for v := 0; v < n; v++ {
-		if !seen[v] {
+		if seen[v] == 0 {
 			return fmt.Errorf("core: node %d (instr %v) not scheduled", v, s.Prog.Instrs[v])
 		}
 	}
@@ -257,8 +265,6 @@ func (s *Schedule) Validate() error {
 	// its unit for its full latency), one row per class of a dense table.
 	// Classes are checked in order, so the reported class and cycle do not
 	// depend on anything but the schedule.
-	horizon := s.CompletionLength()
-	busy := make([]int, int(dlx.NumClasses)*horizon)
 	for v, c := range s.Cycle {
 		if cls := s.Prog.Instrs[v].Class(); dlx.NeedsUnit(cls) {
 			row := busy[int(cls)*horizon:]
@@ -278,19 +284,29 @@ func (s *Schedule) Validate() error {
 			}
 		}
 	}
-	// Synchronization conditions.
-	for _, in := range s.Prog.Instrs {
-		switch in.Op {
-		case tac.Send:
-			// The send must follow every store of its source statement that
-			// carries a synchronized dependence — covered by SrcToSend arcs,
-			// re-checked via the arc loop above.
-		case tac.Wait:
-			// Covered by WaitToSnk arcs.
-		}
-	}
 	return nil
 }
+
+// tablePool recycles the dense int tables of Validate and MaxLive, which
+// run on every freshly built schedule: a table lives only for one call, so
+// the calls allocate nothing once the pool holds one large enough.
+var tablePool = sync.Pool{New: func() any { return new([]int) }}
+
+// getTable returns a zeroed table of n ints from tablePool; hand it back
+// with putTable.
+func getTable(n int) *[]int {
+	t := tablePool.Get().(*[]int)
+	if cap(*t) < n {
+		*t = make([]int, n)
+	} else {
+		*t = (*t)[:n]
+		clear(*t)
+	}
+	return t
+}
+
+// putTable returns a table from getTable to the pool.
+func putTable(t *[]int) { tablePool.Put(t) }
 
 // MaxLive returns the peak number of simultaneously live temps in the
 // schedule: a temp is live from its defining instruction's issue until its
@@ -301,7 +317,8 @@ func (s *Schedule) Validate() error {
 //
 // The sweep runs over dense tables indexed by temp number, sized by the
 // highest (and lowest) temp the program mentions rather than by NumTemps,
-// so a hand-built program cannot index out of range.
+// so a hand-built program cannot index out of range. They come from
+// tablePool, so a call allocates nothing.
 func (s *Schedule) MaxLive() int {
 	var buf [4]int // up to three uses and the def
 	lo, hi := 0, 0
@@ -316,7 +333,9 @@ func (s *Schedule) MaxLive() int {
 	}
 	temps := hi - lo + 1
 	horizon := s.Length()
-	tab := make([]int, 2*temps+horizon+2)
+	pt := getTable(2*temps + horizon + 2)
+	defer putTable(pt)
+	tab := *pt
 	// defAt[t-lo] is the def cycle + 1 (0: never defined); lastUse[t-lo]
 	// is the last consumer's issue cycle (0: no consumer after cycle 0).
 	defAt, lastUse, delta := tab[:temps], tab[temps:2*temps], tab[2*temps:]

@@ -25,7 +25,7 @@ package lang
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"doacross/internal/diag"
 )
@@ -80,7 +80,7 @@ func (op BinOp) String() string {
 	case OpDiv:
 		return "/"
 	}
-	return fmt.Sprintf("BinOp(%d)", int(op))
+	return "BinOp(" + strconv.Itoa(int(op)) + ")"
 }
 
 // Binary is a binary arithmetic expression.
@@ -118,7 +118,7 @@ func (op RelOp) String() string {
 	case RelNE:
 		return "!="
 	}
-	return fmt.Sprintf("RelOp(%d)", int(op))
+	return "RelOp(" + strconv.Itoa(int(op)) + ")"
 }
 
 // Cond is a relational guard expression (IF (L op R) ...). It is not an
@@ -132,7 +132,7 @@ type Cond struct {
 
 // String renders the guard.
 func (c *Cond) String() string {
-	return c.L.String() + " " + c.Op.String() + " " + c.R.String()
+	return render(func(b []byte) []byte { return appendCond(b, c) })
 }
 
 // Clone deep-copies the guard.
@@ -186,17 +186,19 @@ func (c *Const) String() string {
 	if c.Text != "" {
 		return c.Text
 	}
-	if c.Value == float64(int64(c.Value)) {
-		return fmt.Sprintf("%d", int64(c.Value))
-	}
-	return fmt.Sprintf("%g", c.Value)
+	return render(func(b []byte) []byte { return appendConst(b, c) })
 }
 
 // String renders the scalar name.
 func (s *Scalar) String() string { return s.Name }
 
 // String renders the array reference with bracket subscripts.
-func (a *ArrayRef) String() string { return a.Name + "[" + a.Index.String() + "]" }
+func (a *ArrayRef) String() string { return renderExpr(a) }
+
+// renderExpr renders e through the printer.
+func renderExpr(e Expr) string {
+	return render(func(b []byte) []byte { return appendExpr(b, e) })
+}
 
 // precedence of an expression node, used by the printer to insert the
 // minimal parentheses.
@@ -215,37 +217,10 @@ func precedence(e Expr) int {
 }
 
 // String renders the binary expression with minimal parentheses.
-func (b *Binary) String() string {
-	var sb strings.Builder
-	lp := precedence(b.L) < precedence(b)
-	// For left-associative operators the right operand needs parens when it
-	// binds at the same or lower level (a-(b+c), a/(b*c)).
-	rp := precedence(b.R) <= precedence(b)
-	if lp {
-		sb.WriteByte('(')
-	}
-	sb.WriteString(b.L.String())
-	if lp {
-		sb.WriteByte(')')
-	}
-	sb.WriteString(b.Op.String())
-	if rp {
-		sb.WriteByte('(')
-	}
-	sb.WriteString(b.R.String())
-	if rp {
-		sb.WriteByte(')')
-	}
-	return sb.String()
-}
+func (b *Binary) String() string { return renderExpr(b) }
 
 // String renders the negation.
-func (n *Neg) String() string {
-	if precedence(n.X) < precedence(n) {
-		return "-(" + n.X.String() + ")"
-	}
-	return "-" + n.X.String()
-}
+func (n *Neg) String() string { return renderExpr(n) }
 
 // Assign is an assignment statement: [IF (Cond)] LHS = RHS. LHS is either
 // *ArrayRef or *Scalar. A non-nil Cond guards the assignment (the paper's
@@ -270,11 +245,7 @@ func (a *Assign) Pos() diag.Pos { return diag.Pos{Line: a.Line, Col: a.Col} }
 
 // String renders the statement without its label.
 func (a *Assign) String() string {
-	s := a.LHS.String() + " = " + a.RHS.String()
-	if a.Cond != nil {
-		return "IF (" + a.Cond.String() + ") " + s
-	}
-	return s
+	return render(func(b []byte) []byte { return appendAssign(b, a) })
 }
 
 // SyncOp is an explicit synchronization statement written in the source:
@@ -305,16 +276,7 @@ func (o *SyncOp) Pos() diag.Pos { return diag.Pos{Line: o.Line, Col: o.Col} }
 // String renders the op; iv is the loop's induction variable (used for the
 // Wait distance spelling).
 func (o *SyncOp) String(iv string) string {
-	if !o.Wait {
-		return fmt.Sprintf("Send_Signal(%s)", o.Signal)
-	}
-	switch {
-	case o.Dist > 0:
-		return fmt.Sprintf("Wait_Signal(%s, %s-%d)", o.Signal, iv, o.Dist)
-	case o.Dist < 0:
-		return fmt.Sprintf("Wait_Signal(%s, %s+%d)", o.Signal, iv, -o.Dist)
-	}
-	return fmt.Sprintf("Wait_Signal(%s, %s)", o.Signal, iv)
+	return render(func(b []byte) []byte { return appendSyncOp(b, o, iv) })
 }
 
 // Loop is a singly nested DO/DOACROSS loop.
@@ -340,25 +302,7 @@ func (l *Loop) Pos() diag.Pos { return diag.Pos{Line: l.Line, Col: l.Col} }
 
 // String renders the loop as source text.
 func (l *Loop) String() string {
-	var sb strings.Builder
-	kw := "DO"
-	if l.Doacross {
-		kw = "DOACROSS"
-	}
-	fmt.Fprintf(&sb, "%s %s = %s, %s\n", kw, l.Var, l.Lo, l.Hi)
-	syncs := 0
-	emit := func(anchor int) {
-		for ; syncs < len(l.Syncs) && l.Syncs[syncs].At <= anchor; syncs++ {
-			fmt.Fprintf(&sb, "  %s\n", l.Syncs[syncs].String(l.Var))
-		}
-	}
-	for k, st := range l.Body {
-		emit(k)
-		fmt.Fprintf(&sb, "  %s: %s\n", st.Label, st)
-	}
-	emit(len(l.Body))
-	sb.WriteString("ENDDO\n")
-	return sb.String()
+	return render(func(b []byte) []byte { return appendLoop(b, l) })
 }
 
 // Stmt returns the statement with the given label, or nil.

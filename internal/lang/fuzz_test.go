@@ -50,8 +50,9 @@ func fuzzSeeds(f *testing.F) []string {
 }
 
 // FuzzParse feeds arbitrary input through the whole front end: parsing must
-// never panic, anything accepted must survive a print/parse round trip
-// unchanged, and the accepted loop must flow through dependence analysis,
+// never panic, anything accepted must print as the fmt reference printer
+// prints it and survive a print/parse round trip unchanged, and the
+// accepted loop must flow through dependence analysis,
 // synchronization insertion, TAC generation and DFG construction without
 // panicking. The synchronized DOACROSS rendering must also be stable: the
 // reparsed base loop inserts the same Wait/Send operations.
@@ -63,6 +64,9 @@ func FuzzParse(f *testing.F) {
 		loop, err := lang.Parse(src)
 		if err != nil {
 			return
+		}
+		if d := printerMismatch(loop); d != "" {
+			t.Fatalf("printer differs from the reference on %q: %s", src, d)
 		}
 		printed := loop.String()
 		again, err := lang.Parse(printed)

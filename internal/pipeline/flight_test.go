@@ -221,8 +221,34 @@ func TestGroupPanicShared(t *testing.T) {
 	}
 }
 
+// gatedDeadline is a context whose deadline passes when the test says so:
+// Deadline reports at, and Done closes, with Err DeadlineExceeded, only when
+// the test closes done. A test can thus order "the deadline passed" after
+// any event it observes, however the goroutines are scheduled; at should
+// lie beyond the test's run, so no timer armed for it fires by itself.
+type gatedDeadline struct {
+	at   time.Time
+	done chan struct{}
+}
+
+func (c *gatedDeadline) Deadline() (time.Time, bool) { return c.at, true }
+func (c *gatedDeadline) Done() <-chan struct{}       { return c.done }
+func (c *gatedDeadline) Value(any) any               { return nil }
+func (c *gatedDeadline) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
+
 // TestGroupLaterDeadlineWins: among bounded joiners the latest deadline
-// governs the flight: it outlives the leader's shorter deadline.
+// governs the flight: it outlives the leader's shorter deadline. The short
+// deadline passes only once the second caller's join has been observed, so
+// it cannot cancel the flight before the join, whatever the scheduling:
+// then the leader gives up, the flight's timer fires for the short
+// deadline, and the flight must re-arm for the joined one and keep running.
 func TestGroupLaterDeadlineWins(t *testing.T) {
 	var g Group
 	release := make(chan struct{})
@@ -235,11 +261,15 @@ func TestGroupLaterDeadlineWins(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	shortCtx, cancelShort := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancelShort()
-	longCtx, cancelLong := context.WithTimeout(context.Background(), 10*time.Second)
+	now := time.Now()
+	short := &gatedDeadline{at: now.Add(time.Hour), done: make(chan struct{})}
+	longCtx, cancelLong := context.WithDeadline(context.Background(), now.Add(2*time.Hour))
 	defer cancelLong()
-	go g.Do(shortCtx, flightKey(1), fn)
+	leader := make(chan error, 1)
+	go func() {
+		_, err, _ := g.Do(short, flightKey(1), fn)
+		leader <- err
+	}()
 	waitFor(t, "flight to start", func() bool { f, _ := g.Stats(); return f == 1 })
 	done := make(chan error, 1)
 	go func() {
@@ -247,12 +277,29 @@ func TestGroupLaterDeadlineWins(t *testing.T) {
 		done <- err
 	}()
 	waitFor(t, "second caller to join", func() bool { _, w := g.Stats(); return w == 2 })
-	// Past the short deadline, the flight must still be alive under the
-	// long joiner's inherited deadline.
-	time.Sleep(40 * time.Millisecond)
+	g.mu.Lock()
+	f := g.flights[flightKey(1)]
+	g.mu.Unlock()
+
+	// The short deadline passes: its caller gives up...
+	close(short.done)
+	if err := <-leader; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("short caller returned %v, want its deadline error", err)
+	}
+	// ...and the flight's timer, armed for that deadline, fires.
+	f.expire()
+	f.mu.Lock()
+	deadline := f.deadline
+	f.mu.Unlock()
+	if want, _ := longCtx.Deadline(); !deadline.Equal(want) {
+		t.Errorf("flight deadline = %v, want the joined %v", deadline, want)
+	}
+	if err := f.ctx.Err(); err != nil {
+		t.Fatalf("short deadline cancelled the flight: %v", err)
+	}
 	select {
 	case err := <-done:
-		t.Fatalf("long waiter finished early with %v: short deadline cancelled the flight", err)
+		t.Fatalf("long waiter finished early with %v", err)
 	default:
 	}
 	release <- struct{}{}

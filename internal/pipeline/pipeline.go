@@ -260,6 +260,48 @@ func (o Options) compileSalt() string {
 		strings.Join(o.Compile.Dump, ","))
 }
 
+// Validate checks what every request of a batch depends on: each machine
+// is a valid configuration, the default trip count is at most MaxTrip (it
+// is bounded like every request's), and the backend name is known. RunContext
+// fails with its error before any work, and server.New refuses the daemon's
+// defaults with it at startup.
+func (o Options) Validate() error {
+	for _, m := range o.machines() {
+		if err := m.Validate(); err != nil {
+			return fmt.Errorf("pipeline: machine %q: %w", m.Name, err)
+		}
+	}
+	if o.N > MaxTrip {
+		return fmt.Errorf("pipeline: trip count N=%d exceeds the limit %d", o.N, MaxTrip)
+	}
+	if _, err := o.backendScheduler(o.n()); err != nil {
+		return fmt.Errorf("pipeline: %w", err)
+	}
+	return nil
+}
+
+// batchEnv is what every request of one RunContext shares: the options, the
+// machines, the metrics registry, the batch span (the requests' parent), and
+// the cache-key salts, rendered once per batch rather than once per request.
+type batchEnv struct {
+	opt      Options
+	machines []dlx.Config
+	metrics  *Metrics
+	bspan    obs.Span
+	// compileSalt, schedSalt and exSalt are Options.compileSalt,
+	// Options.salt and Options.exactSalt at the default trip count.
+	compileSalt, schedSalt, exSalt string
+}
+
+// exactSaltAt is Options.exactSalt(n), rendered again only for a trip count
+// other than the batch default.
+func (b *batchEnv) exactSaltAt(n int) string {
+	if n == b.opt.n() {
+		return b.exSalt
+	}
+	return b.opt.exactSalt(n)
+}
+
 // Fault-probe stage names (the compilation passes are probed under their own
 // pass names). These mirror internal/faults' stage constants without
 // importing it: the hook signature is plain func values in both directions.
@@ -409,9 +451,12 @@ type compileEntry struct {
 	syncLoop *syncop.Loop
 	prog     *tac.Program
 	graph    *dfg.Graph
-	trace    *passes.Trace
-	diags    diag.List
-	lint     diag.List
+	// fp is graph's fingerprint, hashed once per compilation: every request
+	// served by the entry keys its schedules and timings on it.
+	fp    dfg.Fingerprint
+	trace *passes.Trace
+	diags diag.List
+	lint  diag.List
 }
 
 // newCompileEntry packages a fresh compilation for the compile memo. Under
@@ -425,8 +470,8 @@ func newCompileEntry(pctx *passes.Context, verified bool) *compileEntry {
 	}
 	return &compileEntry{
 		loop: pctx.Loop, analysis: pctx.Analysis, syncLoop: pctx.Sync,
-		prog: pctx.Code, graph: pctx.Graph, trace: pctx.Trace, diags: pctx.Diags,
-		lint: lint,
+		prog: pctx.Code, graph: pctx.Graph, fp: pctx.Graph.Fingerprint(),
+		trace: pctx.Trace, diags: pctx.Diags, lint: lint,
 	}
 }
 
@@ -579,19 +624,8 @@ func Run(reqs []Request, opt Options) (*Batch, error) {
 // requests cut off fail individually with the context's error — results are
 // still returned for every request, in request order.
 func RunContext(ctx context.Context, reqs []Request, opt Options) (*Batch, error) {
-	machines := opt.machines()
-	for _, m := range machines {
-		if err := m.Validate(); err != nil {
-			return nil, fmt.Errorf("pipeline: %w", err)
-		}
-	}
-	// The batch default trip count is bounded like every request's.
-	if opt.N > MaxTrip {
-		return nil, fmt.Errorf("pipeline: trip count N=%d exceeds the limit %d", opt.N, MaxTrip)
-	}
-	// Fail fast on an unknown backend name, before any compilation work.
-	if _, err := opt.backendScheduler(opt.n()); err != nil {
-		return nil, fmt.Errorf("pipeline: %w", err)
+	if err := opt.Validate(); err != nil {
+		return nil, err
 	}
 	metrics := opt.Metrics
 	if metrics == nil {
@@ -611,6 +645,8 @@ func RunContext(ctx context.Context, reqs []Request, opt Options) (*Batch, error
 		workers = len(reqs)
 	}
 	bspan := opt.Observer.Start(obs.KindBatch, "batch", obs.Span{})
+	env := &batchEnv{opt: opt, machines: opt.machines(), metrics: metrics, bspan: bspan,
+		compileSalt: opt.compileSalt(), schedSalt: opt.salt(), exSalt: opt.exactSalt(opt.n())}
 	metrics.QueueAdd(int64(len(reqs)))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -623,7 +659,7 @@ func RunContext(ctx context.Context, reqs []Request, opt Options) (*Batch, error
 			for i := range jobs {
 				metrics.QueueAdd(-1)
 				metrics.WorkerStart()
-				batch.Loops[i] = runOne(ctx, i, reqs[i], machines, opt, sc, metrics, bspan)
+				batch.Loops[i] = runOne(ctx, env, i, reqs[i], sc)
 				metrics.WorkerDone()
 			}
 		}()
@@ -719,17 +755,17 @@ func (r Request) validate(idx int) *diag.Diagnostic {
 // runOne pushes one request through compile → schedule → check → simulate.
 // sc is the calling worker's reusable scheduler scratch (never shared across
 // goroutines).
-func runOne(ctx context.Context, idx int, req Request, machines []dlx.Config, opt Options, sc *core.Scratch, metrics *Metrics, bspan obs.Span) LoopResult {
-	r := runner{opt: opt, metrics: metrics, sc: sc, reqID: req.ID,
+func runOne(ctx context.Context, env *batchEnv, idx int, req Request, sc *core.Scratch) LoopResult {
+	r := runner{batchEnv: env, sc: sc, reqID: req.ID,
 		res: LoopResult{Index: idx, Name: req.name(idx), N: req.N}}
-	r.rspan = opt.Observer.Start(obs.KindRequest, r.res.Name, bspan)
-	r.res.Err = r.run(ctx, req, machines)
+	r.rspan = env.opt.Observer.Start(obs.KindRequest, r.res.Name, env.bspan)
+	r.res.Err = r.run(ctx, req)
 	r.endSpan(&r.rspan, r.res.Err, nil)
 	return r.res
 }
 
 // run is runOne's body; its error is the request's.
-func (r *runner) run(ctx context.Context, req Request, machines []dlx.Config) (err error) {
+func (r *runner) run(ctx context.Context, req Request) (err error) {
 	// Last line of defense: a panic that escapes the per-stage recovery
 	// (e.g. in glue code or a fault hook outside a stage) fails this request
 	// only.
@@ -762,11 +798,11 @@ func (r *runner) run(ctx context.Context, req Request, machines []dlx.Config) (e
 	if err := r.compile(ctx, req); err != nil {
 		return err
 	}
-	r.keys = keySet{fp: res.Graph.Fingerprint(), schedSalt: r.opt.salt(), exSalt: r.opt.exactSalt(res.N),
-		n: res.N, window: r.opt.Window}
+	r.keys.schedSalt, r.keys.exSalt = r.schedSalt, r.exactSaltAt(res.N)
+	r.keys.n, r.keys.window = res.N, r.opt.Window
 	r.simOpt = sim.Options{Lo: 1, Hi: res.N, Window: r.opt.Window}
-	res.Machines = make([]MachineResult, len(machines))
-	for k, cfg := range machines {
+	res.Machines = make([]MachineResult, len(r.machines))
+	for k, cfg := range r.machines {
 		if err := r.machine(ctx, &machineRun{cfg: cfg, mr: &res.Machines[k]}); err != nil {
 			return err
 		}
@@ -780,18 +816,19 @@ func (r *runner) run(ctx context.Context, req Request, machines []dlx.Config) (e
 // (readThrough), one span-end helper (endSpan) and one degradation rule
 // (degrade).
 type runner struct {
-	opt     Options
-	metrics *Metrics
-	sc      *core.Scratch
-	res     LoopResult
-	reqID   string
-	rspan   obs.Span
+	*batchEnv
+	sc    *core.Scratch
+	res   LoopResult
+	reqID string
+	rspan obs.Span
 	// useCache reports that the request may read and write the in-memory
 	// cache: one is attached and the request's "cache" probe did not fire.
 	useCache      bool
 	compileCached bool
 	// src is the source text the compile memo and the disk tier key on.
-	src    string
+	src string
+	// keys are the request's content addresses; compile fills in the graph
+	// fingerprint.
 	keys   keySet
 	simOpt sim.Options
 	// verifier holds the program's dependence edges, derived on the first
@@ -915,7 +952,7 @@ func (r *runner) compile(ctx context.Context, req Request) error {
 	}
 	var key dfg.Fingerprint
 	if r.useCache {
-		key = sourceKey(r.src, r.opt.compileSalt())
+		key = sourceKey(r.src, r.compileSalt)
 	}
 	span := r.opt.Observer.Start(obs.KindStage, stageCompile, r.rspan)
 	var ce *compileEntry
@@ -959,6 +996,7 @@ func (r *runner) compile(ctx context.Context, req Request) error {
 	}
 	res.Loop, res.Analysis, res.SyncLoop = ce.loop, ce.analysis, ce.syncLoop
 	res.Prog, res.Graph, res.Trace = ce.prog, ce.graph, ce.trace
+	r.keys.fp = ce.fp
 	res.Diags, res.Lint = ce.diags, ce.lint
 	return nil
 }

@@ -115,7 +115,7 @@ func (r *runner) persistResult(m *machineRun) {
 	p := diskPayload{
 		Name:        r.res.Name,
 		Source:      r.src,
-		CompileSalt: r.opt.compileSalt(),
+		CompileSalt: r.compileSalt,
 		SchedSalt:   k.schedSalt,
 		ExactSalt:   k.exSalt,
 		Machine:     m.cfg,
@@ -273,7 +273,7 @@ func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (Loa
 		}
 		// Content-address audit: the key recomputed from the entry's own
 		// contents must be the key it was filed under.
-		pk := keySet{fp: compiled.graph.Fingerprint(), schedSalt: schedSalt, exSalt: p.ExactSalt,
+		pk := keySet{fp: compiled.fp, schedSalt: schedSalt, exSalt: p.ExactSalt,
 			n: p.N, window: p.Window}
 		if pk.key(keyDisk, p.Machine) != k {
 			quarantine()

@@ -161,8 +161,14 @@ type Server struct {
 // New builds the daemon: it opens the persistent tier (when configured),
 // re-verifies and loads every disk entry into the in-memory cache — so a
 // restart serves warm, verified hits without recompiling at request time —
-// and wires admission control from cfg.
+// and wires admission control from cfg. It refuses pipeline defaults that
+// pipeline.RunContext would refuse (see pipeline.Options.Validate).
 func New(cfg Config) (*Server, error) {
+	// Every request runs under cfg.Pipeline: a default the pipeline would
+	// refuse fails every request, so refuse it here, at startup.
+	if err := cfg.Pipeline.Validate(); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
 	s := &Server{
 		cfg:      cfg,
 		cache:    pipeline.NewCacheBounded(cfg.CacheCap),

@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"doacross/internal/diag"
+	"doacross/internal/dlx"
 	"doacross/internal/faults"
+	"doacross/internal/passes"
 	"doacross/internal/pipeline"
 )
 
@@ -85,6 +87,38 @@ func decodeErr(t *testing.T, body []byte) *ErrorResponse {
 
 // TestScheduleBasic: a cold request compiles and schedules; an identical
 // follow-up is a verified cache hit with the same content address.
+// TestNewRejectsUnservableDefaults: a default the pipeline refuses would
+// fail every request (500s until the breaker opens, then 503s), so New
+// refuses each such option at startup, naming it.
+func TestNewRejectsUnservableDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  pipeline.Options
+		want string
+	}{
+		{"machine", pipeline.Options{Machines: []dlx.Config{{Name: "zero-issue", Issue: 0}}}, "zero-issue"},
+		{"trip count", pipeline.Options{N: pipeline.MaxTrip + 1}, "exceeds the limit"},
+		{"backend", pipeline.Options{Compile: passes.Options{Backend: "no-such-backend"}}, "no-such-backend"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(Config{Pipeline: tc.opt})
+			if err == nil {
+				t.Fatalf("New accepted %+v", tc.opt)
+			}
+			if s != nil {
+				t.Error("New returned a server with its error")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("New error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+	// The limit itself is servable.
+	if _, err := New(Config{Pipeline: pipeline.Options{N: pipeline.MaxTrip}}); err != nil {
+		t.Errorf("New rejected N = MaxTrip: %v", err)
+	}
+}
+
 func TestScheduleBasic(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()

@@ -3,10 +3,8 @@ package tables
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"doacross/internal/check"
 	"doacross/internal/core"
@@ -151,32 +149,13 @@ func RunGap(loops []GapLoop, opt GapOptions) (*GapResult, error) {
 	configs := opt.configs()
 	res := &GapResult{N: n, MaxNodes: budget}
 	res.Rows = make([]GapRow, len(loops)*len(configs))
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		firstEr error
-		sem     = make(chan struct{}, runtime.GOMAXPROCS(0))
-	)
-	for li, gl := range loops {
-		for ci, cfg := range configs {
-			idx, gl, cfg := li*len(configs)+ci, gl, cfg
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				row, err := gapProblem(gl, cfg, n, opt.MaxNodes)
-				if err != nil {
-					errOnce.Do(func() { firstEr = err })
-					return
-				}
-				res.Rows[idx] = row
-			}()
-		}
-	}
-	wg.Wait()
-	if firstEr != nil {
-		return nil, firstEr
+	err := fanOut(0, len(res.Rows), func(idx int) error {
+		row, err := gapProblem(loops[idx/len(configs)], configs[idx%len(configs)], n, opt.MaxNodes)
+		res.Rows[idx] = row
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	for _, cfg := range configs {
 		s := GapConfigSummary{Config: cfg.Name}

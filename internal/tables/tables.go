@@ -204,12 +204,15 @@ func RunParallelWith(suites []*perfect.Suite, baseline core.ListPriority, opt pi
 	}
 
 	rows := make([]Row2, len(suites))
+	at := make([]int, len(batch.Loops)) // request i's first row in res.Loops, -1: failed
 	for i, lr := range batch.Loops {
 		r := refs[i]
+		at[i] = -1
 		if lr.Err != nil {
 			res.Failures = append(res.Failures, LoopFailure{Name: lr.Name, Err: lr.Err})
 			continue
 		}
+		at[i] = len(res.Loops)
 		row := &rows[r.suite]
 		for k, mr := range lr.Machines {
 			row.Ta[k] += mr.ListTime
@@ -219,25 +222,43 @@ func RunParallelWith(suites []*perfect.Suite, baseline core.ListPriority, opt pi
 				Config: mr.Machine, Ta: mr.ListTime, Tb: mr.SyncTime,
 				LBDa: mr.ListLBD, LBDb: mr.SyncLBD,
 				LenA: mr.List.Length(), LenB: mr.Sync.Length(),
-				LiveA: mr.List.MaxLive(), LiveB: mr.Sync.MaxLive(),
 			})
 		}
 	}
-	// Table 1 counts what the default compilation produces; unless the
-	// batch compiled differently, its analyses and programs stand in for
-	// recompiling every DOACROSS loop.
+	// The per-loop post-processing runs on the batch's workers, each task
+	// writing only its own rows: first every suite's Table 1 row (the
+	// longest tasks), then each loop's register pressure, eight MaxLive
+	// sweeps (list and sync on every machine). Table 1 counts what the
+	// default compilation produces; unless the batch compiled differently,
+	// its analyses and programs stand in for recompiling every DOACROSS
+	// loop, and only the DOALL loops are analyzed here.
 	reuse := table1Compiles(opt.Compile)
-	for si, s := range suites {
-		ch, err := s.CharacteristicsWith(func(i int) (*dep.Analysis, *tac.Program) {
-			if b := batchOf[si][i]; reuse && b >= 0 {
-				return batch.Loops[b].Analysis, batch.Loops[b].Prog
-			}
-			return nil, nil
-		})
-		if err != nil {
-			return nil, err
+	res.Table1 = make([]perfect.Characteristics, len(suites))
+	err = fanOut(opt.Workers, len(suites)+len(batch.Loops), func(t int) error {
+		if t < len(suites) {
+			ch, err := suites[t].CharacteristicsWith(func(i int) (*dep.Analysis, *tac.Program) {
+				if b := batchOf[t][i]; reuse && b >= 0 {
+					return batch.Loops[b].Analysis, batch.Loops[b].Prog
+				}
+				return nil, nil
+			})
+			res.Table1[t] = ch
+			return err
 		}
-		res.Table1 = append(res.Table1, ch)
+		i := t - len(suites)
+		if at[i] < 0 {
+			return nil
+		}
+		for k, mr := range batch.Loops[i].Machines {
+			lr := &res.Loops[at[i]+k]
+			lr.LiveA, lr.LiveB = mr.List.MaxLive(), mr.Sync.MaxLive()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for si, s := range suites {
 		row := rows[si]
 		row.Name = s.Profile.Name
 		res.Table2 = append(res.Table2, row)

@@ -3,9 +3,7 @@ package tables
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"doacross/internal/core"
 	"doacross/internal/dlx"
@@ -121,32 +119,13 @@ func RunUtil(loops []GapLoop, opt UtilOptions) (*UtilResult, error) {
 	configs := opt.configs()
 	res := &UtilResult{N: n}
 	res.Rows = make([]UtilRow, len(loops)*len(configs))
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		firstEr error
-		sem     = make(chan struct{}, runtime.GOMAXPROCS(0))
-	)
-	for li, gl := range loops {
-		for ci, cfg := range configs {
-			idx, gl, cfg := li*len(configs)+ci, gl, cfg
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				row, err := utilProblem(gl, cfg, n)
-				if err != nil {
-					errOnce.Do(func() { firstEr = err })
-					return
-				}
-				res.Rows[idx] = row
-			}()
-		}
-	}
-	wg.Wait()
-	if firstEr != nil {
-		return nil, firstEr
+	err := fanOut(0, len(res.Rows), func(idx int) error {
+		row, err := utilProblem(loops[idx/len(configs)], configs[idx%len(configs)], n)
+		res.Rows[idx] = row
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	for _, cfg := range configs {
 		s := UtilConfigSummary{Config: cfg.Name}
