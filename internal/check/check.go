@@ -24,7 +24,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
 	"doacross/internal/core"
 	"doacross/internal/dep"
@@ -325,8 +324,8 @@ func (vr *Verifier) Verify(s *core.Schedule) diag.List {
 		fail(diag.Pos{}, "", "schedule covers %d of %d instructions", len(s.Cycle), n)
 		return out
 	}
-	rp := getTable(n)
-	defer putTable(rp)
+	rp := core.GetTable(n)
+	defer core.PutTable(rp)
 	rowPos := *rp // issue order within the row, -1: not yet seen
 	for v := range rowPos {
 		rowPos[v] = -1
@@ -405,8 +404,8 @@ func (vr *Verifier) Verify(s *core.Schedule) diag.List {
 		}
 	}
 	// occupancy[cls*horizon+c] counts the busy units of class cls in cycle c.
-	occ := getTable(int(dlx.NumClasses) * horizon)
-	defer putTable(occ)
+	occ := core.GetTable(int(dlx.NumClasses) * horizon)
+	defer core.PutTable(occ)
 	occupancy := *occ
 	for v := 0; v < n; v++ {
 		cls := s.Prog.Instrs[v].Class()
@@ -428,27 +427,6 @@ func (vr *Verifier) Verify(s *core.Schedule) diag.List {
 	out = append(out, verifyLBDAccounting(s)...)
 	return out
 }
-
-// tablePool recycles Verify's row-position and unit-occupancy tables: each
-// lives only for one call, so a verification that finds nothing allocates
-// nothing once the pool holds tables large enough.
-var tablePool = sync.Pool{New: func() any { return new([]int) }}
-
-// getTable returns a zeroed table of n ints from tablePool; hand it back
-// with putTable.
-func getTable(n int) *[]int {
-	t := tablePool.Get().(*[]int)
-	if cap(*t) < n {
-		*t = make([]int, n)
-	} else {
-		*t = (*t)[:n]
-		clear(*t)
-	}
-	return t
-}
-
-// putTable returns a table from getTable to the pool.
-func putTable(t *[]int) { tablePool.Put(t) }
 
 // verifyDeadlockFree checks cross-iteration deadlock freedom. Every
 // iteration runs the same schedule in order; a blocked Wait stalls every

@@ -224,35 +224,17 @@ func (s *Schedule) MaxLBDStall() float64 {
 // exactly once, dependence arcs respected with latencies, and issue width
 // and function-unit capacity never exceeded. The synchronization conditions
 // are graph arcs (source store -> send, wait -> sink), so the arc check
-// covers them. Its tables come from tablePool: a call allocates only the
+// covers them. Its tables come from GetTable: a call allocates only the
 // error it returns.
 func (s *Schedule) Validate() error {
 	n := s.Graph.N()
 	if len(s.Cycle) != n {
 		return fmt.Errorf("core: schedule covers %d of %d nodes", len(s.Cycle), n)
 	}
-	horizon := s.CompletionLength()
-	tab := getTable(n + int(dlx.NumClasses)*horizon)
-	defer putTable(tab)
-	seen, busy := (*tab)[:n], (*tab)[n:]
-	for c, row := range s.Rows {
-		if len(row) > s.Cfg.Issue {
-			return fmt.Errorf("core: cycle %d issues %d > width %d", c, len(row), s.Cfg.Issue)
-		}
-		for _, v := range row {
-			if seen[v] != 0 {
-				return fmt.Errorf("core: node %d scheduled twice", v)
-			}
-			seen[v] = 1
-			if s.Cycle[v] != c {
-				return fmt.Errorf("core: node %d cycle mismatch (%d vs row %d)", v, s.Cycle[v], c)
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		if seen[v] == 0 {
-			return fmt.Errorf("core: node %d (instr %v) not scheduled", v, s.Prog.Instrs[v])
-		}
+	// Everything after the shape check may index by cycle: once it passes,
+	// every cycle is a row index, which bounds the occupancy table below.
+	if err := s.validateShape(); err != nil {
+		return err
 	}
 	// Dependence + latency.
 	for _, a := range s.Graph.Arcs {
@@ -265,6 +247,10 @@ func (s *Schedule) Validate() error {
 	// its unit for its full latency), one row per class of a dense table.
 	// Classes are checked in order, so the reported class and cycle do not
 	// depend on anything but the schedule.
+	horizon := s.CompletionLength()
+	tab := GetTable(int(dlx.NumClasses) * horizon)
+	defer PutTable(tab)
+	busy := *tab
 	for v, c := range s.Cycle {
 		if cls := s.Prog.Instrs[v].Class(); dlx.NeedsUnit(cls) {
 			row := busy[int(cls)*horizon:]
@@ -287,14 +273,48 @@ func (s *Schedule) Validate() error {
 	return nil
 }
 
-// tablePool recycles the dense int tables of Validate and MaxLive, which
-// run on every freshly built schedule: a table lives only for one call, so
-// the calls allocate nothing once the pool holds one large enough.
+// validateShape checks that the rows respect the issue width and name every
+// node exactly once, in the row of its cycle.
+func (s *Schedule) validateShape() error {
+	n := len(s.Cycle)
+	tab := GetTable(n)
+	defer PutTable(tab)
+	seen := *tab
+	for c, row := range s.Rows {
+		if len(row) > s.Cfg.Issue {
+			return fmt.Errorf("core: cycle %d issues %d > width %d", c, len(row), s.Cfg.Issue)
+		}
+		for _, v := range row {
+			if v < 0 || v >= n {
+				return fmt.Errorf("core: cycle %d issues unknown node %d", c, v)
+			}
+			if seen[v] != 0 {
+				return fmt.Errorf("core: node %d scheduled twice", v)
+			}
+			seen[v] = 1
+			if s.Cycle[v] != c {
+				return fmt.Errorf("core: node %d cycle mismatch (%d vs row %d)", v, s.Cycle[v], c)
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		if seen[v] == 0 {
+			return fmt.Errorf("core: node %d (instr %v) not scheduled", v, s.Prog.Instrs[v])
+		}
+	}
+	return nil
+}
+
+// tablePool recycles the dense int tables of Validate, MaxLive and
+// check.Verifier.Verify, which run on every freshly built schedule: a table
+// lives only for one call, so the calls allocate nothing once the pool holds
+// one large enough.
 var tablePool = sync.Pool{New: func() any { return new([]int) }}
 
-// getTable returns a zeroed table of n ints from tablePool; hand it back
-// with putTable.
-func getTable(n int) *[]int {
+// GetTable returns a zeroed table of n ints from a package-level pool, for
+// scratch that lives only for one call; hand it back with PutTable. It is
+// safe for concurrent use.
+func GetTable(n int) *[]int {
 	t := tablePool.Get().(*[]int)
 	if cap(*t) < n {
 		*t = make([]int, n)
@@ -305,8 +325,9 @@ func getTable(n int) *[]int {
 	return t
 }
 
-// putTable returns a table from getTable to the pool.
-func putTable(t *[]int) { tablePool.Put(t) }
+// PutTable returns a table from GetTable to the pool; the caller must not
+// use it afterwards.
+func PutTable(t *[]int) { tablePool.Put(t) }
 
 // MaxLive returns the peak number of simultaneously live temps in the
 // schedule: a temp is live from its defining instruction's issue until its
@@ -318,7 +339,7 @@ func putTable(t *[]int) { tablePool.Put(t) }
 // The sweep runs over dense tables indexed by temp number, sized by the
 // highest (and lowest) temp the program mentions rather than by NumTemps,
 // so a hand-built program cannot index out of range. They come from
-// tablePool, so a call allocates nothing.
+// GetTable, so a call allocates nothing.
 func (s *Schedule) MaxLive() int {
 	var buf [4]int // up to three uses and the def
 	lo, hi := 0, 0
@@ -333,8 +354,8 @@ func (s *Schedule) MaxLive() int {
 	}
 	temps := hi - lo + 1
 	horizon := s.Length()
-	pt := getTable(2*temps + horizon + 2)
-	defer putTable(pt)
+	pt := GetTable(2*temps + horizon + 2)
+	defer PutTable(pt)
 	tab := *pt
 	// defAt[t-lo] is the def cycle + 1 (0: never defined); lastUse[t-lo]
 	// is the last consumer's issue cycle (0: no consumer after cycle 0).

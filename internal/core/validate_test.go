@@ -110,6 +110,30 @@ func TestValidateFailureInjection(t *testing.T) {
 		}
 	})
 
+	t.Run("cycle disagrees with row", func(t *testing.T) {
+		// Far-off cycles are reported as a mismatch before any table is
+		// sized from the schedule's cycles.
+		for _, bad := range []int{-1, -1 << 40, 1 << 40, 1 << 61} {
+			c := corrupt(t, s)
+			for v := range c.Cycle {
+				c.Cycle[v] = bad
+			}
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "cycle mismatch") {
+				t.Errorf("cycle %d: Validate = %v, want a cycle mismatch", bad, err)
+			}
+		}
+	})
+
+	t.Run("unknown node", func(t *testing.T) {
+		for _, bad := range []int{-1, len(s.Cycle)} {
+			c := corrupt(t, s)
+			c.Rows[0] = append(c.Rows[0], bad)
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "unknown node") {
+				t.Errorf("row entry %d: Validate = %v, want an unknown node", bad, err)
+			}
+		}
+	})
+
 	t.Run("FU oversubscription", func(t *testing.T) {
 		// Build a schedule on a 4-issue machine, then lie about the config:
 		// claim only 1 unit per class while the schedule used 2.

@@ -282,24 +282,15 @@ func (o Options) Validate() error {
 
 // batchEnv is what every request of one RunContext shares: the options, the
 // machines, the metrics registry, the batch span (the requests' parent), and
-// the cache-key salts, rendered once per batch rather than once per request.
+// the compile and scheduler cache-key salts, rendered once per batch rather
+// than once per request.
 type batchEnv struct {
 	opt      Options
 	machines []dlx.Config
 	metrics  *Metrics
 	bspan    obs.Span
-	// compileSalt, schedSalt and exSalt are Options.compileSalt,
-	// Options.salt and Options.exactSalt at the default trip count.
-	compileSalt, schedSalt, exSalt string
-}
-
-// exactSaltAt is Options.exactSalt(n), rendered again only for a trip count
-// other than the batch default.
-func (b *batchEnv) exactSaltAt(n int) string {
-	if n == b.opt.n() {
-		return b.exSalt
-	}
-	return b.opt.exactSalt(n)
+	// compileSalt and schedSalt are Options.compileSalt and Options.salt.
+	compileSalt, schedSalt string
 }
 
 // Fault-probe stage names (the compilation passes are probed under their own
@@ -646,7 +637,7 @@ func RunContext(ctx context.Context, reqs []Request, opt Options) (*Batch, error
 	}
 	bspan := opt.Observer.Start(obs.KindBatch, "batch", obs.Span{})
 	env := &batchEnv{opt: opt, machines: opt.machines(), metrics: metrics, bspan: bspan,
-		compileSalt: opt.compileSalt(), schedSalt: opt.salt(), exSalt: opt.exactSalt(opt.n())}
+		compileSalt: opt.compileSalt(), schedSalt: opt.salt()}
 	metrics.QueueAdd(int64(len(reqs)))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -798,7 +789,7 @@ func (r *runner) run(ctx context.Context, req Request) (err error) {
 	if err := r.compile(ctx, req); err != nil {
 		return err
 	}
-	r.keys.schedSalt, r.keys.exSalt = r.schedSalt, r.exactSaltAt(res.N)
+	r.keys.schedSalt, r.keys.exSalt = r.schedSalt, r.opt.exactSalt(res.N)
 	r.keys.n, r.keys.window = res.N, r.opt.Window
 	r.simOpt = sim.Options{Lo: 1, Hi: res.N, Window: r.opt.Window}
 	res.Machines = make([]MachineResult, len(r.machines))

@@ -85,8 +85,6 @@ func decodeErr(t *testing.T, body []byte) *ErrorResponse {
 	return &resp
 }
 
-// TestScheduleBasic: a cold request compiles and schedules; an identical
-// follow-up is a verified cache hit with the same content address.
 // TestNewRejectsUnservableDefaults: a default the pipeline refuses would
 // fail every request (500s until the breaker opens, then 503s), so New
 // refuses each such option at startup, naming it.
@@ -119,6 +117,8 @@ func TestNewRejectsUnservableDefaults(t *testing.T) {
 	}
 }
 
+// TestScheduleBasic: a cold request compiles and schedules; an identical
+// follow-up is a verified cache hit with the same content address.
 func TestScheduleBasic(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
