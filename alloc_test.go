@@ -8,10 +8,14 @@
 package doacross_test
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"doacross"
 	"doacross/internal/check"
+	"doacross/internal/diag"
+	"doacross/internal/dlx"
 	"doacross/internal/hotbench"
 	"doacross/internal/lang"
 	"doacross/internal/obs"
@@ -162,6 +166,112 @@ func TestPipelineObservedHitAllocs(t *testing.T) {
 	}
 }
 
+// serviceHitAllocs measures one cached-hit fig1 request through
+// Service.Run, the cache warmed by one run first. With observed set, every
+// run records its spans into its own 512-span Recorder, as a scheduld flight
+// leader does.
+func serviceHitAllocs(t *testing.T, observed bool) float64 {
+	t.Helper()
+	svc, err := pipeline.NewService(pipeline.Options{
+		Machines: []doacross.Machine{doacross.Machine4Issue(1)},
+		Cache:    doacross.NewScheduleCache(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := pipeline.Request{Name: "hot", Source: hotbench.Fig1, N: hotbench.N}
+	var failed error
+	run := func() {
+		var rec *obs.Recorder
+		if observed {
+			rec = obs.NewRecorder(512)
+		}
+		if res := svc.Run(context.Background(), req, rec); res.Err != nil {
+			failed = res.Err
+		}
+	}
+	run() // warm the cache
+	got := testing.AllocsPerRun(50, run)
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	return got
+}
+
+// TestServiceHitAllocs pins a cached-hit Service.Run at the measured 3
+// allocs/op: the result's machine slice, the compile-memo key's text and
+// the time key's trip-count salt. A one-request batch of the same request
+// (TestPipelineCachedHitAllocs) adds the option checks, the salts, the
+// worker goroutine and the metrics snapshot.
+func TestServiceHitAllocs(t *testing.T) {
+	const limit = 3
+	if got := serviceHitAllocs(t, false); got > limit {
+		t.Errorf("cached-hit Service.Run: %v allocs/op, want <= %d", got, limit)
+	}
+}
+
+// TestServiceObservedHitAllocs pins the same call with a span recorder at
+// the measured 15 allocs/op: the recorder (two allocations) and the five
+// spans' attribute slices and published copies come on top of the
+// unobserved 3.
+func TestServiceObservedHitAllocs(t *testing.T) {
+	const limit = 15
+	if got := serviceHitAllocs(t, true); got > limit {
+		t.Errorf("observed cached-hit Service.Run: %v allocs/op, want <= %d", got, limit)
+	}
+}
+
+// TestServiceKeyAllocs pins Service.Key on a source request at zero
+// allocations: the key text is assembled in a stack buffer and hashed in
+// one piece. A parsed-loop request renders the loop first, one more.
+func TestServiceKeyAllocs(t *testing.T) {
+	svc, err := pipeline.NewService(pipeline.Options{Machines: dlx.PaperConfigs()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop := lang.MustParse(hotbench.Fig1)
+	for _, tc := range []struct {
+		name  string
+		req   pipeline.Request
+		limit float64
+	}{
+		{"source", pipeline.Request{Source: hotbench.Fig1}, 0},
+		{"loop", pipeline.Request{Loop: loop}, 1},
+	} {
+		if got := testing.AllocsPerRun(100, func() { svc.Key(tc.req) }); got > tc.limit {
+			t.Errorf("Service.Key, %s request: %v allocs/op, want <= %v", tc.name, got, tc.limit)
+		}
+	}
+}
+
+// TestDiagnosticErrorAllocs pins Diagnostic.Error at one allocation, the
+// returned string, with stage, position and statement and with a position
+// of the widest integers; a bare message is returned as it is.
+func TestDiagnosticErrorAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		d     *diag.Diagnostic
+		limit float64
+	}{
+		{&diag.Diagnostic{Stage: "lint", Pos: diag.Pos{Line: 12, Col: 3}, Stmt: "S2", Msg: "Wait_Signal(S1, I-1) is redundant"}, 1},
+		{&diag.Diagnostic{Stage: "dep", Pos: diag.Pos{Line: math.MaxInt, Col: math.MinInt}, Msg: "huge position"}, 1},
+		{&diag.Diagnostic{Msg: "bare"}, 0},
+	} {
+		if got := testing.AllocsPerRun(100, func() { _ = tc.d.Error() }); got > tc.limit {
+			t.Errorf("Diagnostic.Error %q: %v allocs/op, want <= %v", tc.d.Error(), got, tc.limit)
+		}
+	}
+}
+
+// TestItemsAllocs pins syncop.Loop.Items at one allocation, its slice: the
+// items point into the loop's own operations.
+func TestItemsAllocs(t *testing.T) {
+	prog := doacross.MustCompile(hotbench.Fig1)
+	sl := prog.Code.Sync
+	if got := testing.AllocsPerRun(100, func() { _ = sl.Items() }); got > 1 {
+		t.Errorf("Loop.Items: %v allocs/op, want <= 1", got)
+	}
+}
+
 // TestVerifierAllocs pins a prepared Verifier on a clean Fig. 1 schedule
 // at zero allocations per call: the edges were derived once by
 // NewVerifier, with every wait at a positive distance the deadlock check is
@@ -221,11 +331,11 @@ func TestValidateAllocs(t *testing.T) {
 // allocates a few percent more or less throughout (map layouts, runtime
 // internals) pass. A lookup, lint search or arc test that goes superlinear
 // again multiplies the ratio: the linter alone used to allocate about 20
-// million times per 80-statement request, against some 78 thousand for the
+// million times per 80-statement request, against some 13 thousand for the
 // whole request now. The 80-statement row takes seconds and runs without
 // -short.
 func TestSizeSweepAllocs(t *testing.T) {
-	ratios := map[int]float64{20: 2.82, 40: 9.18, 80: 34.24}
+	ratios := map[int]float64{20: 2.03, 40: 5.31, 80: 17.41}
 	allocs := func(stmts int) float64 {
 		srcs := scheditest.SweepSources(stmts)
 		var failed error

@@ -54,7 +54,7 @@ func run() int {
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline, queue wait included (0 = 30s, negative = none)")
 	drain := flag.Duration("drain", 10*time.Second, "shutdown drain budget for admitted requests")
 	backend := flag.String("backend", "", "default scheduling backend: "+strings.Join(passes.BackendNames(), ", ")+" (default sync)")
-	jobs := flag.Int("j", 0, "pipeline workers per flight (0 = GOMAXPROCS)")
+	jobs := flag.Int("j", 0, "accepted for compatibility and ignored: each flight runs its one request on one goroutine")
 	n := flag.Int("n", 0, "default trip count (0 = 100, the paper's)")
 	logLevel := flag.String("log", "", "structured decision log level on stderr: debug, info, warn, error (\"\" = off; the flight recorder records regardless)")
 	flightDir := flag.String("flight-dir", "", "directory for triggered flight-recorder dumps (\"\" = stderr)")

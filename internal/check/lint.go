@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"doacross/internal/dep"
@@ -80,7 +81,8 @@ func LintSync(sl *syncop.Loop) diag.List {
 
 // syncOps lists the compiler-inserted synchronization of sl as lint ops.
 func syncOps(sl *syncop.Loop) []lintOp {
-	var ops []lintOp
+	sends, waits := sl.NumOps()
+	ops := make([]lintOp, 0, sends+waits)
 	for seq, it := range sl.Items() {
 		if it.Op == nil {
 			continue
@@ -106,30 +108,19 @@ func syncOps(sl *syncop.Loop) []lintOp {
 // lintOps runs every lint rule over the neutral op list.
 func lintOps(base *lang.Loop, a *dep.Analysis, ops []lintOp) diag.List {
 	var out diag.List
+	warn := func(op lintOp, sev diag.Severity, msg string) {
+		out = append(out, &diag.Diagnostic{Stage: LintStage, Severity: sev, Pos: op.pos, Stmt: op.stmt, Msg: msg})
+	}
 	report := func(op lintOp, err bool, format string, args ...any) {
-		var d *diag.Diagnostic
+		sev := diag.Warning
 		if err {
-			d = diag.Errorf(LintStage, op.pos, format, args...)
-		} else {
-			d = diag.Warningf(LintStage, op.pos, format, args...)
+			sev = diag.Error
 		}
-		if op.stmt != "" {
-			d = d.WithStmt(op.stmt)
-		}
-		out = append(out, d)
+		warn(op, sev, fmt.Sprintf(format, args...))
 	}
 	render := func(op lintOp) string {
-		if !op.wait {
-			return fmt.Sprintf("Send_Signal(%s)", op.signal)
-		}
-		switch {
-		case op.dist == 0:
-			return fmt.Sprintf("Wait_Signal(%s, %s)", op.signal, base.Var)
-		case op.dist < 0:
-			return fmt.Sprintf("Wait_Signal(%s, %s+%d)", op.signal, base.Var, -op.dist)
-		default:
-			return fmt.Sprintf("Wait_Signal(%s, %s-%d)", op.signal, base.Var, op.dist)
-		}
+		var buf [64]byte
+		return string(appendOp(buf[:0], op, base.Var))
 	}
 
 	// Resolve every op's signal once. A signal names its source statement,
@@ -219,9 +210,32 @@ func lintOps(base *lang.Loop, a *dep.Analysis, ops []lintOp) diag.List {
 		}
 	}
 
-	lintRedundantWaits(ops, report, render)
+	lintRedundantWaits(ops, base.Var, func(op lintOp, msg string) { warn(op, diag.Warning, msg) })
 	out = append(out, lintDepPrecision(base, a, ops, render)...)
 	return out
+}
+
+// appendOp appends op in the paper's notation to b, ivar naming the loop's
+// induction variable: Send_Signal(S), Wait_Signal(S, I-d).
+func appendOp(b []byte, op lintOp, ivar string) []byte {
+	if !op.wait {
+		b = append(b, "Send_Signal("...)
+		b = append(b, op.signal...)
+		return append(b, ')')
+	}
+	b = append(b, "Wait_Signal("...)
+	b = append(b, op.signal...)
+	b = append(b, ", "...)
+	b = append(b, ivar...)
+	switch {
+	case op.dist < 0:
+		b = append(b, '+')
+		b = strconv.AppendInt(b, -int64(op.dist), 10)
+	case op.dist > 0:
+		b = append(b, '-')
+		b = strconv.AppendInt(b, int64(op.dist), 10)
+	}
+	return append(b, ')')
 }
 
 // stmtPair keys entry at of a dependence or pair list by a statement pair.
@@ -370,20 +384,29 @@ const (
 // remaining searches stop, so the cost grows neither with the distances
 // nor with the number of waits: a wait whose search is cut short gets no
 // finding, even if a chain exists.
-func lintRedundantWaits(ops []lintOp, report func(lintOp, bool, string, ...any), render func(lintOp) string) {
+func lintRedundantWaits(ops []lintOp, ivar string, warn func(op lintOp, msg string)) {
 	var search waitSearch
 	waits := search.load(ops)
 	if len(waits) < 2 {
 		return
 	}
+	var chain []int32 // the chain's waits, last first
+	var text []byte
 	for wi, w := range waits {
 		if last := search.run(wi); last >= 0 {
-			var chain []string
+			chain = chain[:0]
 			for k := last; k >= 0; k = int(search.states[k].parent) {
-				chain = append(chain, render(ops[waits[search.states[k].via]]))
+				chain = append(chain, search.states[k].via)
 			}
-			slices.Reverse(chain)
-			report(ops[w], false, "%s is redundant: subsumed by transitive synchronization through %v", render(ops[w]), chain)
+			text = appendOp(text[:0], ops[w], ivar)
+			text = append(text, " is redundant: subsumed by transitive synchronization through ["...)
+			for i := len(chain) - 1; i >= 0; i-- {
+				text = appendOp(text, ops[waits[chain[i]]], ivar)
+				if i > 0 {
+					text = append(text, ' ')
+				}
+			}
+			warn(ops[w], string(append(text, ']')))
 			search.waits[wi].redundant = true
 		}
 	}

@@ -26,6 +26,7 @@ package dep
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"doacross/internal/diag"
 	"doacross/internal/lang"
@@ -116,12 +117,26 @@ func (d Dependence) LexForward() bool { return d.Src.Stmt < d.Snk.Stmt }
 // String renders the dependence for diagnostics, e.g.
 // "flow S3->S1 dist 2 (A)".
 func (d Dependence) String() string {
-	carried := ""
+	var buf [64]byte
+	return string(d.appendTo(buf[:0]))
+}
+
+// appendTo appends the String form to b.
+func (d Dependence) appendTo(b []byte) []byte {
+	b = append(b, d.Kind.String()...)
+	b = append(b, " S"...)
+	b = strconv.AppendInt(b, int64(d.Src.Stmt+1), 10)
+	b = append(b, "->S"...)
+	b = strconv.AppendInt(b, int64(d.Snk.Stmt+1), 10)
+	b = append(b, " dist "...)
+	b = strconv.AppendInt(b, int64(d.Distance), 10)
+	b = append(b, " ("...)
+	b = append(b, d.Src.Name()...)
+	b = append(b, ')')
 	if d.Conservative {
-		carried = " (conservative)"
+		b = append(b, " (conservative)"...)
 	}
-	return fmt.Sprintf("%s S%d->S%d dist %d (%s)%s",
-		d.Kind, d.Src.Stmt+1, d.Snk.Stmt+1, d.Distance, d.Src.Name(), carried)
+	return b
 }
 
 // Options configures the analysis.
@@ -536,21 +551,36 @@ func conservativeReason(r Rule) string {
 // source statement, so `schedcmp -trace` can point at the source line that
 // defeats the distance test.
 func (a *Analysis) Diagnostics() diag.List {
+	// Warnings are deduplicated on the fields their text is built from, so
+	// only the kept ones are rendered. The statement label and position
+	// follow from the source statement.
+	type warnKey struct {
+		src, snk, dist int
+		kind           Kind
+		reason, name   string
+	}
 	var out diag.List
-	seen := map[string]bool{}
+	var seen map[warnKey]bool
 	for _, d := range a.Deps {
 		if !d.Conservative {
 			continue
 		}
-		st := a.Loop.Body[d.Src.Stmt]
-		w := diag.Warningf("dep", st.Pos(),
-			"conservative dependence assumed (%s): %s", conservativeReason(d.Evidence.Rule), d).WithStmt(st.Label)
-		key := w.Error()
-		if seen[key] {
+		reason := conservativeReason(d.Evidence.Rule)
+		k := warnKey{d.Src.Stmt, d.Snk.Stmt, d.Distance, d.Kind, reason, d.Src.Name()}
+		if seen[k] {
 			continue
 		}
-		seen[key] = true
-		out = append(out, w)
+		if seen == nil {
+			seen = make(map[warnKey]bool)
+		}
+		seen[k] = true
+		var buf [160]byte
+		msg := append(buf[:0], "conservative dependence assumed ("...)
+		msg = append(msg, reason...)
+		msg = append(msg, "): "...)
+		st := a.Loop.Body[d.Src.Stmt]
+		out = append(out, &diag.Diagnostic{Stage: "dep", Severity: diag.Warning, Pos: st.Pos(),
+			Stmt: st.Label, Msg: string(d.appendTo(msg))})
 	}
 	return out
 }

@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -30,7 +31,16 @@ func (p Pos) String() string {
 	if !p.IsValid() {
 		return "?"
 	}
-	return fmt.Sprintf("line %d col %d", p.Line, p.Col)
+	var buf [64]byte
+	return string(p.appendTo(buf[:0]))
+}
+
+// appendTo appends "line L col C" to b.
+func (p Pos) appendTo(b []byte) []byte {
+	b = append(b, "line "...)
+	b = strconv.AppendInt(b, int64(p.Line), 10)
+	b = append(b, " col "...)
+	return strconv.AppendInt(b, int64(p.Col), 10)
 }
 
 // Severity grades a diagnostic.
@@ -82,17 +92,40 @@ type Diagnostic struct {
 //	tac: line 2 col 5: statement S2: unsupported expression ...
 //	dep: statement S1: conservative dependence assumed ...   (no position)
 func (d *Diagnostic) Error() string {
+	// The text is sized first and built in one allocation; the position
+	// renders into a stack buffer.
+	var posBuf [64]byte
+	var pos []byte
+	if d.Pos.IsValid() {
+		pos = d.Pos.appendTo(posBuf[:0])
+	}
+	n := len(d.Msg)
+	if d.Stage != "" {
+		n += len(d.Stage) + len(": ")
+	}
+	if pos != nil {
+		n += len(pos) + len(": ")
+	}
+	if d.Stmt != "" {
+		n += len("statement ") + len(d.Stmt) + len(": ")
+	}
+	if n == len(d.Msg) {
+		return d.Msg
+	}
 	var sb strings.Builder
+	sb.Grow(n)
 	if d.Stage != "" {
 		sb.WriteString(d.Stage)
 		sb.WriteString(": ")
 	}
-	if d.Pos.IsValid() {
-		sb.WriteString(d.Pos.String())
+	if pos != nil {
+		sb.Write(pos)
 		sb.WriteString(": ")
 	}
 	if d.Stmt != "" {
-		fmt.Fprintf(&sb, "statement %s: ", d.Stmt)
+		sb.WriteString("statement ")
+		sb.WriteString(d.Stmt)
+		sb.WriteString(": ")
 	}
 	sb.WriteString(d.Msg)
 	return sb.String()

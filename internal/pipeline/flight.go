@@ -2,45 +2,12 @@ package pipeline
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
 	"doacross/internal/dfg"
 )
-
-// RequestKey fingerprints the complete scheduling problem one request poses
-// under opt: the loop source, the compile options, the scheduler options
-// (backend included), the machines, the trip count and the simulation
-// window. Two requests with equal keys are guaranteed interchangeable — the
-// pipeline would compute byte-identical results for both — which makes the
-// key the content address concurrent identical requests coalesce on
-// (Group) and the daemon's response-identity.
-func RequestKey(req Request, opt Options) dfg.Fingerprint {
-	n := req.N
-	if n == 0 {
-		n = opt.n()
-	}
-	h := sha256.New()
-	io.WriteString(h, "request\x00")
-	io.WriteString(h, opt.compileSalt())
-	io.WriteString(h, "\x00")
-	io.WriteString(h, opt.salt())
-	fmt.Fprintf(h, "\x00n=%d w=%d x=%s\x00", n, opt.Window, opt.exactSalt(n))
-	for _, m := range opt.machines() {
-		fmt.Fprintf(h, "m=%+v\x00", m)
-	}
-	src := req.Source
-	if req.Loop != nil {
-		src = req.Loop.String()
-	}
-	io.WriteString(h, src)
-	var fp dfg.Fingerprint
-	h.Sum(fp[:0])
-	return fp
-}
 
 // Group coalesces concurrent identical computations by content-addressed
 // key: among callers that Do the same key at the same time, exactly one

@@ -262,9 +262,9 @@ func (o Options) compileSalt() string {
 
 // Validate checks what every request of a batch depends on: each machine
 // is a valid configuration, the default trip count is at most MaxTrip (it
-// is bounded like every request's), and the backend name is known. RunContext
-// fails with its error before any work, and server.New refuses the daemon's
-// defaults with it at startup.
+// is bounded like every request's), and the backend name is known.
+// RunContext and NewService fail with its error before any work, and
+// server.New refuses the daemon's defaults with it at startup.
 func (o Options) Validate() error {
 	for _, m := range o.machines() {
 		if err := m.Validate(); err != nil {
@@ -278,19 +278,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("pipeline: %w", err)
 	}
 	return nil
-}
-
-// batchEnv is what every request of one RunContext shares: the options, the
-// machines, the metrics registry, the batch span (the requests' parent), and
-// the compile and scheduler cache-key salts, rendered once per batch rather
-// than once per request.
-type batchEnv struct {
-	opt      Options
-	machines []dlx.Config
-	metrics  *Metrics
-	bspan    obs.Span
-	// compileSalt and schedSalt are Options.compileSalt and Options.salt.
-	compileSalt, schedSalt string
 }
 
 // Fault-probe stage names (the compilation passes are probed under their own
@@ -613,16 +600,14 @@ func Run(reqs []Request, opt Options) (*Batch, error) {
 // of every request. Options.Deadline additionally bounds the batch and
 // Options.RequestTimeout each request. When the context expires, the
 // requests cut off fail individually with the context's error — results are
-// still returned for every request, in request order.
+// still returned for every request, in request order. The batch runs over a
+// Service of its own, each worker with a fresh scheduler scratch.
 func RunContext(ctx context.Context, reqs []Request, opt Options) (*Batch, error) {
-	if err := opt.Validate(); err != nil {
+	svc, err := newService(opt)
+	if err != nil {
 		return nil, err
 	}
-	metrics := opt.Metrics
-	if metrics == nil {
-		metrics = NewMetrics()
-	}
-	metrics.AttachCache(opt.Cache)
+	metrics, rec := svc.metrics, opt.Observer
 	if opt.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opt.Deadline)
@@ -635,9 +620,7 @@ func RunContext(ctx context.Context, reqs []Request, opt Options) (*Batch, error
 	if workers > len(reqs) && len(reqs) > 0 {
 		workers = len(reqs)
 	}
-	bspan := opt.Observer.Start(obs.KindBatch, "batch", obs.Span{})
-	env := &batchEnv{opt: opt, machines: opt.machines(), metrics: metrics, bspan: bspan,
-		compileSalt: opt.compileSalt(), schedSalt: opt.salt()}
+	bspan := rec.Start(obs.KindBatch, "batch", obs.Span{})
 	metrics.QueueAdd(int64(len(reqs)))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -650,7 +633,7 @@ func RunContext(ctx context.Context, reqs []Request, opt Options) (*Batch, error
 			for i := range jobs {
 				metrics.QueueAdd(-1)
 				metrics.WorkerStart()
-				batch.Loops[i] = runOne(ctx, env, i, reqs[i], sc)
+				batch.Loops[i] = svc.runOne(ctx, rec, bspan, i, reqs[i], sc)
 				metrics.WorkerDone()
 			}
 		}()
@@ -681,12 +664,18 @@ feed:
 			failed++
 		}
 	}
-	opt.Observer.End(&bspan, nil,
-		obs.I("requests", int64(len(reqs))),
-		obs.I("workers", int64(workers)),
-		obs.I("failed", int64(failed)))
+	endBatch(rec, &bspan, len(reqs), workers, failed)
 	batch.Stats = metrics.Stats()
 	return batch, nil
+}
+
+// endBatch finishes a batch span with its request, worker and failure
+// counts.
+func endBatch(rec *obs.Recorder, sp *obs.Span, requests, workers, failed int) {
+	rec.End(sp, nil,
+		obs.I("requests", int64(requests)),
+		obs.I("workers", int64(workers)),
+		obs.I("failed", int64(failed)))
 }
 
 // ctxErr converts an expired context into a request error, counting the
@@ -743,13 +732,13 @@ func (r Request) validate(idx int) *diag.Diagnostic {
 	return nil
 }
 
-// runOne pushes one request through compile → schedule → check → simulate.
-// sc is the calling worker's reusable scheduler scratch (never shared across
-// goroutines).
-func runOne(ctx context.Context, env *batchEnv, idx int, req Request, sc *core.Scratch) LoopResult {
-	r := runner{batchEnv: env, sc: sc, reqID: req.ID,
+// runOne pushes one request through compile → schedule → check → simulate,
+// recording its spans into rec under the batch span bspan. sc is the
+// caller's reusable scheduler scratch (used by one goroutine at a time).
+func (s *Service) runOne(ctx context.Context, rec *obs.Recorder, bspan obs.Span, idx int, req Request, sc *core.Scratch) LoopResult {
+	r := runner{Service: s, sc: sc, rec: rec, reqID: req.ID,
 		res: LoopResult{Index: idx, Name: req.name(idx), N: req.N}}
-	r.rspan = env.opt.Observer.Start(obs.KindRequest, r.res.Name, env.bspan)
+	r.rspan = rec.Start(obs.KindRequest, r.res.Name, bspan)
 	r.res.Err = r.run(ctx, req)
 	r.endSpan(&r.rspan, r.res.Err, nil)
 	return r.res
@@ -807,8 +796,10 @@ func (r *runner) run(ctx context.Context, req Request) (err error) {
 // (readThrough), one span-end helper (endSpan) and one degradation rule
 // (degrade).
 type runner struct {
-	*batchEnv
-	sc    *core.Scratch
+	*Service
+	sc *core.Scratch
+	// rec records the request's spans (nil: none).
+	rec   *obs.Recorder
 	res   LoopResult
 	reqID string
 	rspan obs.Span
@@ -896,8 +887,7 @@ func readThrough[T any](r *runner, key dfg.Fingerprint, m *machineRun, dst *T, c
 // live in a stack buffer, so span recording allocates only inside the
 // recorder.
 func (r *runner) endSpan(sp *obs.Span, err error, m *machineRun) {
-	rec := r.opt.Observer
-	if rec == nil {
+	if r.rec == nil {
 		return
 	}
 	var buf [9]obs.Attr
@@ -929,7 +919,7 @@ func (r *runner) endSpan(sp *obs.Span, err error, m *machineRun) {
 				obs.I("list_cycles", int64(t.ListTime)))
 		}
 	}
-	rec.End(sp, err, attrs...)
+	r.rec.End(sp, err, attrs...)
 }
 
 // compile runs the compilation passes, through the compile memo when the
@@ -945,7 +935,7 @@ func (r *runner) compile(ctx context.Context, req Request) error {
 	if r.useCache {
 		key = sourceKey(r.src, r.compileSalt)
 	}
-	span := r.opt.Observer.Start(obs.KindStage, stageCompile, r.rspan)
+	span := r.rec.Start(obs.KindStage, stageCompile, r.rspan)
 	var ce *compileEntry
 	hit, err := readThrough(r, key, nil, &ce, func() error {
 		if err := r.probe(stageCompile); err != nil {
@@ -955,7 +945,7 @@ func (r *runner) compile(ctx context.Context, req Request) error {
 		popts.Tracer = r.metrics
 		popts.FaultHook = r.opt.FaultHook
 		popts.Request = res.Name
-		popts.Observer = r.opt.Observer
+		popts.Observer = r.rec
 		popts.ParentSpan = span
 		pl := passes.New(popts)
 		var pctx *passes.Context
@@ -1001,7 +991,7 @@ func (r *runner) machine(ctx context.Context, m *machineRun) error {
 	}
 	m.mr.Machine = m.cfg.Name
 	m.mr.Key = r.keys.key(keySched, m.cfg)
-	sspan := r.opt.Observer.Start(obs.KindStage, StageSchedule, r.rspan)
+	sspan := r.rec.Start(obs.KindStage, StageSchedule, r.rspan)
 	hit, err := readThrough(r, m.mr.Key, m, &m.entry, func() error {
 		err := r.schedule(m)
 		r.endSpan(&sspan, err, m)
@@ -1023,7 +1013,7 @@ func (r *runner) machine(ctx context.Context, m *machineRun) error {
 	}
 
 	// Simulate; timings additionally key on trip count and window.
-	mspan := r.opt.Observer.Start(obs.KindStage, StageSimulate, r.rspan)
+	mspan := r.rec.Start(obs.KindStage, StageSimulate, r.rspan)
 	m.timeCached, err = readThrough(r, r.keys.key(keyTime, m.cfg), m, &m.times, func() error {
 		return r.simulate(m)
 	})
@@ -1132,7 +1122,7 @@ func (r *runner) schedule(m *machineRun) error {
 // schedulers) and re-checks the synchronization conditions, resource
 // feasibility and deadlock freedom.
 func (r *runner) check(m *machineRun) error {
-	span := r.opt.Observer.Start(obs.KindStage, StageVerify, r.rspan)
+	span := r.rec.Start(obs.KindStage, StageVerify, r.rspan)
 	err := r.stage(StageVerify, func() error {
 		for _, s := range []*core.Schedule{m.entry.list, m.entry.sync, m.entry.best} {
 			if s == nil {

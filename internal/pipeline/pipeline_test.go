@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -273,6 +275,36 @@ func TestRequestValidation(t *testing.T) {
 		if b.Loops[i].Err != nil {
 			t.Errorf("valid request %s rejected: %v", b.Loops[i].Name, b.Loops[i].Err)
 		}
+	}
+}
+
+// TestFarDistanceBounded: a dependence distance far past the trip count
+// costs the simulator no memory. The far loop at n = 100 with
+// A[I-10000000] allocates under 1 MiB through Run (992 MiB when the
+// simulator sized its iteration ring from the largest distance) and is
+// timed as with A[I-100].
+func TestFarDistanceBounded(t *testing.T) {
+	far := func(d int) string {
+		return fmt.Sprintf("DO I = 1, N\nS1: A[I] = A[I-1] + B[I]\nS2: C[I] = A[I-%d] + C[I-1]\nS3: E[I] = C[I-2] + A[I-3]\nENDDO", d)
+	}
+	ref := run(t, []string{far(100)}, Options{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b, err := Run([]Request{{Source: far(10000000)}}, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(ref.FirstErr(), b.FirstErr()); err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("distance 10^7 at n=100: %d bytes allocated, want < 1 MiB", alloc)
+	}
+	got, want := b.Loops[0].Machines[0], ref.Loops[0].Machines[0]
+	if got.ListTime != want.ListTime || got.SyncTime != want.SyncTime || got.SyncStalls != want.SyncStalls {
+		t.Errorf("distance 10^7: list %d, sync %d, stalls %d; distance 100: list %d, sync %d, stalls %d",
+			got.ListTime, got.SyncTime, got.SyncStalls, want.ListTime, want.SyncTime, want.SyncStalls)
 	}
 }
 

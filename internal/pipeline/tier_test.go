@@ -212,7 +212,7 @@ func TestLoadDiskQuarantinesAboveMaxTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{Disk: store}
-	r := runner{batchEnv: &batchEnv{opt: opt, compileSalt: opt.compileSalt()}, res: LoopResult{Name: "huge"}, src: fig1,
+	r := runner{Service: &Service{opt: opt, compileSalt: opt.compileSalt()}, res: LoopResult{Name: "huge"}, src: fig1,
 		keys: keySet{fp: lr.Graph.Fingerprint(), schedSalt: opt.salt(), exSalt: opt.exactSalt(n), n: n}}
 	r.persistResult(&machineRun{
 		cfg: dlx.Standard(4, 1),

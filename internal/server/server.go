@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,9 +13,11 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"doacross/internal/dfg"
 	"doacross/internal/diag"
 	"doacross/internal/obs"
 	"doacross/internal/passes"
@@ -32,7 +35,7 @@ const stageNet = "net"
 type Config struct {
 	// Pipeline is the base options every request is served under. Cache,
 	// Disk and Metrics are owned by the server and overwritten; Workers
-	// applies per flight.
+	// does not apply, since each flight runs on one goroutine.
 	Pipeline pipeline.Options
 	// CacheCap bounds the in-memory cache (0 = unbounded).
 	CacheCap int
@@ -141,7 +144,11 @@ type Server struct {
 	disk    *pipeline.DiskStore
 	metrics *pipeline.Metrics
 
-	flights  pipeline.Group
+	flights pipeline.Group
+	// svcs holds one pipeline Service per effective backend name a request
+	// asked for, built on first use; svcMu guards it.
+	svcMu    sync.Mutex
+	svcs     map[string]*pipeline.Service
 	limiter  *rateLimiter
 	adm      *admission
 	breakers *breakerSet
@@ -328,12 +335,13 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Per-request backend override; fail unknown names before any work.
-	opt := s.opt
+	effective := s.opt.Compile.Backend
 	if req.Backend != "" {
-		opt.Compile.Backend = req.Backend
+		effective = req.Backend
 	}
-	backend = backendName(opt.Compile.Backend)
-	if _, err := passes.Backend(opt.Compile.Backend, passes.BackendConfig{Sync: opt.Sync, Exact: opt.Compile.Exact}); err != nil {
+	backend = backendName(effective)
+	svc, err := s.service(effective)
+	if err != nil {
 		s.sm.clientErrors.Add(1)
 		deny(slog.LevelInfo, http.StatusBadRequest, 0, ErrorResponse{Error: err.Error()})
 		return
@@ -398,19 +406,14 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// batch-level observer is configured, a per-flight span recorder whose
 	// tree lands in the flight record.
 	preq := pipeline.Request{Name: name, Source: req.Source, N: req.N, ID: rid}
-	key := pipeline.RequestKey(preq, opt)
+	key := svc.Key(preq)
 	var frec *obs.Recorder
 	v, err, coalesced := s.flights.Do(ctx, key, func(fctx context.Context) (any, error) {
-		fopt := opt
-		if fopt.Observer == nil {
+		if s.opt.Observer == nil {
 			frec = obs.NewRecorder(512)
-			fopt.Observer = frec
 		}
-		b, err := pipeline.RunContext(fctx, []pipeline.Request{preq}, fopt)
-		if err != nil {
-			return nil, err
-		}
-		return &b.Loops[0], nil
+		res := svc.Run(fctx, preq, frec)
+		return &res, nil
 	})
 	if coalesced {
 		s.sm.coalesced.Add(1)
@@ -472,7 +475,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	resp := &ScheduleResponse{
 		Name:      res.Name,
 		N:         res.N,
-		Key:       fmt.Sprintf("%x", key[:]),
+		Key:       hexKey(key),
 		RequestID: rid,
 		Coalesced: coalesced,
 		Machines:  make([]MachineResult, len(res.Machines)),
@@ -485,7 +488,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Machines[i] = MachineResult{
 			Machine:        m.Machine,
-			Key:            fmt.Sprintf("%x", m.Key[:]),
+			Key:            hexKey(m.Key),
 			ListTime:       m.ListTime,
 			SyncTime:       m.SyncTime,
 			BestTime:       m.BestTime,
@@ -502,8 +505,11 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			Utilization:    m.SyncUtil,
 		}
 	}
-	for _, d := range res.Lint {
-		resp.Lint = append(resp.Lint, d.Error())
+	if len(res.Lint) > 0 {
+		resp.Lint = make([]string, len(res.Lint))
+		for i, d := range res.Lint {
+			resp.Lint[i] = d.Error()
+		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
@@ -513,6 +519,39 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		"coalesced", coalesced, "degraded", res.Degraded(),
 		"duration_ms", float64(time.Since(started).Microseconds())/1e3)
 	record(http.StatusOK, res.Degraded(), "")
+}
+
+// hexKey renders a content address as lowercase hex.
+func hexKey(fp dfg.Fingerprint) string {
+	var b [2 * len(fp)]byte
+	hex.Encode(b[:], fp[:])
+	return string(b[:])
+}
+
+// service returns the pipeline Service for a request's effective backend
+// name, built on first use. An unknown name is refused with passes.Backend's
+// error and never stored, so the map holds at most one Service per name
+// passes.Backend accepts.
+func (s *Server) service(backend string) (*pipeline.Service, error) {
+	s.svcMu.Lock()
+	defer s.svcMu.Unlock()
+	if svc, ok := s.svcs[backend]; ok {
+		return svc, nil
+	}
+	opt := s.opt
+	opt.Compile.Backend = backend
+	if _, err := passes.Backend(backend, passes.BackendConfig{Sync: opt.Sync, Exact: opt.Compile.Exact}); err != nil {
+		return nil, err
+	}
+	svc, err := pipeline.NewService(opt)
+	if err != nil {
+		return nil, err
+	}
+	if s.svcs == nil {
+		s.svcs = make(map[string]*pipeline.Service)
+	}
+	s.svcs[backend] = svc
+	return svc, nil
 }
 
 // finishError classifies a per-request pipeline error into a status code

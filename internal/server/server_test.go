@@ -191,6 +191,55 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestServicePerBackend: the daemon builds one pipeline Service per backend
+// name a request asks for, on first use and never for a name the pipeline
+// does not know, which is refused with passes.Backend's error. Requests for
+// every backend arrive from several goroutines at once.
+func TestServicePerBackend(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	services := func() int {
+		s.svcMu.Lock()
+		defer s.svcMu.Unlock()
+		return len(s.svcs)
+	}
+	if n := services(); n != 0 {
+		t.Fatalf("New built %d services, want none", n)
+	}
+	w, body := post(t, h, ScheduleRequest{Source: fig1, Backend: "bogus"}, nil)
+	_, want := passes.Backend("bogus", passes.BackendConfig{})
+	if w.Code != http.StatusBadRequest || decodeErr(t, body).Error != want.Error() {
+		t.Errorf("unknown backend: status %d, body %s; want 400 with %q", w.Code, body, want)
+	}
+	if n := services(); n != 0 {
+		t.Fatalf("an unknown backend left %d services", n)
+	}
+	names := append([]string{""}, passes.BackendNames()...)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, name := range names {
+				body, err := json.Marshal(ScheduleRequest{Source: fig1, Backend: name})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(string(body))))
+				if w.Code != http.StatusOK {
+					t.Errorf("backend %q: status %d, body %s", name, w.Code, w.Body)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := services(); n != len(names) {
+		t.Errorf("%d services after requests for %d backend names, want one each", n, len(names))
+	}
+}
+
 // TestCoalescing: concurrent identical requests share one flight — one
 // pipeline run, N-1 coalesced responses — and the counters agree.
 func TestCoalescing(t *testing.T) {

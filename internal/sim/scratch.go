@@ -28,7 +28,7 @@ type timeScratch struct {
 	evRow    []int32
 	waitOff  []int32
 	waitSig  []int32
-	waitDist []int32
+	waitDist []int
 	sendOff  []int32
 	sendSig  []int32
 	// Per-signal: the send's row (for window validation) and event slot (for
@@ -37,7 +37,7 @@ type timeScratch struct {
 	sendEv   []int32
 	consOff  []int32
 	consRow  []int32
-	consDist []int32
+	consDist []int
 	consEv   []int32
 	rowLat   []int
 	// headMax is max(r + rowLat[r]) before the first event row (over the
@@ -150,7 +150,7 @@ func (sc *timeScratch) build(s *core.Schedule) error {
 		consCnt[i] = 0
 	}
 	waitSig := growInt32Buf(&sc.waitSig, nw)
-	waitDist := growInt32Buf(&sc.waitDist, nw)
+	waitDist := growIntBuf(&sc.waitDist, nw)
 	sendSig := growInt32Buf(&sc.sendSig, ns)
 	waitOff[0], sendOff[0] = 0, 0
 	nw, ns = 0, 0
@@ -161,7 +161,7 @@ func (sc *timeScratch) build(s *core.Schedule) error {
 			case tac.Wait:
 				id := sc.sigID[in.Signal]
 				waitSig[nw] = int32(id)
-				waitDist[nw] = int32(in.SigDist)
+				waitDist[nw] = in.SigDist
 				consCnt[id+1]++
 				nw++
 			case tac.Send:
@@ -180,7 +180,7 @@ func (sc *timeScratch) build(s *core.Schedule) error {
 		consCnt[i+1] += consCnt[i]
 	}
 	consRow := growInt32Buf(&sc.consRow, nw)
-	consDist := growInt32Buf(&sc.consDist, nw)
+	consDist := growIntBuf(&sc.consDist, nw)
 	consEv := growInt32Buf(&sc.consEv, nw)
 	for e := 0; e < E; e++ {
 		for k := waitOff[e]; k < waitOff[e+1]; k++ {
@@ -244,7 +244,7 @@ func (sc *timeScratch) checkWindow(window int) error {
 	}
 	for id := range sc.sigName {
 		for k := sc.consOff[id]; k < sc.consOff[id+1]; k++ {
-			if int(sc.consDist[k]) == window && sc.sendRow[id] <= sc.consRow[k] {
+			if sc.consDist[k] == window && sc.sendRow[id] <= sc.consRow[k] {
 				return fmt.Errorf("sim: signal window %d equals distance %d of an LFD pair on %s (send would wait for its own iteration's wait)", window, sc.consDist[k], sc.sigName[id])
 			}
 		}
@@ -285,10 +285,17 @@ func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, steady, error
 	t.SignalsSent = n * sc.nsends
 	procs := opt.procs()
 	// Only the issue times of the last few iterations matter: back to the
-	// maximum wait distance, the processor-reuse distance, and the signal
-	// window. Keep a flat ring of that depth; each iteration's ring row holds
-	// the issue time of every event row plus (slot E) the last schedule row.
-	depth := sc.maxDist
+	// largest wait distance below n (a wait reaching before the first
+	// iteration is skipped, whatever its distance), the processor-reuse
+	// distance, and the signal window. Keep a flat ring of that depth; each
+	// iteration's ring row holds the issue time of every event row plus
+	// (slot E) the last schedule row.
+	depth := 1
+	for _, d := range sc.waitDist[:sc.nwaits] {
+		if d < n && d > depth {
+			depth = d
+		}
+	}
 	if procs < n && procs > depth {
 		depth = procs
 	}
@@ -330,7 +337,7 @@ func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, steady, error
 			}
 			earliest := unconstrained
 			for k := sc.waitOff[e]; k < sc.waitOff[e+1]; k++ {
-				dist := int(sc.waitDist[k])
+				dist := sc.waitDist[k]
 				if idx-dist < 0 {
 					continue // no earlier iteration to wait for
 				}
@@ -350,7 +357,7 @@ func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, steady, error
 				for k := sc.sendOff[e]; k < sc.sendOff[e+1]; k++ {
 					id := sc.sendSig[k]
 					for c := sc.consOff[id]; c < sc.consOff[id+1]; c++ {
-						back := opt.Window - int(sc.consDist[c])
+						back := opt.Window - sc.consDist[c]
 						if idx-back < 0 {
 							continue
 						}
@@ -573,7 +580,7 @@ func (sc *timeScratch) attributeStalls(it *IterTrace, idx, e, row, unconstrained
 	syncTo := unconstrained
 	bind := int32(-1)
 	for k := sc.waitOff[e]; k < sc.waitOff[e+1]; k++ {
-		dist := int(sc.waitDist[k])
+		dist := sc.waitDist[k]
 		if idx-dist < 0 {
 			continue
 		}
@@ -591,7 +598,7 @@ func (sc *timeScratch) attributeStalls(it *IterTrace, idx, e, row, unconstrained
 	}
 	if bind >= 0 && syncTo > unconstrained {
 		id := sc.waitSig[bind]
-		dist := int(sc.waitDist[bind])
+		dist := sc.waitDist[bind]
 		it.Stalls = append(it.Stalls, Stall{
 			Row: row, From: unconstrained, To: syncTo, Cause: CauseSyncWait,
 			Signal: sc.sigName[id], Dist: dist, SrcIter: idx - dist,
@@ -605,7 +612,7 @@ func (sc *timeScratch) attributeStalls(it *IterTrace, idx, e, row, unconstrained
 			for k := sc.sendOff[e]; k < sc.sendOff[e+1]; k++ {
 				id := sc.sendSig[k]
 				for c := sc.consOff[id]; c < sc.consOff[id+1]; c++ {
-					back := opt.Window - int(sc.consDist[c])
+					back := opt.Window - sc.consDist[c]
 					if back == 0 || idx-back < 0 {
 						continue
 					}
@@ -615,7 +622,7 @@ func (sc *timeScratch) attributeStalls(it *IterTrace, idx, e, row, unconstrained
 					}
 					if ct := ring[cb+int(sc.consEv[c])]; ct+1 > winTo {
 						winTo = ct + 1
-						st.Signal, st.Dist, st.SrcIter, st.SendCycle = sc.sigName[id], int(sc.consDist[c]), idx-back, ct
+						st.Signal, st.Dist, st.SrcIter, st.SendCycle = sc.sigName[id], sc.consDist[c], idx-back, ct
 					}
 				}
 			}

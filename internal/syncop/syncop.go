@@ -149,18 +149,19 @@ type Item struct {
 }
 
 // Items returns the loop body flattened to execution order:
-// waits(S1) S1 sends(S1) waits(S2) S2 sends(S2) ...
+// waits(S1) S1 sends(S1) waits(S2) S2 sends(S2) ... Each item's Op points
+// into the loop's own Pre and Post, so callers read it and must not modify
+// it.
 func (l *Loop) Items() []Item {
-	var items []Item
+	sends, waits := l.NumOps()
+	items := make([]Item, 0, len(l.Base.Body)+sends+waits)
 	for k, st := range l.Base.Body {
 		for i := range l.Pre[k] {
-			op := l.Pre[k][i]
-			items = append(items, Item{Op: &op, StmtIndex: k})
+			items = append(items, Item{Op: &l.Pre[k][i], StmtIndex: k})
 		}
 		items = append(items, Item{Stmt: st, StmtIndex: k})
 		for i := range l.Post[k] {
-			op := l.Post[k][i]
-			items = append(items, Item{Op: &op, StmtIndex: k})
+			items = append(items, Item{Op: &l.Post[k][i], StmtIndex: k})
 		}
 	}
 	return items

@@ -1,6 +1,7 @@
 package syncop
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,6 +92,25 @@ func TestItemsOrder(t *testing.T) {
 		if kinds[i] != want[i] {
 			t.Errorf("item %d = %s, want %s", i, kinds[i], want[i])
 		}
+	}
+	// The ops are the loop's own, not copies.
+	var ops []*Op
+	for k := range sl.Base.Body {
+		for i := range sl.Pre[k] {
+			ops = append(ops, &sl.Pre[k][i])
+		}
+		for i := range sl.Post[k] {
+			ops = append(ops, &sl.Post[k][i])
+		}
+	}
+	var got []*Op
+	for _, it := range items {
+		if it.Op != nil {
+			got = append(got, it.Op)
+		}
+	}
+	if !slices.Equal(got, ops) {
+		t.Errorf("item ops %p, want the loop's %p", got, ops)
 	}
 }
 
