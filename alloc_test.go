@@ -10,6 +10,8 @@ package doacross_test
 import (
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"doacross"
@@ -18,6 +20,7 @@ import (
 	"doacross/internal/dlx"
 	"doacross/internal/hotbench"
 	"doacross/internal/lang"
+	"doacross/internal/loopgen"
 	"doacross/internal/obs"
 	"doacross/internal/perfect"
 	"doacross/internal/pipeline"
@@ -143,24 +146,24 @@ func cachedHitAllocs(t *testing.T, observed bool) float64 {
 // TestPipelineCachedHitAllocs pins the per-request allocation count of a
 // cached-hit batch request — the steady-state service shape where every
 // stage after compile is served from the schedule cache — at the measured
-// 21 allocs/op plus 2 of headroom (Run spawns its worker goroutine per
+// 16 allocs/op plus 2 of headroom (Run spawns its worker goroutine per
 // call). It catches the hot path regressing back
 // to per-request rescheduling (hundreds of allocations) as well as the
 // stage plumbing (read-through, span ends) starting to allocate.
 func TestPipelineCachedHitAllocs(t *testing.T) {
-	const limit = 21 + 2
+	const limit = 16 + 2
 	if got := cachedHitAllocs(t, false); got > limit {
 		t.Errorf("cached-hit pipeline request: %v allocs/op, want <= %d", got, limit)
 	}
 }
 
 // TestPipelineObservedHitAllocs pins the same request with a span recorder
-// attached (serve-warm's flight leader) at the measured 33 allocs/op plus 2.
-// Over the unobserved 21 that is the recorder itself and, for each of the
+// attached (serve-warm's flight leader) at the measured 28 allocs/op plus 2.
+// Over the unobserved 16 that is the recorder itself and, for each of the
 // five spans (batch, request, compile, schedule, simulate), one attribute
 // slice and one published copy: building the attributes allocates nothing.
 func TestPipelineObservedHitAllocs(t *testing.T) {
-	const limit = 33 + 2
+	const limit = 28 + 2
 	if got := cachedHitAllocs(t, true); got > limit {
 		t.Errorf("observed cached-hit pipeline request: %v allocs/op, want <= %d", got, limit)
 	}
@@ -198,24 +201,24 @@ func serviceHitAllocs(t *testing.T, observed bool) float64 {
 	return got
 }
 
-// TestServiceHitAllocs pins a cached-hit Service.Run at the measured 3
-// allocs/op: the result's machine slice, the compile-memo key's text and
-// the time key's trip-count salt. A one-request batch of the same request
+// TestServiceHitAllocs pins a cached-hit Service.Run at the measured 1
+// alloc/op, the result's machine slice: the compile-memo and time keys are
+// hashed from stack buffers. A one-request batch of the same request
 // (TestPipelineCachedHitAllocs) adds the option checks, the salts, the
 // worker goroutine and the metrics snapshot.
 func TestServiceHitAllocs(t *testing.T) {
-	const limit = 3
+	const limit = 1
 	if got := serviceHitAllocs(t, false); got > limit {
 		t.Errorf("cached-hit Service.Run: %v allocs/op, want <= %d", got, limit)
 	}
 }
 
 // TestServiceObservedHitAllocs pins the same call with a span recorder at
-// the measured 15 allocs/op: the recorder (two allocations) and the five
+// the measured 13 allocs/op: the recorder (two allocations) and the five
 // spans' attribute slices and published copies come on top of the
-// unobserved 3.
+// unobserved 1.
 func TestServiceObservedHitAllocs(t *testing.T) {
-	const limit = 15
+	const limit = 13
 	if got := serviceHitAllocs(t, true); got > limit {
 		t.Errorf("observed cached-hit Service.Run: %v allocs/op, want <= %d", got, limit)
 	}
@@ -418,4 +421,46 @@ func TestLoopStringAllocs(t *testing.T) {
 		worst = max(worst, got)
 	}
 	t.Logf("%d loops: at most %v allocs per Loop.String", len(loops), worst)
+}
+
+// TestTokenizeAllocs pins lang.Tokenize at one allocation per call, the
+// token slice, over the Perfect suites, the kernel corpus and loopgen loops
+// of every shape with 1-12 statements: its presize must cover their token
+// density, so no parse grows the slice and copies its tokens.
+func TestTokenizeAllocs(t *testing.T) {
+	var srcs []string
+	for _, su := range perfect.MustSuites() {
+		for _, l := range su.Loops {
+			srcs = append(srcs, l.Source)
+		}
+	}
+	kernels, err := filepath.Glob(filepath.Join("testdata", "kernels", "*.loop"))
+	if err != nil || len(kernels) == 0 {
+		t.Fatalf("kernel corpus: %v (%d files)", err, len(kernels))
+	}
+	for _, path := range kernels {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, string(b))
+	}
+	for _, sh := range loopgen.Shapes() {
+		for stmts := 1; stmts <= 12; stmts++ {
+			for seed := uint64(0); seed < 10; seed++ {
+				srcs = append(srcs, loopgen.Generate(seed, loopgen.Options{Shape: sh, Stmts: stmts}))
+			}
+		}
+	}
+	for i, src := range srcs {
+		var toks []lang.Token
+		var failed error
+		got := testing.AllocsPerRun(5, func() { toks, failed = lang.Tokenize(src) })
+		if failed != nil {
+			t.Fatalf("source %d: %v", i, failed)
+		}
+		if got != 1 {
+			t.Errorf("source %d (%d bytes, %d tokens): Tokenize %v allocs/op, want 1", i, len(src), len(toks), got)
+		}
+	}
 }

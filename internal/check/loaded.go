@@ -8,7 +8,11 @@
 // translation-validation pipeline over a deserialized schedule set exactly
 // as if the schedules had just been produced by an untrusted scheduler:
 // nothing restored from disk is ever served on the strength of its
-// checksum alone.
+// checksum alone. A restored set is either verified here, or byte-identical
+// (the same issue rows) to a set already verified over the same compiled
+// program — the loader's verify-once rule for one problem persisted at
+// several trip counts — and its own simulated time always passes
+// VerifyTiming.
 package check
 
 import (

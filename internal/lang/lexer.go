@@ -231,9 +231,12 @@ func (lx *Lexer) Next() (Token, error) {
 // Tokenize returns all tokens of src, ending with TokEOF.
 func Tokenize(src string) ([]Token, error) {
 	lx := NewLexer(src)
-	// Tokens are a few characters each on average; one right-sized backing
-	// array avoids append growth on the compile hot path.
-	out := make([]Token, 0, len(src)/2+4)
+	// Loop source is dense: the Perfect suites and loopgen loops average
+	// 1.32-1.40 bytes per token (EOF included), and their densest loop has
+	// 1.31. Sizing for 1.2 bytes per token keeps every such parse to one
+	// backing array, never grown and copied; commented files (the kernel
+	// corpus averages 2.58) over-allocate instead.
+	out := make([]Token, 0, len(src)*5/6+4)
 	for {
 		t, err := lx.Next()
 		if err != nil {

@@ -47,8 +47,10 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -453,11 +455,25 @@ func newCompileEntry(pctx *passes.Context, verified bool) *compileEntry {
 	}
 }
 
-// sourceKey addresses the compile memo: a hash of the loop's source text and
-// the compile options in a key space disjoint from ConfigKey (distinct
-// prefix).
+// sourceKey addresses the compile memo: the hash of "compile\x00", the
+// compile options, "\x00" and the loop's source text, a key space disjoint
+// from ConfigKey (distinct prefix). The text is hashed in one piece from a
+// stack buffer when it fits, and otherwise streamed into the hash: the
+// source is never copied into a new allocation.
 func sourceKey(src, salt string) dfg.Fingerprint {
-	return dfg.Fingerprint(sha256.Sum256([]byte("compile\x00" + salt + "\x00" + src)))
+	var buf [2048]byte
+	b := append(buf[:0], "compile\x00"...)
+	b = append(b, salt...)
+	b = append(b, 0)
+	if len(b)+len(src) <= len(buf) {
+		return sha256.Sum256(append(b, src...))
+	}
+	h := sha256.New()
+	h.Write(b) // hash.Hash writes never fail
+	io.WriteString(h, src)
+	var k dfg.Fingerprint
+	h.Sum(k[:0])
+	return k
 }
 
 // Key spaces of keySet.key.
@@ -478,8 +494,6 @@ type keySet struct {
 	fp                dfg.Fingerprint
 	schedSalt, exSalt string
 	n, window         int
-	// nwSalt is the trip-count/window salt, rendered on first use.
-	nwSalt string
 }
 
 // key returns the problem's key on cfg in one key space: keySched is the
@@ -493,10 +507,14 @@ func (k *keySet) key(space string, cfg dlx.Config) dfg.Fingerprint {
 		}
 		return dfg.KeyFrom(k.fp, cfg, keySched, k.schedSalt, k.exSalt)
 	}
-	if k.nwSalt == "" {
-		k.nwSalt = fmt.Sprintf("n=%d w=%d", k.n, k.window)
-	}
-	return dfg.KeyFrom(k.fp, cfg, space, k.schedSalt, k.nwSalt, k.exSalt)
+	// The trip-count/window salt "n=<n> w=<window>" is rendered on the
+	// stack: KeyFrom keeps none of its salts.
+	var buf [48]byte
+	nw := append(buf[:0], "n="...)
+	nw = strconv.AppendInt(nw, int64(k.n), 10)
+	nw = append(nw, " w="...)
+	nw = strconv.AppendInt(nw, int64(k.window), 10)
+	return dfg.KeyFrom(k.fp, cfg, space, k.schedSalt, string(nw), k.exSalt)
 }
 
 // schedEntry is the cached product of StageSchedule for one ConfigKey. The

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 
 	"doacross/internal/check"
 	"doacross/internal/core"
+	"doacross/internal/dfg"
 	"doacross/internal/dlx"
 	"doacross/internal/passes"
 )
@@ -146,8 +148,12 @@ type LoadStats struct {
 	// Scanned counts entries visited; Loaded the entries that passed every
 	// check and were published to the in-memory cache.
 	Scanned, Loaded int
-	// Stale counts well-formed entries skipped because they were produced
-	// under different options (salts or window) than opt's.
+	// Stale counts well-formed entries skipped and left on disk: those
+	// produced under different options (salts or window) than opt's, and
+	// verified entries whose schedule key is bound to a different verified
+	// set, so that their simulated times would be served beside schedules
+	// they do not describe. The next live request at such an entry's trip
+	// count re-simulates the bound set and overwrites the entry.
 	Stale int
 	// Corrupt counts entries that failed integrity or semantic verification
 	// and were quarantined.
@@ -164,18 +170,28 @@ func (ls LoadStats) String() string {
 }
 
 // LoadDisk restores the persistent tier into the in-memory cache, so a
-// restarted service comes up warm. Every entry is re-earned, never
-// trusted:
+// restarted service comes up warm. The entries are loaded on GOMAXPROCS
+// workers (FanOut); each entry's outcome lands in a slot of its own and
+// LoadStats is summed from the slots after the join, so the counts do not
+// depend on scheduling. Every entry is re-earned, never trusted:
 //
 //  1. The store's checksum and header must validate (torn writes, bit rot).
 //  2. The entry's option salts and window must match opt's — entries
 //     written under other configurations are skipped as stale.
-//  3. The loop source is recompiled through the pass manager (sharing
-//     compilations via cache) and the persisted issue rows are rebuilt
-//     into schedules over the fresh program and graph.
-//  4. The rebuilt set passes check.VerifyLoaded — the same independent
-//     verifier fresh schedules must pass — including the timing audit of
-//     the persisted simulated times.
+//  3. The loop source is recompiled through the compile memo in cache:
+//     the first compilation published is the one every entry of that
+//     source (an entry's siblings at other trip counts) is checked against.
+//     Verify once: when the schedule key is already bound to a set with
+//     byte-identical list, sync and best rows over that same program, the
+//     bound set stands for the entry's, because it passed verification
+//     when it was bound. Otherwise the persisted issue rows are rebuilt
+//     into schedules over the program and graph.
+//  4. A rebuilt set passes check.VerifyLoaded — the same independent
+//     verifier fresh schedules must pass — and every entry's simulated
+//     times pass the timing audit against its set. Pairing: the entry's
+//     time is published only if the set bound under its schedule key is
+//     the set it was audited against; when another verified set holds the
+//     key, the entry is stale and stays on disk.
 //  5. The entry's recomputed content address must equal the key it was
 //     stored under, so an entry cannot impersonate another problem.
 //
@@ -183,6 +199,10 @@ func (ls LoadStats) String() string {
 // compile memo, schedule entry and time entry are published to cache under
 // the same keys a live run would use: subsequent requests for the loop are
 // pure memory hits, with zero recompiles and zero reschedules.
+//
+// A cancelled ctx stops every worker before its next entry, nothing is
+// published after a worker sees the cancellation, and LoadDisk returns the
+// context's error with the counts of the entries visited.
 //
 // The compilations LoadDisk performs are deliberately not traced into any
 // metrics registry: they are warmup verification work, not served traffic.
@@ -195,109 +215,181 @@ func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (Loa
 	if err != nil {
 		return ls, err
 	}
-	compileSalt := opt.compileSalt()
-	schedSalt := opt.salt()
-	for _, k := range keys {
-		if ctx.Err() != nil {
-			return ls, ctx.Err()
+	popts := opt.Compile
+	popts.Tracer = nil
+	popts.FaultHook = nil
+	popts.Observer = nil
+	popts.Request = ""
+	l := &loader{d: d, cache: cache, popts: popts, window: opt.Window,
+		compileSalt: opt.compileSalt(), schedSalt: opt.salt()}
+	outcomes := make([]loadOutcome, len(keys))
+	err = FanOut(0, len(keys), func(i int) (err error) {
+		if err = ctx.Err(); err == nil {
+			outcomes[i], err = l.load(ctx, keys[i])
 		}
-		ls.Scanned++
-		payload, err := d.Get(k)
-		var ce *CorruptEntryError
-		switch {
-		case err == nil:
-		case errors.As(err, &ce):
-			ls.Corrupt++
-			_ = d.Quarantine(k)
-			continue
-		case errors.Is(err, os.ErrNotExist):
-			continue // raced with quarantine/replacement; nothing to load
-		default:
-			ls.Errors++
-			continue
+		return err
+	})
+	for _, o := range outcomes {
+		if o != loadUnvisited {
+			ls.Scanned++
 		}
-		quarantine := func() {
-			ls.Corrupt++
-			d.corrupt.Add(1)
-			_ = d.Quarantine(k)
-		}
-		var p diskPayload
-		if err := json.Unmarshal(payload, &p); err != nil {
-			quarantine()
-			continue
-		}
-		if p.CompileSalt != compileSalt || p.SchedSalt != schedSalt || p.Window != opt.Window {
+		switch o {
+		case loadLoaded:
+			ls.Loaded++
+		case loadStale:
 			ls.Stale++
-			continue
+		case loadCorrupt:
+			ls.Corrupt++
+		case loadError:
+			ls.Errors++
 		}
-		if p.Source == "" || p.Sync == nil || p.List == nil || p.N < 1 || p.N > MaxTrip ||
-			p.Machine.Validate() != nil {
-			quarantine()
-			continue
-		}
-		// Recompile the source (through the memo: repeated loops compile
-		// once per load). The compilation is the ground truth the persisted
-		// rows are verified against.
-		srcKey := sourceKey(p.Source, compileSalt)
-		var compiled *compileEntry
-		if v, ok := cache.Get(srcKey); ok {
-			compiled = v.(*compileEntry)
-		} else {
-			popts := opt.Compile
-			popts.Tracer = nil
-			popts.FaultHook = nil
-			popts.Observer = nil
-			popts.Request = ""
-			pctx, err := passes.New(popts).RunSourceCtx(ctx, p.Source)
-			if err != nil {
-				if ctx.Err() != nil {
-					return ls, ctx.Err()
-				}
-				quarantine()
-				continue
+	}
+	return ls, err
+}
+
+// loadOutcome is what LoadDisk made of one entry.
+type loadOutcome uint8
+
+const (
+	// loadUnvisited: the load was cancelled before the entry's turn.
+	loadUnvisited loadOutcome = iota
+	// loadScanned: visited and counted nowhere else — the entry vanished
+	// between Keys and Get, or the load was cancelled while it was checked.
+	loadScanned
+	loadLoaded
+	loadStale
+	loadCorrupt
+	loadError
+)
+
+// loader is the state one LoadDisk pass shares, read-only, with its
+// workers.
+type loader struct {
+	d     *DiskStore
+	cache *Cache
+	// popts compiles untraced and unprobed.
+	popts                  passes.Options
+	compileSalt, schedSalt string
+	window                 int
+}
+
+// load re-earns the entry filed under k (see LoadDisk). Its error is
+// non-nil only when ctx ended the load.
+func (l *loader) load(ctx context.Context, k dfg.Fingerprint) (loadOutcome, error) {
+	payload, err := l.d.Get(k)
+	var ce *CorruptEntryError
+	switch {
+	case err == nil:
+	case errors.As(err, &ce):
+		_ = l.d.Quarantine(k)
+		return loadCorrupt, nil
+	case errors.Is(err, os.ErrNotExist):
+		return loadScanned, nil // raced with quarantine/replacement; nothing to load
+	default:
+		return loadError, nil
+	}
+	quarantine := func() (loadOutcome, error) {
+		l.d.corrupt.Add(1)
+		_ = l.d.Quarantine(k)
+		return loadCorrupt, nil
+	}
+	var p diskPayload
+	if err := json.Unmarshal(payload, &p); err != nil {
+		return quarantine()
+	}
+	if p.CompileSalt != l.compileSalt || p.SchedSalt != l.schedSalt || p.Window != l.window {
+		return loadStale, nil
+	}
+	if p.Source == "" || p.Sync == nil || p.List == nil || p.N < 1 || p.N > MaxTrip ||
+		p.Machine.Validate() != nil {
+		return quarantine()
+	}
+	// Recompile the source through the memo, first-writer-wins: every
+	// entry of one source is checked against one program.
+	srcKey := sourceKey(p.Source, l.compileSalt)
+	v, ok := l.cache.Get(srcKey)
+	if !ok {
+		pctx, err := passes.New(l.popts).RunSourceCtx(ctx, p.Source)
+		if err != nil {
+			if ctx.Err() != nil {
+				return loadScanned, ctx.Err()
 			}
-			v, _ := cache.Put(srcKey, newCompileEntry(pctx, opt.Compile.Verify))
-			compiled = v.(*compileEntry)
+			return quarantine()
 		}
+		v, _ = l.cache.Put(srcKey, newCompileEntry(pctx, l.popts.Verify))
+	}
+	compiled := v.(*compileEntry)
+	pk := keySet{fp: compiled.fp, schedSalt: l.schedSalt, exSalt: p.ExactSalt,
+		n: p.N, window: p.Window}
+	schedKey := pk.key(keySched, p.Machine)
+	var list, sync, best *core.Schedule
+	v, _ = l.cache.Get(schedKey)
+	if be, _ := v.(*schedEntry); be != nil && be.sync != nil && be.sync.Prog == compiled.prog && p.sameSet(be) {
+		// Verify once: the bound set is this entry's, over the same
+		// program, and passed verification when it was bound. The timing
+		// audit of the entry's own times remains.
+		list, sync, best = be.list, be.sync, be.best
+		if check.Err(check.VerifyTiming(sync, p.Times.SyncTime, p.N)) != nil {
+			return quarantine()
+		}
+	} else {
 		// Rebuild the schedules over the fresh program and graph. The
 		// restored set must pass exactly the checks fresh ones do
 		// (independent semantic verification, timing audit included).
 		base := &core.Schedule{Prog: compiled.prog, Graph: compiled.graph, Cfg: p.Machine}
-		list, lerr := p.List.rebuild(base)
-		sync, serr := p.Sync.rebuild(base)
-		best, berr := p.Best.rebuild(base)
+		var lerr, serr, berr error
+		list, lerr = p.List.rebuild(base)
+		sync, serr = p.Sync.rebuild(base)
+		best, berr = p.Best.rebuild(base)
 		if errors.Join(lerr, serr, berr) != nil ||
 			check.Err(check.VerifyLoaded(list, sync, best, p.Times.SyncTime, p.N)) != nil {
-			quarantine()
-			continue
+			return quarantine()
 		}
-		// Content-address audit: the key recomputed from the entry's own
-		// contents must be the key it was filed under.
-		pk := keySet{fp: compiled.fp, schedSalt: schedSalt, exSalt: p.ExactSalt,
-			n: p.N, window: p.Window}
-		if pk.key(keyDisk, p.Machine) != k {
-			quarantine()
-			continue
-		}
-		entry := &schedEntry{
-			list: list, sync: sync, best: best,
-			backend:      p.Backend,
-			predictedT:   p.PredictedT,
-			predictedAtN: p.PredictedAt,
-			optimal:      p.Optimal,
-			lowerBound:   p.LowerBound,
-			searchNodes:  p.SearchNodes,
-			note:         p.Note,
-		}
-		if !entry.cacheable() {
-			// A budget-exhausted exact result should never have been
-			// persisted; refuse to launder it into the cache.
-			quarantine()
-			continue
-		}
-		cache.Put(pk.key(keySched, p.Machine), entry)
-		cache.Put(pk.key(keyTime, p.Machine), &timeEntry{timeCounters: p.Times})
-		ls.Loaded++
 	}
-	return ls, nil
+	// Content-address audit: the key recomputed from the entry's own
+	// contents must be the key it was filed under.
+	if pk.key(keyDisk, p.Machine) != k {
+		return quarantine()
+	}
+	entry := &schedEntry{
+		list: list, sync: sync, best: best,
+		backend:      p.Backend,
+		predictedT:   p.PredictedT,
+		predictedAtN: p.PredictedAt,
+		optimal:      p.Optimal,
+		lowerBound:   p.LowerBound,
+		searchNodes:  p.SearchNodes,
+		note:         p.Note,
+	}
+	if !entry.cacheable() {
+		// A budget-exhausted exact result should never have been
+		// persisted; refuse to launder it into the cache.
+		return quarantine()
+	}
+	if err := ctx.Err(); err != nil {
+		return loadScanned, err
+	}
+	// Pairing: the times describe the audited set, so they are published
+	// only beside it. The first writer of the schedule key wins; if that is
+	// a different verified set, the entry is stale.
+	if v, _ := l.cache.Put(schedKey, entry); !p.sameSet(v.(*schedEntry)) {
+		return loadStale, nil
+	}
+	l.cache.Put(pk.key(keyTime, p.Machine), &timeEntry{timeCounters: p.Times})
+	return loadLoaded, nil
+}
+
+// sameSet reports whether e holds the payload's schedule set: list, sync
+// and best each absent from both or present in both with byte-identical
+// issue rows.
+func (p *diskPayload) sameSet(e *schedEntry) bool {
+	return p.List.same(e.list) && p.Sync.same(e.sync) && p.Best.same(e.best)
+}
+
+// same reports whether d and s are both absent or have identical rows.
+func (d *diskSchedule) same(s *core.Schedule) bool {
+	if d == nil || s == nil {
+		return d == nil && s == nil
+	}
+	return slices.EqualFunc(d.Rows, s.Rows, slices.Equal[[]int])
 }

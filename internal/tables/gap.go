@@ -14,6 +14,7 @@ import (
 	"doacross/internal/exact"
 	"doacross/internal/lang"
 	"doacross/internal/model"
+	"doacross/internal/pipeline"
 	"doacross/internal/syncop"
 	"doacross/internal/tac"
 )
@@ -149,7 +150,7 @@ func RunGap(loops []GapLoop, opt GapOptions) (*GapResult, error) {
 	configs := opt.configs()
 	res := &GapResult{N: n, MaxNodes: budget}
 	res.Rows = make([]GapRow, len(loops)*len(configs))
-	err := fanOut(0, len(res.Rows), func(idx int) error {
+	err := pipeline.FanOut(0, len(res.Rows), func(idx int) error {
 		row, err := gapProblem(loops[idx/len(configs)], configs[idx%len(configs)], n, opt.MaxNodes)
 		res.Rows[idx] = row
 		return err

@@ -234,7 +234,7 @@ func RunParallelWith(suites []*perfect.Suite, baseline core.ListPriority, opt pi
 	// loop, and only the DOALL loops are analyzed here.
 	reuse := table1Compiles(opt.Compile)
 	res.Table1 = make([]perfect.Characteristics, len(suites))
-	err = fanOut(opt.Workers, len(suites)+len(batch.Loops), func(t int) error {
+	err = pipeline.FanOut(opt.Workers, len(suites)+len(batch.Loops), func(t int) error {
 		if t < len(suites) {
 			ch, err := suites[t].CharacteristicsWith(func(i int) (*dep.Analysis, *tac.Program) {
 				if b := batchOf[t][i]; reuse && b >= 0 {

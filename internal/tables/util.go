@@ -7,6 +7,7 @@ import (
 
 	"doacross/internal/core"
 	"doacross/internal/dlx"
+	"doacross/internal/pipeline"
 	"doacross/internal/sim"
 )
 
@@ -119,7 +120,7 @@ func RunUtil(loops []GapLoop, opt UtilOptions) (*UtilResult, error) {
 	configs := opt.configs()
 	res := &UtilResult{N: n}
 	res.Rows = make([]UtilRow, len(loops)*len(configs))
-	err := fanOut(0, len(res.Rows), func(idx int) error {
+	err := pipeline.FanOut(0, len(res.Rows), func(idx int) error {
 		row, err := utilProblem(loops[idx/len(configs)], configs[idx%len(configs)], n)
 		res.Rows[idx] = row
 		return err
