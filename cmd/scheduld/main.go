@@ -10,7 +10,7 @@
 //	scheduld -inflight 8 -queue 32          # admission bound + bounded queue
 //	scheduld -breaker-threshold 5 -breaker-cooldown 30s
 //	scheduld -request-timeout 30s -drain 10s
-//	scheduld -backend exact -j 4 -n 100
+//	scheduld -backend exact -n 100
 //	scheduld -log info -flight-dir /var/log/scheduld -machine-obs
 //
 // Endpoints: POST /v1/schedule, GET /healthz, /metrics, /stats,
@@ -54,7 +54,6 @@ func run() int {
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline, queue wait included (0 = 30s, negative = none)")
 	drain := flag.Duration("drain", 10*time.Second, "shutdown drain budget for admitted requests")
 	backend := flag.String("backend", "", "default scheduling backend: "+strings.Join(passes.BackendNames(), ", ")+" (default sync)")
-	jobs := flag.Int("j", 0, "accepted for compatibility and ignored: each flight runs its one request on one goroutine")
 	n := flag.Int("n", 0, "default trip count (0 = 100, the paper's)")
 	logLevel := flag.String("log", "", "structured decision log level on stderr: debug, info, warn, error (\"\" = off; the flight recorder records regardless)")
 	flightDir := flag.String("flight-dir", "", "directory for triggered flight-recorder dumps (\"\" = stderr)")
@@ -72,7 +71,7 @@ func run() int {
 		logger = slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: lv}))
 	}
 
-	popt := pipeline.Options{Workers: *jobs, N: *n, Utilization: *machineObs}
+	popt := pipeline.Options{N: *n, Utilization: *machineObs}
 	popt.Compile.Backend = *backend
 	srv, err := server.New(server.Config{
 		Pipeline:         popt,

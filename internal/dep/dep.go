@@ -168,7 +168,7 @@ func Analyze(loop *lang.Loop) *Analysis { return AnalyzeOpts(loop, Options{}) }
 // AnalyzeOpts computes all dependences of the loop under the given options.
 func AnalyzeOpts(loop *lang.Loop, opt Options) *Analysis {
 	refs := collectRefs(loop)
-	a := &Analysis{Loop: loop, Deps: make([]Dependence, 0, 2*len(refs)), opt: opt}
+	a := &Analysis{Loop: loop, opt: opt}
 	if lo, ok := lang.ConstInt(loop.Lo); ok {
 		if hi, ok := lang.ConstInt(loop.Hi); ok {
 			a.lo, a.hi, a.bounded = lo, hi, lo <= hi
@@ -190,6 +190,23 @@ func AnalyzeOpts(loop *lang.Loop, opt Options) *Analysis {
 	if !grouped {
 		sort.Stable(refsByVar(refs))
 	}
+	// Each write pairs with every read and every other write of its
+	// variable, and each pair is recorded once. A fixed-location web emits
+	// two dependences per pair and most array pairs one, so twice the pair
+	// count holds the dependences of every Perfect and kernel loop.
+	npairs, w, r := 0, 0, 0
+	for i, ref := range refs {
+		if i > 0 && refLess(refs[i-1], ref) {
+			w, r = 0, 0
+		}
+		if ref.Write {
+			npairs, w = npairs+w+r, w+1
+		} else {
+			npairs, r = npairs+w, r+1
+		}
+	}
+	a.Deps = make([]Dependence, 0, 2*npairs)
+	a.Pairs = make([]PairDecision, 0, npairs)
 	forms := subscriptForms(loop, refs)
 	for i := 0; i < len(refs); {
 		j := i + 1

@@ -619,7 +619,7 @@ func Run(reqs []Request, opt Options) (*Batch, error) {
 // Options.RequestTimeout each request. When the context expires, the
 // requests cut off fail individually with the context's error — results are
 // still returned for every request, in request order. The batch runs over a
-// Service of its own, each worker with a fresh scheduler scratch.
+// Service of its own, its requests fanned out over the workers by FanOut.
 func RunContext(ctx context.Context, reqs []Request, opt Options) (*Batch, error) {
 	svc, err := newService(opt)
 	if err != nil {
@@ -632,66 +632,43 @@ func RunContext(ctx context.Context, reqs []Request, opt Options) (*Batch, error
 		defer cancel()
 	}
 	batch := &Batch{Loops: make([]LoopResult, len(reqs))}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	workers := opt.workers()
-	if workers > len(reqs) && len(reqs) > 0 {
-		workers = len(reqs)
-	}
+	workers := min(opt.workers(), len(reqs))
 	bspan := rec.Start(obs.KindBatch, "batch", obs.Span{})
 	metrics.QueueAdd(int64(len(reqs)))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One scheduler scratch per worker: scheduling cache misses reuse
-			// its buffers across requests (results are cloned before they are
-			// published, so entries never alias scratch storage).
-			sc := core.NewScratch()
-			for i := range jobs {
-				metrics.QueueAdd(-1)
-				metrics.WorkerStart()
-				batch.Loops[i] = svc.runOne(ctx, rec, bspan, i, reqs[i], sc)
-				metrics.WorkerDone()
-			}
-		}()
-	}
-feed:
-	for i := range reqs {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			// The batch is cut off: fail the requests not yet handed to a
-			// worker (workers notice the same context between stages).
-			for j := i; j < len(reqs); j++ {
-				name := reqs[j].name(j)
-				metrics.QueueAdd(-1)
-				batch.Loops[j] = LoopResult{
-					Index: j, Name: name, N: reqs[j].N,
-					Err: ctxErr(ctx, name, metrics),
-				}
-			}
-			break feed
+	FanOut(workers, len(reqs), func(i int) error {
+		metrics.QueueAdd(-1)
+		if ctx.Err() != nil {
+			// The batch is cut off: fail the request without running a stage.
+			name := reqs[i].name(i)
+			batch.Loops[i] = LoopResult{Index: i, Name: name, N: reqs[i].N,
+				Err: ctxErr(ctx, name, metrics)}
+			return nil
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	failed := 0
-	for i := range batch.Loops {
-		if batch.Loops[i].Err != nil {
-			failed++
-		}
-	}
-	endBatch(rec, &bspan, len(reqs), workers, failed)
+		batch.Loops[i] = svc.runOne(ctx, rec, bspan, i, reqs[i])
+		return nil
+	})
+	endBatch(rec, &bspan, workers, batch.Loops)
 	batch.Stats = metrics.Stats()
 	return batch, nil
 }
 
+// scratchPool holds the scheduler scratches of batches and Service.Run
+// calls. Scheduling cache misses reuse a scratch's buffers across requests
+// (results are cloned before they are published, so entries never alias
+// scratch storage), and a scratch serves one request at a time.
+var scratchPool = sync.Pool{New: func() any { return core.NewScratch() }}
+
 // endBatch finishes a batch span with its request, worker and failure
 // counts.
-func endBatch(rec *obs.Recorder, sp *obs.Span, requests, workers, failed int) {
+func endBatch(rec *obs.Recorder, sp *obs.Span, workers int, loops []LoopResult) {
+	failed := 0
+	for i := range loops {
+		if loops[i].Err != nil {
+			failed++
+		}
+	}
 	rec.End(sp, nil,
-		obs.I("requests", int64(requests)),
+		obs.I("requests", int64(len(loops))),
 		obs.I("workers", int64(workers)),
 		obs.I("failed", int64(failed)))
 }
@@ -750,15 +727,18 @@ func (r Request) validate(idx int) *diag.Diagnostic {
 	return nil
 }
 
-// runOne pushes one request through compile → schedule → check → simulate,
-// recording its spans into rec under the batch span bspan. sc is the
-// caller's reusable scheduler scratch (used by one goroutine at a time).
-func (s *Service) runOne(ctx context.Context, rec *obs.Recorder, bspan obs.Span, idx int, req Request, sc *core.Scratch) LoopResult {
-	r := runner{Service: s, sc: sc, rec: rec, reqID: req.ID,
+// runOne pushes one request through compile → schedule → check → simulate
+// with a scheduler scratch from the pool, recording its spans into rec under
+// the batch span bspan.
+func (s *Service) runOne(ctx context.Context, rec *obs.Recorder, bspan obs.Span, idx int, req Request) LoopResult {
+	r := runner{Service: s, sc: scratchPool.Get().(*core.Scratch), rec: rec, reqID: req.ID,
 		res: LoopResult{Index: idx, Name: req.name(idx), N: req.N}}
+	s.metrics.WorkerStart()
 	r.rspan = rec.Start(obs.KindRequest, r.res.Name, bspan)
 	r.res.Err = r.run(ctx, req)
 	r.endSpan(&r.rspan, r.res.Err, nil)
+	s.metrics.WorkerDone()
+	scratchPool.Put(r.sc)
 	return r.res
 }
 

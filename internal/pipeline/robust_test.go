@@ -8,10 +8,12 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -39,35 +41,40 @@ func sleepHook(stage string, d time.Duration) func(string, string) error {
 	}
 }
 
-// TestCancelMidBatch: cancelling the batch context returns promptly with
-// every result slot filled in request order — completed requests intact,
-// cut-off requests failed with the context error.
-func TestCancelMidBatch(t *testing.T) {
-	reqs := reqsFor(corpus(40))
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(60 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	b, err := RunContext(ctx, reqs, Options{
-		Workers:   2,
-		FaultHook: sleepHook(StageSchedule, 20*time.Millisecond),
-	})
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
+// probeLog records which requests reached a fault probe, that is, ran a
+// compilation pass or a stage.
+type probeLog struct {
+	mu  sync.Mutex
+	ran map[string]bool
+}
+
+// hook wraps next so that every probe is recorded before it runs.
+func (p *probeLog) hook(next func(string, string) error) func(string, string) error {
+	p.ran = map[string]bool{}
+	return func(stage, name string) error {
+		p.mu.Lock()
+		p.ran[name] = true
+		p.mu.Unlock()
+		return next(stage, name)
 	}
-	if elapsed >= time.Second {
-		t.Errorf("cancelled batch took %v, want < 1s", elapsed)
-	}
-	if len(b.Loops) != len(reqs) {
-		t.Fatalf("got %d results for %d requests", len(b.Loops), len(reqs))
-	}
-	done, cut := 0, 0
+}
+
+// checkCutOff holds a batch cut off by an expired context to the contract:
+// every result in request order, completed requests intact, the others
+// failed with want (one timeout each), and every request that ran no stage
+// among the failed ones. It returns how many completed, how many were cut
+// off and how many of those ran no stage.
+func checkCutOff(t *testing.T, b *Batch, ran map[string]bool, want error) (done, cut, unrun int) {
+	t.Helper()
 	for i, lr := range b.Loops {
 		if lr.Index != i {
 			t.Fatalf("result %d has Index %d: order not preserved", i, lr.Index)
+		}
+		if !ran[lr.Name] {
+			unrun++
+			if lr.Err == nil {
+				t.Errorf("request %s completed without running a stage", lr.Name)
+			}
 		}
 		if lr.Err == nil {
 			done++
@@ -77,44 +84,112 @@ func TestCancelMidBatch(t *testing.T) {
 			continue
 		}
 		cut++
-		if !errors.Is(lr.Err, context.Canceled) {
-			t.Errorf("request %s failed with %v, want context.Canceled", lr.Name, lr.Err)
+		if !errors.Is(lr.Err, want) {
+			t.Errorf("request %s failed with %v, want %v", lr.Name, lr.Err, want)
 		}
 	}
-	if done == 0 || cut == 0 {
-		t.Errorf("cancellation not mid-batch: %d done, %d cut off", done, cut)
+	if b.Stats.Timeouts != int64(cut) {
+		t.Errorf("timeouts counter = %d, want %d", b.Stats.Timeouts, cut)
 	}
-	if b.Stats.Timeouts == 0 {
-		t.Error("timeouts counter not bumped by cancellation")
+	return done, cut, unrun
+}
+
+// TestCancelMidBatch: cancelling the batch context returns promptly with
+// every result slot filled in request order — completed requests intact,
+// cut-off requests failed with the context error, and those claimed after
+// the cancellation failed without running a stage.
+func TestCancelMidBatch(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprint(workers), func(t *testing.T) {
+			reqs := reqsFor(corpus(40))
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				time.Sleep(60 * time.Millisecond)
+				cancel()
+			}()
+			var probes probeLog
+			start := time.Now()
+			b, err := RunContext(ctx, reqs, Options{
+				Workers:   workers,
+				FaultHook: probes.hook(sleepHook(StageSchedule, 20*time.Millisecond)),
+			})
+			elapsed := time.Since(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if elapsed >= time.Second {
+				t.Errorf("cancelled batch took %v, want < 1s", elapsed)
+			}
+			if len(b.Loops) != len(reqs) {
+				t.Fatalf("got %d results for %d requests", len(b.Loops), len(reqs))
+			}
+			done, cut, unrun := checkCutOff(t, b, probes.ran, context.Canceled)
+			if done == 0 || cut == 0 || unrun == 0 {
+				t.Errorf("cancellation not mid-batch: %d done, %d cut off, %d of them claimed after it", done, cut, unrun)
+			}
+		})
 	}
 }
 
 // TestBatchDeadline: Options.Deadline cuts the batch off the same way an
-// external cancellation does.
+// external cancellation does. (At eight workers this batch beats the
+// deadline; TestExpiredBatch covers eight.)
 func TestBatchDeadline(t *testing.T) {
-	b, err := Run(reqsFor(corpus(30)), Options{
-		Workers:   2,
-		Deadline:  70 * time.Millisecond,
-		FaultHook: sleepHook(StageSchedule, 15*time.Millisecond),
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprint(workers), func(t *testing.T) {
+			var probes probeLog
+			b, err := Run(reqsFor(corpus(30)), Options{
+				Workers:   workers,
+				Deadline:  70 * time.Millisecond,
+				FaultHook: probes.hook(sleepHook(StageSchedule, 15*time.Millisecond)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done, cut, unrun := checkCutOff(t, b, probes.ran, context.DeadlineExceeded)
+			if done == 0 || cut == 0 || unrun == 0 {
+				t.Errorf("deadline not mid-batch: %d done, %d cut off, %d of them claimed after it", done, cut, unrun)
+			}
+		})
 	}
-	done, cut := 0, 0
-	for _, lr := range b.Loops {
-		if lr.Err == nil {
-			done++
-		} else if errors.Is(lr.Err, context.DeadlineExceeded) {
-			cut++
+}
+
+// TestExpiredBatch: a batch whose context has already expired fails every
+// request with the context's error, in request order, without running a
+// stage, and counts one timeout each, at any worker count.
+func TestExpiredBatch(t *testing.T) {
+	reqs := reqsFor(corpus(12))
+	reqs[3].N = 37
+	for _, want := range []error{context.Canceled, context.DeadlineExceeded} {
+		// Cancelling a context that is already past its deadline leaves its
+		// error DeadlineExceeded.
+		var ctx context.Context
+		var cancel context.CancelFunc
+		if want == context.Canceled {
+			ctx, cancel = context.WithCancel(context.Background())
 		} else {
-			t.Errorf("request %s failed with %v, want context.DeadlineExceeded", lr.Name, lr.Err)
+			ctx, cancel = context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 		}
-	}
-	if done == 0 || cut == 0 {
-		t.Errorf("deadline not mid-batch: %d done, %d cut off", done, cut)
-	}
-	if b.Stats.Timeouts != int64(cut) {
-		t.Errorf("timeouts counter = %d, want %d", b.Stats.Timeouts, cut)
+		cancel()
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("%v/%d", want, workers), func(t *testing.T) {
+				var probes probeLog
+				b, err := RunContext(ctx, reqs, Options{Workers: workers, FaultHook: probes.hook(
+					func(string, string) error { return nil })})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if done, cut, unrun := checkCutOff(t, b, probes.ran, want); done != 0 || cut != len(reqs) || unrun != len(reqs) {
+					t.Errorf("%d done, %d cut off, %d without a stage; want all %d cut off without one", done, cut, unrun, len(reqs))
+				}
+				for i, lr := range b.Loops {
+					if lr.Name != reqs[i].name(i) || lr.N != reqs[i].N || lr.Machines != nil {
+						t.Errorf("result %d = (%q n=%d, %d machines), want (%q n=%d) and no machines",
+							i, lr.Name, lr.N, len(lr.Machines), reqs[i].name(i), reqs[i].N)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -6,21 +6,19 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
-	"doacross/internal/core"
 	"doacross/internal/dfg"
 	"doacross/internal/dlx"
 	"doacross/internal/obs"
 )
 
 // Service runs requests through the pipeline under one set of options,
-// prepared once: the options are validated, the compile and scheduler
+// prepared once: the options are validated, and the compile and scheduler
 // cache-key salts and the request-independent part of every request key are
-// rendered, and scheduler scratches are pooled across calls. A long-running
-// caller (the scheduld daemon) builds one per configuration and then pays
-// per request only for the loop; RunContext runs each batch over a Service
-// of its own. A Service is safe for concurrent use.
+// rendered. A long-running caller (the scheduld daemon) builds one per
+// configuration and then pays per request only for the loop; RunContext
+// runs each batch over a Service of its own. A Service is safe for
+// concurrent use.
 type Service struct {
 	opt      Options
 	machines []dlx.Config
@@ -31,8 +29,6 @@ type Service struct {
 	// not depend on the request: the key tag with both salts, and the
 	// machines (see Key).
 	keyHead, keyMachines string
-	// scratch holds the scheduler scratches of Run calls.
-	scratch sync.Pool
 }
 
 // NewService validates opt (see Options.Validate) and prepares a Service
@@ -66,7 +62,6 @@ func newService(opt Options) (*Service, error) {
 	return &Service{
 		opt: opt, machines: opt.machines(), metrics: metrics,
 		compileSalt: opt.compileSalt(), schedSalt: opt.salt(),
-		scratch: sync.Pool{New: func() any { return core.NewScratch() }},
 	}, nil
 }
 
@@ -117,15 +112,7 @@ func (s *Service) Run(ctx context.Context, req Request, rec *obs.Recorder) LoopR
 		defer cancel()
 	}
 	bspan := rec.Start(obs.KindBatch, "batch", obs.Span{})
-	sc := s.scratch.Get().(*core.Scratch)
-	s.metrics.WorkerStart()
-	res := s.runOne(ctx, rec, bspan, 0, req, sc)
-	s.metrics.WorkerDone()
-	s.scratch.Put(sc)
-	failed := 0
-	if res.Err != nil {
-		failed = 1
-	}
-	endBatch(rec, &bspan, 1, 1, failed)
+	res := s.runOne(ctx, rec, bspan, 0, req)
+	endBatch(rec, &bspan, 1, []LoopResult{res})
 	return res
 }

@@ -149,7 +149,7 @@ type LoadStats struct {
 	// check and were published to the in-memory cache.
 	Scanned, Loaded int
 	// Stale counts well-formed entries skipped and left on disk: those
-	// produced under different options (salts or window) than opt's, and
+	// produced under other options than opt's (see LoadDisk), and
 	// verified entries whose schedule key is bound to a different verified
 	// set, so that their simulated times would be served beside schedules
 	// they do not describe. The next live request at such an entry's trip
@@ -176,8 +176,9 @@ func (ls LoadStats) String() string {
 // depend on scheduling. Every entry is re-earned, never trusted:
 //
 //  1. The store's checksum and header must validate (torn writes, bit rot).
-//  2. The entry's option salts and window must match opt's — entries
-//     written under other configurations are skipped as stale.
+//  2. The entry's compile salt and window must be opt's, and its
+//     scheduler salt opt's under any backend (passes.BackendNames);
+//     entries written under other options are skipped as stale.
 //  3. The loop source is recompiled through the compile memo in cache:
 //     the first compilation published is the one every entry of that
 //     source (an entry's siblings at other trip counts) is checked against.
@@ -221,7 +222,11 @@ func LoadDisk(ctx context.Context, d *DiskStore, cache *Cache, opt Options) (Loa
 	popts.Observer = nil
 	popts.Request = ""
 	l := &loader{d: d, cache: cache, popts: popts, window: opt.Window,
-		compileSalt: opt.compileSalt(), schedSalt: opt.salt()}
+		compileSalt: opt.compileSalt()}
+	for _, b := range passes.BackendNames() {
+		opt.Compile.Backend = b
+		l.schedSalts = append(l.schedSalts, opt.salt())
+	}
 	outcomes := make([]loadOutcome, len(keys))
 	err = FanOut(0, len(keys), func(i int) (err error) {
 		if err = ctx.Err(); err == nil {
@@ -268,9 +273,10 @@ type loader struct {
 	d     *DiskStore
 	cache *Cache
 	// popts compiles untraced and unprobed.
-	popts                  passes.Options
-	compileSalt, schedSalt string
-	window                 int
+	popts       passes.Options
+	compileSalt string
+	schedSalts  []string // opt's scheduler salt under every backend
+	window      int
 }
 
 // load re-earns the entry filed under k (see LoadDisk). Its error is
@@ -297,7 +303,7 @@ func (l *loader) load(ctx context.Context, k dfg.Fingerprint) (loadOutcome, erro
 	if err := json.Unmarshal(payload, &p); err != nil {
 		return quarantine()
 	}
-	if p.CompileSalt != l.compileSalt || p.SchedSalt != l.schedSalt || p.Window != l.window {
+	if p.CompileSalt != l.compileSalt || !slices.Contains(l.schedSalts, p.SchedSalt) || p.Window != l.window {
 		return loadStale, nil
 	}
 	if p.Source == "" || p.Sync == nil || p.List == nil || p.N < 1 || p.N > MaxTrip ||
@@ -319,7 +325,7 @@ func (l *loader) load(ctx context.Context, k dfg.Fingerprint) (loadOutcome, erro
 		v, _ = l.cache.Put(srcKey, newCompileEntry(pctx, l.popts.Verify))
 	}
 	compiled := v.(*compileEntry)
-	pk := keySet{fp: compiled.fp, schedSalt: l.schedSalt, exSalt: p.ExactSalt,
+	pk := keySet{fp: compiled.fp, schedSalt: p.SchedSalt, exSalt: p.ExactSalt,
 		n: p.N, window: p.Window}
 	schedKey := pk.key(keySched, p.Machine)
 	var list, sync, best *core.Schedule

@@ -571,6 +571,46 @@ func TestServerWarmRestart(t *testing.T) {
 	}
 }
 
+// TestServerWarmRestartEveryBackend: a tier written by default requests and
+// by requests that name another backend restarts whole, nothing stale, and
+// the restarted daemon answers the other backend's request from memory,
+// scheduling and simulating nothing.
+func TestServerWarmRestartEveryBackend(t *testing.T) {
+	dir := t.TempDir()
+	reqs := []ScheduleRequest{
+		{Name: "fig1", Source: fig1},
+		{Name: "fig1-best", Source: fig1, Backend: "best"},
+	}
+	s1 := newTestServer(t, Config{DiskDir: dir})
+	cold := make([]*ScheduleResponse, len(reqs))
+	for i, req := range reqs {
+		w, body := post(t, s1.Handler(), req, nil)
+		cold[i] = decodeOK(t, w, body)
+	}
+	if err := s1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, Config{DiskDir: dir})
+	if ls := s2.LoadStats(); ls.Loaded != len(reqs) || ls.Stale != 0 || ls.Corrupt != 0 {
+		t.Fatalf("warm start %s, want loaded=%d stale=0 corrupt=0", ls, len(reqs))
+	}
+	w, body := post(t, s2.Handler(), reqs[1], nil)
+	warm := decodeOK(t, w, body)
+	if m := warm.Machines[0]; !m.CacheHit || m.Backend != "best" {
+		t.Errorf("restarted daemon served backend %q, cache hit %v; want a best hit", m.Backend, m.CacheHit)
+	}
+	if warm.Key != cold[1].Key || warm.Machines[0].SyncTime != cold[1].Machines[0].SyncTime {
+		t.Error("warm answer differs from the cold answer")
+	}
+	st := s2.Metrics().Stats()
+	for _, stage := range []string{pipeline.StageSchedule, pipeline.StageSimulate} {
+		if n := st.Stage(stage).Count; n != 0 {
+			t.Errorf("warm best request ran %s %d times, want 0", stage, n)
+		}
+	}
+}
+
 // TestNetFaults: an injected network delay serves slow, not wrong — the
 // request still answers 200 and the injection is counted.
 func TestNetFaults(t *testing.T) {
