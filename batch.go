@@ -93,7 +93,7 @@ func NewBoundedScheduleCache(capacity int) *ScheduleCache {
 
 // NewAdminServer wires an admin server over a metrics registry and a span
 // recorder (either may be nil; the corresponding endpoints then 404).
-// Start it with Serve(addr string) — e.g. ":8080" or ":0" — and stop it
+// Start it with Start(addr string) — e.g. ":8080" or ":0" — and stop it
 // with Close.
 func NewAdminServer(metrics *BatchMetrics, rec *TraceRecorder) *AdminServer {
 	srv := &AdminServer{Recorder: rec}

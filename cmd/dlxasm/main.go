@@ -11,10 +11,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"doacross"
+	"doacross/internal/cliutil"
 )
 
 func main() {
@@ -24,7 +24,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "data seed")
 	flag.Parse()
 
-	src, err := readInput(flag.Arg(0))
+	src, err := cliutil.ReadInput(flag.Arg(0))
 	if err != nil {
 		fail(err)
 	}
@@ -69,15 +69,6 @@ func main() {
 	check("sequential binary run", seq)
 	check("parallel binary run", par)
 	fmt.Printf("parallel run: %d cycles, %d stall processor-cycles\n", res.Cycles, res.Stalls)
-}
-
-func readInput(path string) (string, error) {
-	if path == "" || path == "-" {
-		b, err := io.ReadAll(os.Stdin)
-		return string(b), err
-	}
-	b, err := os.ReadFile(path)
-	return string(b), err
 }
 
 func fail(err error) {

@@ -13,10 +13,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"doacross"
+	"doacross/internal/cliutil"
 )
 
 func main() {
@@ -29,7 +29,7 @@ func main() {
 	window := flag.Int("window", 0, "signal hardware window (0 = unbounded)")
 	flag.Parse()
 
-	src, err := readInput(flag.Arg(0))
+	src, err := cliutil.ReadInput(flag.Arg(0))
 	if err != nil {
 		fail(err)
 	}
@@ -93,15 +93,6 @@ func main() {
 		fail(fmt.Errorf("parallel result differs from sequential execution: %s", d))
 	}
 	fmt.Println("memory check:     parallel result matches sequential execution")
-}
-
-func readInput(path string) (string, error) {
-	if path == "" || path == "-" {
-		b, err := io.ReadAll(os.Stdin)
-		return string(b), err
-	}
-	b, err := os.ReadFile(path)
-	return string(b), err
 }
 
 func fail(err error) {

@@ -20,7 +20,8 @@
 // function-unit tracks) are merged into the Chrome trace next to the
 // pipeline spans.
 //
-// With no file, the loops are read from standard input. Example loop:
+// With no file, or "-", the loops are read from standard input. Example
+// loop:
 //
 //	DO I = 1, N
 //	  S1: B[I] = A[I-2] + E[I+1]
@@ -54,7 +55,7 @@ func main() {
 	cf := cliutil.Register(flag.CommandLine)
 	flag.Parse()
 
-	src, err := readInput(flag.Arg(0))
+	src, err := cliutil.ReadInput(flag.Arg(0))
 	if err != nil {
 		fail(err)
 	}
@@ -96,17 +97,7 @@ func main() {
 		Deadline: cf.Timeout,
 		Observer: ob.Recorder,
 	}
-	var batch *doacross.Batch
-	if file, perr := doacross.ParseSource(src); perr == nil {
-		batch, err = doacross.ScheduleAllLoops(file.Loops, bopts)
-	} else if chunks := splitLoops(src); len(chunks) > 1 {
-		// A malformed loop fails file-level parsing outright; resubmit the
-		// input one loop chunk at a time so the bad loop fails alone and
-		// the rest of the batch still runs.
-		batch, err = doacross.ScheduleAll(chunks, bopts)
-	} else {
-		fail(perr)
-	}
+	batch, err := cliutil.ScheduleSource(src, bopts)
 	if err != nil {
 		fail(err)
 	}
@@ -281,37 +272,6 @@ func printSpans(s *doacross.Schedule) {
 		fmt.Printf("  pair %s d=%d: wait@%d send@%d  %s (span %d)\n",
 			p.Signal, p.Distance, p.WaitCycle, p.SendCycle, kind, p.Span())
 	}
-}
-
-// splitLoops cuts a source file into per-loop chunks on ENDDO lines, so a
-// loop that cannot parse can be isolated from its neighbours.
-func splitLoops(src string) []string {
-	var out []string
-	var cur []string
-	flush := func() {
-		chunk := strings.Join(cur, "\n")
-		if strings.TrimSpace(chunk) != "" {
-			out = append(out, chunk)
-		}
-		cur = nil
-	}
-	for _, line := range strings.Split(src, "\n") {
-		cur = append(cur, line)
-		if strings.EqualFold(strings.TrimSpace(line), "ENDDO") {
-			flush()
-		}
-	}
-	flush()
-	return out
-}
-
-func readInput(path string) (string, error) {
-	if path == "" {
-		b, err := io.ReadAll(os.Stdin)
-		return string(b), err
-	}
-	b, err := os.ReadFile(path)
-	return string(b), err
 }
 
 func fail(err error) {

@@ -11,9 +11,10 @@
 //
 //	schedlint [-q] [-j 8] [-stats] [-trace] [-serve :8080] [file]
 //
-// With no file, the loops are read from standard input. Input may contain
-// several loops back to back; all of them are compiled and linted
-// concurrently by the batch pipeline. Example finding:
+// With no file, or "-", the loops are read from standard input. Input may
+// contain several loops back to back; all of them are compiled and linted
+// concurrently by the batch pipeline, and a loop that does not parse fails
+// alone. Example finding:
 //
 //	loop1: error: lint: line 2 col 3: statement S1: static deadlock:
 //	Wait_Signal(S2, I-1) has no matching Send_Signal(S2)
@@ -22,9 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"doacross"
 	"doacross/internal/cliutil"
@@ -35,7 +34,7 @@ func main() {
 	cf := cliutil.Register(flag.CommandLine)
 	flag.Parse()
 
-	src, err := readInput(flag.Arg(0))
+	src, err := cliutil.ReadInput(flag.Arg(0))
 	if err != nil {
 		fail(err)
 	}
@@ -53,17 +52,7 @@ func main() {
 		Deadline: cf.Timeout,
 		Observer: ob.Recorder,
 	}
-	var batch *doacross.Batch
-	if file, perr := doacross.ParseSource(src); perr == nil {
-		batch, err = doacross.ScheduleAllLoops(file.Loops, bopts)
-	} else if chunks := splitLoops(src); len(chunks) > 1 {
-		// A malformed loop fails file-level parsing outright; resubmit the
-		// input one loop chunk at a time so the bad loop fails alone and the
-		// rest is still linted.
-		batch, err = doacross.ScheduleAll(chunks, bopts)
-	} else {
-		fail(perr)
-	}
+	batch, err := cliutil.ScheduleSource(src, bopts)
 	if err != nil {
 		fail(err)
 	}
@@ -100,37 +89,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "schedlint:", err)
 	}
 	os.Exit(code)
-}
-
-// splitLoops cuts a source file into per-loop chunks on ENDDO lines, so a
-// loop that cannot parse can be isolated from its neighbours.
-func splitLoops(src string) []string {
-	var out []string
-	var cur []string
-	flush := func() {
-		chunk := strings.Join(cur, "\n")
-		if strings.TrimSpace(chunk) != "" {
-			out = append(out, chunk)
-		}
-		cur = nil
-	}
-	for _, line := range strings.Split(src, "\n") {
-		cur = append(cur, line)
-		if strings.EqualFold(strings.TrimSpace(line), "ENDDO") {
-			flush()
-		}
-	}
-	flush()
-	return out
-}
-
-func readInput(path string) (string, error) {
-	if path == "" {
-		b, err := io.ReadAll(os.Stdin)
-		return string(b), err
-	}
-	b, err := os.ReadFile(path)
-	return string(b), err
 }
 
 func fail(err error) {

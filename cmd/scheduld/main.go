@@ -14,13 +14,15 @@
 //	scheduld -log info -flight-dir /var/log/scheduld -machine-obs
 //
 // Endpoints: POST /v1/schedule, GET /healthz, /metrics, /stats,
-// /debug/flightrecord. Every request carries a correlation ID (the client's
-// X-Request-Id, or a minted one), echoed on the response and keyed into
-// every structured log line; the always-on flight recorder dumps its ring
-// as JSONL on panic, deadline breach, breaker-open — and on SIGQUIT, for
-// live inspection without stopping the daemon. On SIGTERM (or SIGINT) the
-// daemon drains: admitted requests finish within -drain, new ones are shed
-// with 503 + Retry-After, the disk tier is flushed.
+// /debug/flightrecord and /debug/pprof/, on one listener: the admin routes
+// are internal/obs's, the same surface the batch CLIs serve with -serve.
+// Every request carries a correlation ID (the client's X-Request-Id, or a
+// minted one), echoed on the response and keyed into every structured log
+// line; the always-on flight recorder dumps its ring as JSONL on panic,
+// deadline breach, breaker-open — and on SIGQUIT, for live inspection
+// without stopping the daemon. On SIGTERM (or SIGINT) the daemon drains:
+// admitted requests finish within -drain, new ones are shed with 503 +
+// Retry-After, the disk tier is flushed.
 package main
 
 import (
@@ -100,7 +102,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "scheduld: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "scheduld: serving on http://%s (/v1/schedule /healthz /metrics /stats /debug/flightrecord)\n", bound)
+	fmt.Fprintf(os.Stderr, "scheduld: serving on http://%s (/v1/schedule /healthz /metrics /stats /debug/flightrecord /debug/pprof/)\n", bound)
 
 	// SIGQUIT dumps the flight recorder without stopping the daemon.
 	quit := make(chan os.Signal, 1)

@@ -170,9 +170,8 @@ func (o *Observability) machineEvents() []obs.Event {
 
 // Observability starts the observability side requested by the flags: a
 // span recorder when -serve or -trace-out is set, plus the admin server
-// (publishing metrics to expvar as well) when -serve is set. The bound
-// address is announced on w (so scripts can scrape ":0" runs). Callers must
-// Close the result.
+// when -serve is set. The bound address is announced on w (so scripts can
+// scrape ":0" runs). Callers must Close the result.
 func (f *Flags) Observability(metrics *pipeline.Metrics, w io.Writer) (*Observability, error) {
 	if w == nil {
 		w = os.Stderr
@@ -185,7 +184,6 @@ func (f *Flags) Observability(metrics *pipeline.Metrics, w io.Writer) (*Observab
 	if f.Serve == "" {
 		return o, nil
 	}
-	metrics.PublishExpvar("")
 	o.Server = &obs.Server{
 		Recorder: o.Recorder,
 		Metrics:  metrics.WritePrometheus,
@@ -197,7 +195,7 @@ func (f *Flags) Observability(metrics *pipeline.Metrics, w io.Writer) (*Observab
 		return nil, err
 	}
 	o.Addr = addr.String()
-	fmt.Fprintf(w, "obs: serving on http://%s (/metrics /stats /trace /healthz /debug/pprof)\n", o.Addr)
+	fmt.Fprintf(w, "obs: serving on http://%s (/metrics /stats /trace /trace.jsonl /healthz /debug/pprof/)\n", o.Addr)
 	return o, nil
 }
 

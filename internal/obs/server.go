@@ -8,10 +8,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strings"
+	"sync"
 	"time"
 )
 
-// Server is the opt-in HTTP admin surface of a pipeline run. It serves:
+// Server is the HTTP admin surface of the CLIs' pipeline runs and of
+// scheduld. It serves:
 //
 //	/metrics      Prometheus text-format exposition (Metrics hook)
 //	/stats        JSON snapshot of the pipeline stats (Stats hook)
@@ -21,8 +24,9 @@ import (
 //	/debug/pprof  the standard net/http/pprof handlers
 //
 // The hooks keep the package decoupled from internal/pipeline: the caller
-// (internal/cliutil, or any embedder) wires in whatever registry it uses.
-// Hooks left nil make the corresponding endpoint return 404.
+// (internal/cliutil, internal/server, or any embedder) wires in whatever
+// registry it uses. Hooks left nil make the corresponding endpoint return
+// 404; an embedder mounts its own routes on the mux Handler returns.
 type Server struct {
 	// Recorder supplies the spans for /trace and /trace.jsonl (nil: 404).
 	Recorder *Recorder
@@ -30,33 +34,68 @@ type Server struct {
 	Metrics func(w io.Writer)
 	// Stats returns the JSON-marshalable snapshot for /stats.
 	Stats func() any
+	// Health adds the embedder's fields to the /healthz body, which holds
+	// "status" ("ok"), "uptime_seconds" and, with a Recorder, the span
+	// buffer's occupancy. It may overwrite "status" (nil: those only).
+	Health func(fields map[string]any)
 	// Extra supplies pre-built events (machine timelines from the simulator
 	// tracer) merged into /trace alongside the recorded spans (nil: spans
 	// only).
 	Extra func() []Event
 
+	once  sync.Once
+	mux   *http.ServeMux
 	start time.Time
 	srv   *http.Server
-	ln    net.Listener
 }
 
-// Handler builds the admin mux.
-func (s *Server) Handler() http.Handler {
-	if s.start.IsZero() {
+// Handler returns the admin mux, built on the first call; uptime counts
+// from then. Two patterns route every admin endpoint, so an embedder's own
+// patterns take precedence over the catch-all "/". Each ServeMux
+// registration looks up its caller (a few microseconds), and scheduld
+// builds this mux every time it starts.
+func (s *Server) Handler() *http.ServeMux {
+	s.once.Do(func() {
 		s.start = time.Now()
+		s.mux = http.NewServeMux()
+		s.mux.HandleFunc("/", s.serveAdmin)
+		s.mux.HandleFunc("/debug/pprof/", servePprof)
+	})
+	return s.mux
+}
+
+// serveAdmin routes the admin endpoints outside /debug/pprof/.
+func (s *Server) serveAdmin(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case "/healthz":
+		s.handleHealthz(w, r)
+	case "/metrics":
+		s.handleMetrics(w, r)
+	case "/stats":
+		s.handleStats(w, r)
+	case "/trace":
+		s.handleTrace(w, r)
+	case "/trace.jsonl":
+		s.handleTraceJSONL(w, r)
+	default:
+		http.NotFound(w, r)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/trace", s.handleTrace)
-	mux.HandleFunc("/trace.jsonl", s.handleTraceJSONL)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
+}
+
+// servePprof routes /debug/pprof/ to the standard net/http/pprof handlers.
+func servePprof(w http.ResponseWriter, r *http.Request) {
+	switch strings.TrimPrefix(r.URL.Path, "/debug/pprof/") {
+	case "cmdline":
+		pprof.Cmdline(w, r)
+	case "profile":
+		pprof.Profile(w, r)
+	case "symbol":
+		pprof.Symbol(w, r)
+	case "trace":
+		pprof.Trace(w, r)
+	default:
+		pprof.Index(w, r)
+	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -68,6 +107,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.Recorder != nil {
 		resp["spans"] = s.Recorder.Len()
 		resp["spans_dropped"] = s.Recorder.Dropped()
+	}
+	if s.Health != nil {
+		s.Health(resp)
 	}
 	_ = json.NewEncoder(w).Encode(resp)
 }
@@ -117,6 +159,17 @@ func (s *Server) handleTraceJSONL(w http.ResponseWriter, _ *http.Request) {
 	_ = s.Recorder.WriteJSONL(w)
 }
 
+// Listener timeouts. Admission control runs inside the handlers, so it
+// never sees a client that trickles its request headers or parks an idle
+// keep-alive connection; these bound how long such a client holds a
+// connection and its goroutine. There is no read or write timeout: a
+// /debug/pprof/profile capture and a schedule request both legitimately
+// run for tens of seconds.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Start listens on addr (":0" picks a free port) and serves the admin
 // surface in a background goroutine, returning the bound address.
 func (s *Server) Start(addr string) (net.Addr, error) {
@@ -124,8 +177,7 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	s.ln = ln
-	s.srv = &http.Server{Handler: s.Handler()}
+	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go func() { _ = s.srv.Serve(ln) }()
 	return ln.Addr(), nil
 }

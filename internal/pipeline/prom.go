@@ -1,23 +1,11 @@
 package pipeline
 
 import (
-	"encoding/json"
-	"expvar"
-	"fmt"
 	"io"
 	"strconv"
-	"sync"
-)
 
-// statsJSON marshals a snapshot for expvar (errors cannot happen: Stats is
-// a plain struct of integers, strings and durations).
-func statsJSON(s Stats) string {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return "{}"
-	}
-	return string(b)
-}
+	"doacross/internal/obs"
+)
 
 // Prometheus text-format exposition of the metrics registry. The per-stage
 // latency buckets synthesize native Prometheus histograms (the bucket
@@ -26,144 +14,71 @@ func statsJSON(s Stats) string {
 // the paper-level simulation counters ride along so dashboards can plot
 // Send_Signal traffic and wait-stall cycles next to wall-clock latency.
 
-// promBounds renders the shared bucket bounds as Prometheus `le` values in
-// seconds.
-func promBounds() []string {
-	out := make([]string, len(bucketBounds))
-	for i, b := range bucketBounds {
-		out[i] = strconv.FormatFloat(b.Seconds(), 'g', -1, 64)
-	}
-	return out
-}
-
 // WritePrometheus writes the snapshot in the Prometheus text exposition
 // format (version 0.0.4). Histogram buckets are cumulative per the format;
 // the registry's per-stage buckets are disjoint, so they are summed on the
 // way out.
 func (s Stats) WritePrometheus(w io.Writer) {
-	le := promBounds()
-	fmt.Fprintln(w, "# HELP doacross_stage_duration_seconds Latency of pipeline stages and compilation passes.")
-	fmt.Fprintln(w, "# TYPE doacross_stage_duration_seconds histogram")
+	p := obs.Prom{W: w}
+	const dur = "doacross_stage_duration_seconds"
+	p.Family(dur, "histogram", "Latency of pipeline stages and compilation passes.")
 	for _, st := range s.Stages {
 		cum := int64(0)
-		for i, bound := range le {
+		for i, bound := range bucketBounds {
 			cum += st.Buckets[i]
-			fmt.Fprintf(w, "doacross_stage_duration_seconds_bucket{stage=%q,le=%q} %d\n", st.Stage, bound, cum)
+			p.Int(dur+"_bucket", cum, "stage", st.Stage, "le", strconv.FormatFloat(bound.Seconds(), 'g', -1, 64))
 		}
-		fmt.Fprintf(w, "doacross_stage_duration_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", st.Stage, st.Count)
-		fmt.Fprintf(w, "doacross_stage_duration_seconds_sum{stage=%q} %s\n", st.Stage,
-			strconv.FormatFloat(st.Total.Seconds(), 'g', -1, 64))
-		fmt.Fprintf(w, "doacross_stage_duration_seconds_count{stage=%q} %d\n", st.Stage, st.Count)
+		p.Int(dur+"_bucket", st.Count, "stage", st.Stage, "le", "+Inf")
+		p.Float(dur+"_sum", st.Total.Seconds(), "stage", st.Stage)
+		p.Int(dur+"_count", st.Count, "stage", st.Stage)
 	}
 
-	fmt.Fprintln(w, "# HELP doacross_stage_runs_total Completed executions per stage.")
-	fmt.Fprintln(w, "# TYPE doacross_stage_runs_total counter")
+	p.Family("doacross_stage_runs_total", "counter", "Completed executions per stage.")
 	for _, st := range s.Stages {
-		fmt.Fprintf(w, "doacross_stage_runs_total{stage=%q} %d\n", st.Stage, st.Count)
+		p.Int("doacross_stage_runs_total", st.Count, "stage", st.Stage)
 	}
-	fmt.Fprintln(w, "# HELP doacross_stage_errors_total Failed executions per stage.")
-	fmt.Fprintln(w, "# TYPE doacross_stage_errors_total counter")
+	p.Family("doacross_stage_errors_total", "counter", "Failed executions per stage.")
 	for _, st := range s.Stages {
-		fmt.Fprintf(w, "doacross_stage_errors_total{stage=%q} %d\n", st.Stage, st.Errors)
+		p.Int("doacross_stage_errors_total", st.Errors, "stage", st.Stage)
 	}
 
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("doacross_cache_hits_total", "Schedule-cache hits.", s.CacheHits)
-	counter("doacross_cache_misses_total", "Schedule-cache misses.", s.CacheMisses)
-	counter("doacross_cache_evictions_total", "Schedule-cache entries evicted by the capacity bound.", s.CacheEvictions)
-	counter("doacross_panics_recovered_total", "Panics recovered inside workers, stages and passes.", s.Panics)
-	counter("doacross_request_timeouts_total", "Requests lost to deadlines or cancellation.", s.Timeouts)
-	counter("doacross_fallbacks_total", "Requests served by the verified program-order fallback schedule.", s.Fallbacks)
-	counter("doacross_schedules_verified_total", "Schedule sets accepted by the independent post-schedule verifier.", s.Verified)
-	counter("doacross_schedules_rejected_total", "Schedule sets the independent post-schedule verifier refused to serve.", s.Rejected)
-	counter("doacross_lint_findings_total", "Synchronization-linter findings across fresh compilations.", s.LintFindings)
-	counter("doacross_dep_exact_total", "Dependence pairs proven exact (distances enumerated with witnesses) across fresh compilations.", s.DepExact)
-	counter("doacross_dep_independent_total", "Dependence pairs proven independent (GCD or bound-separation certificate) across fresh compilations.", s.DepIndependent)
-	counter("doacross_dep_conservative_total", "Dependence pairs assumed conservative (undecidable residue) across fresh compilations.", s.DepConservative)
-	counter("doacross_sim_signals_sent_total", "Send_Signal issues across served simulations (paper-level sync traffic).", s.SignalsSent)
-	counter("doacross_sim_wait_stall_cycles_total", "Cycles lost to Wait_Signal stalls across served simulations.", s.WaitStallCycles)
-	counter("doacross_sched_lbd_arcs_total", "Synchronization arcs left lexically backward by served schedules.", s.LBDArcs)
-	counter("doacross_sched_lfd_arcs_total", "Synchronization arcs placed lexically forward by served schedules.", s.LFDArcs)
+	p.Counter("doacross_cache_hits_total", "Schedule-cache hits.", s.CacheHits)
+	p.Counter("doacross_cache_misses_total", "Schedule-cache misses.", s.CacheMisses)
+	p.Counter("doacross_cache_evictions_total", "Schedule-cache entries evicted by the capacity bound.", s.CacheEvictions)
+	p.Counter("doacross_panics_recovered_total", "Panics recovered inside workers, stages and passes.", s.Panics)
+	p.Counter("doacross_request_timeouts_total", "Requests lost to deadlines or cancellation.", s.Timeouts)
+	p.Counter("doacross_fallbacks_total", "Requests served by the verified program-order fallback schedule.", s.Fallbacks)
+	p.Counter("doacross_schedules_verified_total", "Schedule sets accepted by the independent post-schedule verifier.", s.Verified)
+	p.Counter("doacross_schedules_rejected_total", "Schedule sets the independent post-schedule verifier refused to serve.", s.Rejected)
+	p.Counter("doacross_lint_findings_total", "Synchronization-linter findings across fresh compilations.", s.LintFindings)
+	p.Counter("doacross_dep_exact_total", "Dependence pairs proven exact (distances enumerated with witnesses) across fresh compilations.", s.DepExact)
+	p.Counter("doacross_dep_independent_total", "Dependence pairs proven independent (GCD or bound-separation certificate) across fresh compilations.", s.DepIndependent)
+	p.Counter("doacross_dep_conservative_total", "Dependence pairs assumed conservative (undecidable residue) across fresh compilations.", s.DepConservative)
+	p.Counter("doacross_sim_signals_sent_total", "Send_Signal issues across served simulations (paper-level sync traffic).", s.SignalsSent)
+	p.Counter("doacross_sim_wait_stall_cycles_total", "Cycles lost to Wait_Signal stalls across served simulations.", s.WaitStallCycles)
+	p.Counter("doacross_sched_lbd_arcs_total", "Synchronization arcs left lexically backward by served schedules.", s.LBDArcs)
+	p.Counter("doacross_sched_lfd_arcs_total", "Synchronization arcs placed lexically forward by served schedules.", s.LFDArcs)
 	if s.MachineSlotsTotal > 0 {
-		labeled := func(name, help string, vals ...struct {
-			label string
-			v     int64
-		}) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-			for _, lv := range vals {
-				fmt.Fprintf(w, "%s{cause=%q} %d\n", name, lv.label, lv.v)
-			}
-		}
-		type lv = struct {
-			label string
-			v     int64
-		}
-		counter("doacross_sim_issue_slots_total", "Issue slots offered by the machine (procs x cycles x width) across traced served simulations.", s.MachineSlotsTotal)
-		counter("doacross_sim_issue_slots_used_total", "Issue slots actually filled by an instruction across traced served simulations.", s.MachineSlotsUsed)
-		labeled("doacross_sim_machine_cycles_total",
-			"Processor cycles across traced served simulations, split by attributed cause.",
-			lv{"issued", s.MachineCyclesIssued},
-			lv{"sync_wait", s.MachineCyclesSyncWait},
-			lv{"window_wait", s.MachineCyclesWindowWait},
-			lv{"drain", s.MachineCyclesDrain})
-		labeled("doacross_sim_empty_slots_total",
-			"Empty issue slots on cycles that did issue, split by the static reason the slot stayed empty.",
-			lv{"raw", s.MachineEmptyRAW},
-			lv{"fu_busy", s.MachineEmptyFUBusy},
-			lv{"issue_width", s.MachineEmptyIssueWidth},
-			lv{"drain", s.MachineEmptyDrain})
+		p.Counter("doacross_sim_issue_slots_total", "Issue slots offered by the machine (procs x cycles x width) across traced served simulations.", s.MachineSlotsTotal)
+		p.Counter("doacross_sim_issue_slots_used_total", "Issue slots actually filled by an instruction across traced served simulations.", s.MachineSlotsUsed)
+		const cycles = "doacross_sim_machine_cycles_total"
+		p.Family(cycles, "counter", "Processor cycles across traced served simulations, split by attributed cause.")
+		p.Int(cycles, s.MachineCyclesIssued, "cause", "issued")
+		p.Int(cycles, s.MachineCyclesSyncWait, "cause", "sync_wait")
+		p.Int(cycles, s.MachineCyclesWindowWait, "cause", "window_wait")
+		p.Int(cycles, s.MachineCyclesDrain, "cause", "drain")
+		const empty = "doacross_sim_empty_slots_total"
+		p.Family(empty, "counter", "Empty issue slots on cycles that did issue, split by the static reason the slot stayed empty.")
+		p.Int(empty, s.MachineEmptyRAW, "cause", "raw")
+		p.Int(empty, s.MachineEmptyFUBusy, "cause", "fu_busy")
+		p.Int(empty, s.MachineEmptyIssueWidth, "cause", "issue_width")
+		p.Int(empty, s.MachineEmptyDrain, "cause", "drain")
 	}
-	gauge("doacross_workers_in_flight", "Requests currently executing inside a worker.", s.InFlight)
-	gauge("doacross_queue_depth", "Requests enqueued but not yet picked up by a worker.", s.QueueDepth)
-	gauge("doacross_cache_entries", "Entries resident in the attached schedule cache.", s.CacheEntries)
+	p.Gauge("doacross_workers_in_flight", "Requests currently executing inside a worker.", s.InFlight)
+	p.Gauge("doacross_queue_depth", "Requests enqueued but not yet picked up by a worker.", s.QueueDepth)
+	p.Gauge("doacross_cache_entries", "Entries resident in the attached schedule cache.", s.CacheEntries)
 }
 
 // WritePrometheus snapshots the registry and writes the exposition; the
 // obs.Server /metrics hook is exactly this method.
 func (m *Metrics) WritePrometheus(w io.Writer) { m.Stats().WritePrometheus(w) }
-
-// expvarMu serializes expvar publication (expvar.Publish panics on
-// duplicate names, and tests publish concurrently under -race).
-var expvarMu sync.Mutex
-
-// PublishExpvar publishes the registry under the given expvar name (default
-// "doacross.pipeline"): `GET /debug/vars` then carries the full Stats
-// snapshot as JSON. Publishing the same name twice rebinds it to the latest
-// registry instead of panicking.
-func (m *Metrics) PublishExpvar(name string) {
-	if name == "" {
-		name = "doacross.pipeline"
-	}
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if v := expvar.Get(name); v != nil {
-		if h, ok := v.(*expvarHolder); ok {
-			h.mu.Lock()
-			h.m = m
-			h.mu.Unlock()
-			return
-		}
-		return // name taken by someone else; leave it alone
-	}
-	h := &expvarHolder{m: m}
-	expvar.Publish(name, h)
-}
-
-// expvarHolder adapts a Metrics registry to expvar.Var, rebinding-friendly.
-type expvarHolder struct {
-	mu sync.Mutex
-	m  *Metrics
-}
-
-// String implements expvar.Var: the JSON of a fresh Stats snapshot.
-func (h *expvarHolder) String() string {
-	h.mu.Lock()
-	m := h.m
-	h.mu.Unlock()
-	return statsJSON(m.Stats())
-}

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"bytes"
-	"expvar"
 	"strings"
 	"testing"
 	"time"
@@ -207,26 +206,5 @@ func TestStatsQuantileByStage(t *testing.T) {
 	// The String report carries the percentile line.
 	if s := st.String(); !strings.Contains(s, "p50") || !strings.Contains(s, "p99") {
 		t.Fatalf("Stats.String missing percentiles:\n%s", s)
-	}
-}
-
-func TestPublishExpvar(t *testing.T) {
-	m1 := NewMetrics()
-	m1.CacheHit()
-	m1.PublishExpvar("doacross.test")
-	v := expvar.Get("doacross.test")
-	if v == nil {
-		t.Fatal("expvar not published")
-	}
-	if s := v.String(); !strings.Contains(s, `"CacheHits":1`) {
-		t.Fatalf("expvar snapshot = %s", s)
-	}
-	// Republishing rebinds to the newer registry instead of panicking.
-	m2 := NewMetrics()
-	m2.CacheHit()
-	m2.CacheHit()
-	m2.PublishExpvar("doacross.test")
-	if s := expvar.Get("doacross.test").String(); !strings.Contains(s, `"CacheHits":2`) {
-		t.Fatalf("expvar not rebound: %s", s)
 	}
 }

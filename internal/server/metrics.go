@@ -1,10 +1,11 @@
 package server
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync/atomic"
+
+	"doacross/internal/obs"
 )
 
 // serverMetrics are the daemon-level counters, kept alongside (not inside)
@@ -61,65 +62,89 @@ func (m *serverMetrics) snapshot(breakerOpens int64) Stats {
 	}
 }
 
-// writePrometheus appends the scheduld_* exposition after the pipeline's
-// doacross_* metrics on /metrics: one scrape covers both layers.
+// writePrometheus is the /metrics hook: the pipeline's doacross_*
+// exposition, then the daemon's scheduld_* one, so one scrape covers both
+// layers.
 func (s *Server) writePrometheus(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP scheduld_%s %s\n# TYPE scheduld_%s counter\nscheduld_%s %d\n",
-			name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP scheduld_%s %s\n# TYPE scheduld_%s gauge\nscheduld_%s %d\n",
-			name, help, name, name, v)
-	}
+	s.metrics.WritePrometheus(w)
+	p := obs.Prom{W: w}
 	m := &s.sm
-	counter("requests_total", "schedule requests received", m.requests.Load())
-	counter("responses_ok_total", "schedule requests answered 200", m.responsesOK.Load())
-	counter("client_errors_total", "schedule requests answered 4xx (excluding rate-limit sheds)", m.clientErrors.Load())
-	counter("server_errors_total", "schedule requests answered 5xx (excluding sheds)", m.serverErrors.Load())
-	counter("timeouts_total", "schedule requests answered 504 after the caller's deadline expired", m.timeouts.Load())
-	counter("flights_total", "singleflight computations started (leaders)", m.flights.Load())
-	counter("coalesced_total", "requests served by another caller's in-flight computation", m.coalesced.Load())
-	counter("shed_ratelimit_total", "requests shed 429 by the per-tenant token bucket", m.shedRate.Load())
-	counter("shed_queue_total", "requests shed 503 by the bounded admission queue", m.shedQueue.Load())
-	counter("shed_breaker_total", "requests shed 503 by an open backend circuit", m.shedBreaker.Load())
-	counter("shed_draining_total", "requests shed 503 while draining for shutdown", m.shedDraining.Load())
-	counter("net_faults_total", "injected network faults served as errors", m.netFaults.Load())
+	p.Counter("scheduld_requests_total", "schedule requests received", m.requests.Load())
+	p.Counter("scheduld_responses_ok_total", "schedule requests answered 200", m.responsesOK.Load())
+	p.Counter("scheduld_client_errors_total", "schedule requests answered 4xx (excluding rate-limit sheds)", m.clientErrors.Load())
+	p.Counter("scheduld_server_errors_total", "schedule requests answered 5xx (excluding sheds)", m.serverErrors.Load())
+	p.Counter("scheduld_timeouts_total", "schedule requests answered 504 after the caller's deadline expired", m.timeouts.Load())
+	p.Counter("scheduld_flights_total", "singleflight computations started (leaders)", m.flights.Load())
+	p.Counter("scheduld_coalesced_total", "requests served by another caller's in-flight computation", m.coalesced.Load())
+	p.Counter("scheduld_shed_ratelimit_total", "requests shed 429 by the per-tenant token bucket", m.shedRate.Load())
+	p.Counter("scheduld_shed_queue_total", "requests shed 503 by the bounded admission queue", m.shedQueue.Load())
+	p.Counter("scheduld_shed_breaker_total", "requests shed 503 by an open backend circuit", m.shedBreaker.Load())
+	p.Counter("scheduld_shed_draining_total", "requests shed 503 while draining for shutdown", m.shedDraining.Load())
+	p.Counter("scheduld_net_faults_total", "injected network faults served as errors", m.netFaults.Load())
 	if s.breakers != nil {
-		counter("breaker_open_total", "circuit-breaker open transitions", s.breakers.openCount())
+		p.Counter("scheduld_breaker_open_total", "circuit-breaker open transitions", s.breakers.openCount())
 		states := s.breakers.states()
 		names := make([]string, 0, len(states))
 		for name := range states {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		fmt.Fprintf(w, "# HELP scheduld_breaker_state circuit state per backend (0 closed, 1 open, 2 half-open)\n# TYPE scheduld_breaker_state gauge\n")
+		p.Family("scheduld_breaker_state", "gauge", "circuit state per backend (0 closed, 1 open, 2 half-open)")
 		for _, name := range names {
-			fmt.Fprintf(w, "scheduld_breaker_state{backend=%q} %d\n", name, states[name])
+			p.Int("scheduld_breaker_state", int64(states[name]), "backend", name)
 		}
 	}
-	gauge("inflight", "requests holding an admission slot", s.adm.inFlight())
-	gauge("queue_waiting", "requests waiting for an admission slot", s.adm.queued())
+	p.Gauge("scheduld_inflight", "requests holding an admission slot", s.adm.inFlight())
+	p.Gauge("scheduld_queue_waiting", "requests waiting for an admission slot", s.adm.queued())
 	flights, waiters := s.flights.Stats()
-	gauge("flights_live", "singleflight computations currently running", int64(flights))
-	gauge("flight_waiters", "callers currently waiting on a flight (leaders included)", int64(waiters))
+	p.Gauge("scheduld_flights_live", "singleflight computations currently running", int64(flights))
+	p.Gauge("scheduld_flight_waiters", "callers currently waiting on a flight (leaders included)", int64(waiters))
 	var draining int64
 	if s.draining.Load() {
 		draining = 1
 	}
-	gauge("draining", "1 while the daemon is draining for shutdown", draining)
-	gauge("cache_entries", "in-memory cache entries", int64(s.cache.Len()))
+	p.Gauge("scheduld_draining", "1 while the daemon is draining for shutdown", draining)
+	p.Gauge("scheduld_cache_entries", "in-memory cache entries", int64(s.cache.Len()))
 	if s.disk != nil {
 		ds := s.disk.Stats()
-		gauge("disk_entries", "persistent-tier entries on disk", ds.Entries)
-		counter("disk_writes_total", "persistent-tier writes", ds.Writes)
-		counter("disk_write_errors_total", "persistent-tier write failures (request unaffected)", ds.WriteErrors)
-		counter("disk_reads_total", "persistent-tier reads", ds.Reads)
-		counter("disk_read_errors_total", "persistent-tier read failures", ds.ReadErrors)
-		counter("disk_corrupt_total", "persistent-tier entries that failed integrity checks", ds.Corrupt)
-		counter("disk_quarantined_total", "persistent-tier entries moved to quarantine", ds.Quarantined)
-		gauge("disk_loaded", "entries restored warm from disk at startup", int64(s.loadStats.Loaded))
-		gauge("disk_load_stale", "disk entries skipped at startup (produced under other options)", int64(s.loadStats.Stale))
-		gauge("disk_load_corrupt", "disk entries quarantined at startup", int64(s.loadStats.Corrupt))
+		p.Gauge("scheduld_disk_entries", "persistent-tier entries on disk", ds.Entries)
+		p.Counter("scheduld_disk_writes_total", "persistent-tier writes", ds.Writes)
+		p.Counter("scheduld_disk_write_errors_total", "persistent-tier write failures (request unaffected)", ds.WriteErrors)
+		p.Counter("scheduld_disk_reads_total", "persistent-tier reads", ds.Reads)
+		p.Counter("scheduld_disk_read_errors_total", "persistent-tier read failures", ds.ReadErrors)
+		p.Counter("scheduld_disk_corrupt_total", "persistent-tier entries that failed integrity checks", ds.Corrupt)
+		p.Counter("scheduld_disk_quarantined_total", "persistent-tier entries moved to quarantine", ds.Quarantined)
+		p.Gauge("scheduld_disk_loaded", "entries restored warm from disk at startup", int64(s.loadStats.Loaded))
+		p.Gauge("scheduld_disk_load_stale", "disk entries skipped at startup (produced under other options)", int64(s.loadStats.Stale))
+		p.Gauge("scheduld_disk_load_corrupt", "disk entries quarantined at startup", int64(s.loadStats.Corrupt))
+	}
+}
+
+// stats is the /stats hook: the daemon counters, the pipeline registry's
+// snapshot and, with a disk tier, its counters and warm-start outcome.
+func (s *Server) stats() any {
+	resp := map[string]any{
+		"server":   s.sm.snapshot(s.breakers.openCount()),
+		"pipeline": s.metrics.Stats(),
+	}
+	if s.disk != nil {
+		resp["disk"] = s.disk.Stats()
+		resp["load"] = s.loadStats
+	}
+	return resp
+}
+
+// health is the /healthz hook: "draining" once Shutdown began, the
+// admission gauges, and cache and disk-tier occupancy.
+func (s *Server) health(fields map[string]any) {
+	if s.draining.Load() {
+		fields["status"] = "draining"
+	}
+	fields["inflight"] = s.adm.inFlight()
+	fields["queued"] = s.adm.queued()
+	fields["cache_entries"] = s.cache.Len()
+	if s.disk != nil {
+		fields["disk_entries"] = s.disk.Len()
+		fields["disk_loaded"] = s.loadStats.Loaded
 	}
 }

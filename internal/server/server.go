@@ -160,9 +160,9 @@ type Server struct {
 
 	loadStats pipeline.LoadStats
 	draining  atomic.Bool
-	start     time.Time
-	srv       *http.Server
-	ln        net.Listener
+	// admin is the daemon's one HTTP surface: obs.Server's admin routes,
+	// fed by this package's hooks, plus the daemon's own routes.
+	admin *obs.Server
 }
 
 // New builds the daemon: it opens the persistent tier (when configured),
@@ -184,7 +184,6 @@ func New(cfg Config) (*Server, error) {
 		adm:      newAdmission(cfg.maxInFlight(), cfg.queueLimit()),
 		breakers: newBreakerSet(cfg.breakerThreshold(), cfg.BreakerCooldown),
 		flight:   obs.NewFlightRecorder(cfg.FlightRing),
-		start:    time.Now(),
 	}
 	var inner slog.Handler
 	if cfg.Logger != nil {
@@ -224,6 +223,15 @@ func New(cfg Config) (*Server, error) {
 			"dir", cfg.DiskDir, "scanned", ls.Scanned, "loaded", ls.Loaded,
 			"stale", ls.Stale, "corrupt", ls.Corrupt, "errors", ls.Errors)
 	}
+	s.admin = &obs.Server{
+		Recorder: cfg.Pipeline.Observer,
+		Metrics:  s.writePrometheus,
+		Stats:    s.stats,
+		Health:   s.health,
+	}
+	mux := s.admin.Handler()
+	mux.HandleFunc("/v1/schedule", s.recovered(s.handleSchedule))
+	mux.HandleFunc("/debug/flightrecord", s.handleFlightRecord)
 	return s, nil
 }
 
@@ -233,22 +241,20 @@ func (s *Server) LoadStats() pipeline.LoadStats { return s.loadStats }
 // Metrics exposes the pipeline registry shared by every flight.
 func (s *Server) Metrics() *pipeline.Metrics { return s.metrics }
 
-// Handler builds the daemon mux:
+// Handler returns the daemon mux, built once by New:
 //
 //	POST /v1/schedule        schedule one loop (coalesced, admission-controlled)
-//	GET  /healthz            liveness: status, uptime, admission gauges
+//	GET  /healthz            liveness: status, uptime, admission gauges, occupancy
 //	GET  /metrics            Prometheus exposition: doacross_* then scheduld_*
 //	GET  /stats              JSON snapshot: server, pipeline, disk, warm-start
 //	GET  /debug/flightrecord the flight recorder's ring as JSONL
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/schedule", s.recovered(s.handleSchedule))
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/debug/flightrecord", s.handleFlightRecord)
-	return mux
-}
+//	GET  /debug/pprof/       the standard net/http/pprof handlers
+//	GET  /trace              Config.Pipeline.Observer's spans as a Chrome trace (404 without one)
+//	GET  /trace.jsonl        the same spans as JSONL
+//
+// Every route but the two daemon ones is obs.Server's, the same admin
+// surface the CLIs serve.
+func (s *Server) Handler() http.Handler { return s.admin.Handler() }
 
 // retrySeconds renders a wait as a Retry-After value (whole seconds, >= 1).
 func retrySeconds(d time.Duration) int {
@@ -281,11 +287,6 @@ func backendName(b string) string {
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, 0, ErrorResponse{Error: "POST only"})
-		return
-	}
 	rid := requestID(r)
 	w.Header().Set("X-Request-Id", rid)
 	started := time.Now()
@@ -307,6 +308,12 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			}})
 	}
 	s.sm.requests.Add(1)
+	if r.Method != http.MethodPost {
+		s.sm.clientErrors.Add(1)
+		w.Header().Set("Allow", http.MethodPost)
+		deny(slog.LevelInfo, http.StatusMethodNotAllowed, 0, ErrorResponse{Error: "POST only"})
+		return
+	}
 	if s.draining.Load() {
 		s.sm.shedDraining.Add(1)
 		deny(slog.LevelWarn, http.StatusServiceUnavailable, time.Second,
@@ -587,61 +594,9 @@ func (s *Server) finishError(w http.ResponseWriter, res *pipeline.LoopResult, ri
 	return http.StatusInternalServerError
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	status := "ok"
-	if s.draining.Load() {
-		status = "draining"
-	}
-	resp := map[string]any{
-		"status":         status,
-		"uptime_seconds": time.Since(s.start).Seconds(),
-		"inflight":       s.adm.inFlight(),
-		"queued":         s.adm.queued(),
-		"cache_entries":  s.cache.Len(),
-	}
-	if s.disk != nil {
-		resp["disk_entries"] = s.disk.Len()
-		resp["disk_loaded"] = s.loadStats.Loaded
-	}
-	_ = json.NewEncoder(w).Encode(resp)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WritePrometheus(w)
-	s.writePrometheus(w)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	resp := map[string]any{
-		"server":   s.sm.snapshot(s.breakers.openCount()),
-		"pipeline": s.metrics.Stats(),
-	}
-	if s.disk != nil {
-		resp["disk"] = s.disk.Stats()
-		resp["load"] = s.loadStats
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(resp); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-// Start listens on addr (":0" picks a free port) and serves the daemon in
-// a background goroutine, returning the bound address.
-func (s *Server) Start(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("server: listen %s: %w", addr, err)
-	}
-	s.ln = ln
-	s.srv = &http.Server{Handler: s.Handler()}
-	go func() { _ = s.srv.Serve(ln) }()
-	return ln.Addr(), nil
-}
+// Start listens on addr (":0" picks a free port) and serves Handler in a
+// background goroutine, returning the bound address.
+func (s *Server) Start(addr string) (net.Addr, error) { return s.admin.Start(addr) }
 
 // Shutdown drains the daemon: new schedule requests are shed with 503 +
 // Retry-After immediately, requests already admitted (and the flights they
@@ -650,14 +605,7 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 // it still flips draining and flushes the disk tier.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	var err error
-	if s.srv != nil {
-		s.srv.SetKeepAlivesEnabled(false)
-		if serr := s.srv.Shutdown(ctx); serr != nil {
-			_ = s.srv.Close()
-			err = serr
-		}
-	}
+	err := s.admin.Shutdown(ctx)
 	if s.disk != nil {
 		if ferr := s.disk.Flush(); ferr != nil && err == nil {
 			err = ferr

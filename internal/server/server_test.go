@@ -15,6 +15,7 @@ import (
 	"doacross/internal/diag"
 	"doacross/internal/dlx"
 	"doacross/internal/faults"
+	"doacross/internal/obs"
 	"doacross/internal/passes"
 	"doacross/internal/pipeline"
 )
@@ -646,5 +647,81 @@ func TestHealthAndStats(t *testing.T) {
 		if err := json.Unmarshal(w.Body.Bytes(), &v); err != nil {
 			t.Errorf("%s: %v", path, err)
 		}
+	}
+}
+
+// TestRequestAccounting: every answer /v1/schedule gives lands in exactly
+// one response class, so requests_total is their sum. A 405 counts as a
+// client error, carries its request ID and lands in the flight recorder
+// like every other refusal.
+func TestRequestAccounting(t *testing.T) {
+	s := newTestServer(t, Config{RatePerSec: 1e-6, Burst: 2})
+	h := s.Handler()
+	send := func(method, body string, want int) *httptest.ResponseRecorder {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, "/v1/schedule", strings.NewReader(body)))
+		if w.Code != want {
+			t.Fatalf("%s %q: status %d, want %d (%s)", method, body, w.Code, want, w.Body)
+		}
+		return w
+	}
+	fig1Body := fmt.Sprintf(`{"name":"fig1","source":%q}`, fig1)
+	w := send(http.MethodGet, "", http.StatusMethodNotAllowed)
+	if w.Header().Get("Allow") != http.MethodPost || decodeErr(t, w.Body.Bytes()).RequestID == "" {
+		t.Errorf("405: Allow %q, body %s; want Allow POST and a request ID", w.Header().Get("Allow"), w.Body)
+	}
+	send(http.MethodPost, "{not json", http.StatusBadRequest)
+	send(http.MethodPost, fig1Body, http.StatusOK)
+	send(http.MethodPost, fig1Body, http.StatusOK)
+	send(http.MethodPost, fig1Body, http.StatusTooManyRequests)
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	send(http.MethodPost, fig1Body, http.StatusServiceUnavailable)
+
+	st := s.sm.snapshot(s.breakers.openCount())
+	want := Stats{Requests: 6, ResponsesOK: 2, ClientErrors: 2, Flights: 2, ShedRate: 1, ShedDraining: 1}
+	if st != want {
+		t.Errorf("counters = %+v, want %+v", st, want)
+	}
+	if sum := st.ResponsesOK + st.ClientErrors + st.ServerErrors + st.Timeouts +
+		st.ShedRate + st.ShedQueue + st.ShedBreaker + st.ShedDraining; sum != st.Requests {
+		t.Errorf("response classes sum to %d, requests_total = %d", sum, st.Requests)
+	}
+	if rec := get(h, "/debug/flightrecord").Body.String(); !strings.Contains(rec, `"status":405`) {
+		t.Errorf("the 405 is missing from the flight record:\n%s", rec)
+	}
+}
+
+// TestAdminSurface: scheduld serves obs.Server's admin routes next to its
+// own: pprof always, and the span endpoints when the pipeline options carry
+// an Observer.
+func TestAdminSurface(t *testing.T) {
+	plain := newTestServer(t, Config{}).Handler()
+	if w := get(plain, "/debug/pprof/cmdline"); w.Code != http.StatusOK {
+		t.Errorf("/debug/pprof/cmdline = %d, want 200", w.Code)
+	}
+	for _, path := range []string{"/trace", "/trace.jsonl"} {
+		if w := get(plain, path); w.Code != http.StatusNotFound {
+			t.Errorf("%s without an Observer = %d, want 404", path, w.Code)
+		}
+	}
+
+	traced := newTestServer(t, Config{Pipeline: pipeline.Options{Observer: obs.NewRecorder(256)}}).Handler()
+	w, body := post(t, traced, ScheduleRequest{Name: "fig1", Source: fig1}, nil)
+	decodeOK(t, w, body)
+	if w := get(traced, "/trace"); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "traceEvents") {
+		t.Errorf("/trace with an Observer = %d %.200s", w.Code, w.Body)
+	}
+	if w := get(traced, "/trace.jsonl"); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"name":"fig1"`) {
+		t.Errorf("/trace.jsonl with an Observer = %d %.200s", w.Code, w.Body)
+	}
+	var hz map[string]any
+	if err := json.Unmarshal(get(traced, "/healthz").Body.Bytes(), &hz); err != nil {
+		t.Fatal(err)
+	}
+	if hz["spans"] == nil || hz["status"] != "ok" || hz["cache_entries"] == nil {
+		t.Errorf("/healthz with an Observer = %v, want span occupancy next to the daemon's fields", hz)
 	}
 }
