@@ -12,6 +12,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"doacross"
@@ -465,4 +467,143 @@ func TestTokenizeAllocs(t *testing.T) {
 			t.Errorf("source %d (%d bytes, %d tokens): Tokenize %v allocs/op, want 1", i, len(src), len(toks), got)
 		}
 	}
+}
+
+// heapGrowth returns how far the live heap grows across fn. Two
+// collections on each side drain the sync.Pool victim caches, so pooled
+// scratch counts on neither side; what fn leaves reachable from an object
+// made before it (a service's cache) is the growth.
+func heapGrowth(fn func()) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return float64(int64(after.HeapAlloc) - int64(before.HeapAlloc))
+}
+
+// servedFootprint serves count requests, the k-th made by req(k) inside the
+// measurement, round-robin through services Services at the default machine
+// and trip count, each with an unbounded cache, and returns the live heap
+// they leave behind: their compile, schedule and time entries. A request
+// repeated on several Services is cached once by each.
+func servedFootprint(t *testing.T, services, count int, req func(k int) pipeline.Request) float64 {
+	t.Helper()
+	svcs := make([]*pipeline.Service, services)
+	for i := range svcs {
+		svc, err := pipeline.NewService(pipeline.Options{Cache: pipeline.NewCache()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svcs[i] = svc
+	}
+	var failed error
+	grown := heapGrowth(func() {
+		for k := 0; k < count; k++ {
+			if res := svcs[k%services].Run(context.Background(), req(k), nil); res.Err != nil && failed == nil {
+				failed = res.Err
+			}
+		}
+	})
+	runtime.KeepAlive(svcs)
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	return grown
+}
+
+// TestCachedLoopFootprint pins the heap a cached loop keeps resident: 2,000
+// distinct loopgen loops, shapes cycling and 1-6 statements as serve-cold
+// draws them, are served through one Service with an unbounded cache, and
+// the live heap's growth per loop is pinned at the measured 31.6 KB plus
+// 10% (47.8 KB before the compile passes published exactly sized storage).
+// Storage sized for larger loops, or kept for nobody to read, shows here.
+//
+// The loops of each multi-loop kernel file, parsed with their file and
+// served one at a time, must weigh in sum within 1% of the same loops each
+// parsed from the file's text with its sibling loops commented out, so that
+// both sides keep a source string of nearly the same length: a cached loop
+// does not keep its file siblings' AST nodes alive. A sibling's nodes are a
+// few percent of a small served loop, so each loop is cached by 20
+// Services and each side is its least of three readings, which keeps the
+// heap readings' noise below the bound.
+func TestCachedLoopFootprint(t *testing.T) {
+	const loops, limit = 2000, 31600 * 1.10
+	shapes := loopgen.Shapes()
+	var srcs []string
+	seen := map[string]bool{}
+	for k := uint64(0); len(srcs) < loops; k++ {
+		src := loopgen.Generate(k, loopgen.Options{Shape: shapes[k%uint64(len(shapes))], Stmts: 1 + int(k/uint64(len(shapes)))%6})
+		if !seen[src] {
+			seen[src] = true
+			srcs = append(srcs, src)
+		}
+	}
+	// Each request's source is a fresh copy, as a decoded request body is,
+	// so the text a cached loop keeps counts toward its weight.
+	per := servedFootprint(t, 1, loops, func(k int) pipeline.Request {
+		return pipeline.Request{Source: strings.Clone(srcs[k])}
+	}) / loops
+	t.Logf("%d distinct loopgen loops: %.0f B of live heap per cached loop", loops, per)
+	if per > limit {
+		t.Errorf("a cached loop keeps %.0f B of live heap, want <= %.0f", per, limit)
+	}
+
+	kernels, err := filepath.Glob(filepath.Join("testdata", "kernels", "*.loop"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range kernels {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file := lang.MustParseFile(string(b))
+		if len(file.Loops) < 2 {
+			continue
+		}
+		const copies = 20
+		// The least of three readings: anything else the process allocates
+		// during a reading only adds to it.
+		least := func(req func(int) pipeline.Request) float64 {
+			w := math.Inf(1)
+			for range 3 {
+				w = min(w, servedFootprint(t, copies, copies, req))
+			}
+			return w
+		}
+		var withFile, alone float64
+		for k := range file.Loops {
+			own := commentOtherLoops(string(b), k)
+			withFile += least(func(int) pipeline.Request {
+				return pipeline.Request{Loop: lang.MustParseFile(strings.Clone(string(b))).Loops[k]}
+			})
+			alone += least(func(int) pipeline.Request {
+				return pipeline.Request{Loop: lang.MustParse(strings.Clone(own))}
+			})
+		}
+		t.Logf("%s: %d loops, %d copies each, weigh %.0f B parsed with their file, %.0f B parsed one by one", filepath.Base(path), len(file.Loops), copies, withFile, alone)
+		if withFile > alone*1.01 {
+			t.Errorf("%s: its %d loops weigh %.0f B parsed with their file, over 1%% more than the %.0f B parsed one by one", filepath.Base(path), len(file.Loops), withFile, alone)
+		}
+	}
+}
+
+// commentOtherLoops turns every line of src outside its k-th loop (0-based,
+// loops ending at ENDDO lines) into a comment.
+func commentOtherLoops(src string, k int) string {
+	lines := strings.Split(src, "\n")
+	loop := 0
+	for i, line := range lines {
+		if loop != k {
+			lines[i] = "!" + line
+		}
+		if strings.EqualFold(strings.TrimSpace(line), "ENDDO") {
+			loop++
+		}
+	}
+	return strings.Join(lines, "\n")
 }

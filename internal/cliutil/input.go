@@ -38,15 +38,19 @@ func ScheduleSource(src string, opt doacross.BatchOptions) (*doacross.Batch, err
 }
 
 // splitLoops cuts a source file into per-loop chunks on ENDDO lines, so a
-// loop that cannot parse can be isolated from its neighbours.
+// loop that cannot parse can be isolated from its neighbours. Each chunk
+// starts with one newline per line before it in the file, which the parser
+// skips, so its diagnostics carry the file's line numbers.
 func splitLoops(src string) []string {
 	var out []string
 	var cur []string
+	start := 0 // lines before cur
 	flush := func() {
 		chunk := strings.Join(cur, "\n")
 		if strings.TrimSpace(chunk) != "" {
-			out = append(out, chunk)
+			out = append(out, strings.Repeat("\n", start)+chunk)
 		}
+		start += len(cur)
 		cur = nil
 	}
 	for _, line := range strings.Split(src, "\n") {

@@ -85,4 +85,26 @@ func TestScheduleSource(t *testing.T) {
 	if _, err := ScheduleSource(bad, opt); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("single malformed loop: error %v, want the positioned parse error", err)
 	}
+
+	// A loop resubmitted on its own is still positioned in the file: the
+	// incomplete statement below is on line 9, after banded.loop's seven
+	// lines and the malformed loop's header.
+	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "kernels", "banded.loop"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	banded := string(b)
+	batch, err = ScheduleSource(banded+"DO I = 1, N\nA[I] = B[I] +\nENDDO\n"+banded, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Loops) != 3 {
+		t.Fatalf("%d loops, want 3", len(batch.Loops))
+	}
+	if err := batch.Loops[1].Err; err == nil || !strings.Contains(err.Error(), "line 9 col") {
+		t.Errorf("malformed middle loop: error %v, want it on line 9 of the file", err)
+	}
+	if err := batch.Loops[2].Err; err != nil {
+		t.Errorf("the second banded loop: %v", err)
+	}
 }

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
 
 	"doacross/internal/diag"
 	"doacross/internal/lang"
@@ -191,9 +192,10 @@ func AnalyzeOpts(loop *lang.Loop, opt Options) *Analysis {
 		sort.Stable(refsByVar(refs))
 	}
 	// Each write pairs with every read and every other write of its
-	// variable, and each pair is recorded once. A fixed-location web emits
-	// two dependences per pair and most array pairs one, so twice the pair
-	// count holds the dependences of every Perfect and kernel loop.
+	// variable, and each pair is recorded once. A pair emits from none to
+	// several dependences, so they collect in a pooled buffer, which starts
+	// at twice the pair count (the most most loops need), and are published
+	// at their exact number.
 	npairs, w, r := 0, 0, 0
 	for i, ref := range refs {
 		if i > 0 && refLess(refs[i-1], ref) {
@@ -205,7 +207,11 @@ func AnalyzeOpts(loop *lang.Loop, opt Options) *Analysis {
 			npairs, r = npairs+w, r+1
 		}
 	}
-	a.Deps = make([]Dependence, 0, 2*npairs)
+	buf := depsPool.Get().(*[]Dependence)
+	if cap(*buf) < 2*npairs {
+		*buf = make([]Dependence, 0, 2*npairs)
+	}
+	a.Deps = (*buf)[:0]
 	a.Pairs = make([]PairDecision, 0, npairs)
 	forms := subscriptForms(loop, refs)
 	for i := 0; i < len(refs); {
@@ -237,8 +243,18 @@ func AnalyzeOpts(loop *lang.Loop, opt Options) *Analysis {
 		}
 	}
 	sortDeps(a.Deps)
+	deps := make([]Dependence, len(a.Deps))
+	copy(deps, a.Deps)
+	clear(a.Deps)
+	*buf = a.Deps[:0]
+	depsPool.Put(buf)
+	a.Deps = deps
 	return a
 }
+
+// depsPool holds the buffers AnalyzeOpts collects dependences in, cleared so
+// that a pooled buffer keeps no loop alive.
+var depsPool = sync.Pool{New: func() any { return new([]Dependence) }}
 
 // subscriptForms reduces every array reference's subscript once, aligned
 // with refs. A form whose symbols are written inside the loop body is not

@@ -15,7 +15,9 @@ package dfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"doacross/internal/bitset"
 	"doacross/internal/dep"
@@ -131,11 +133,12 @@ type Graph struct {
 // Build constructs the graph for a compiled program. The dependence analysis
 // must be the one the program's synchronized loop was built from.
 //
-// The builder is allocation-lean by design: arcs are collected once into an
-// exactly-estimated slice (deduplicated with a dense bit matrix, preserving
-// first-occurrence order), and the adjacency lists are carved out of two
-// flat slabs sized by a counting pass, so the finished graph is a handful of
-// contiguous blocks instead of per-node append-grown slices.
+// The builder is allocation-lean by design: arcs are collected in pooled
+// scratch of at least their estimated number (deduplicated with a dense bit
+// matrix, preserving first-occurrence order) and published at their final
+// number, and the adjacency lists are carved out of two flat slabs sized by
+// a counting pass, so the finished graph is a handful of exactly sized
+// blocks instead of per-node append-grown slices.
 func Build(p *tac.Program, a *dep.Analysis) (*Graph, error) {
 	n := len(p.Instrs)
 	g := &Graph{Prog: p}
@@ -153,15 +156,17 @@ func Build(p *tac.Program, a *dep.Analysis) (*Graph, error) {
 		}
 	}
 	est += 2 * len(p.Sync.Synced)
-	arcs := make([]Arc, 0, est)
-	seen := bitset.Make(nil, n*n)
+	sc := buildPool.Get().(*buildScratch)
+	defer buildPool.Put(sc)
+	sc.arcs = slices.Grow(sc.arcs[:0], est)
+	sc.seen = bitset.Make(sc.seen, n*n)
 	addArc := func(from, to int, kind ArcKind) {
 		if from == to {
 			return
 		}
-		if k := from*n + to; !seen.Has(k) {
-			seen.Set(k)
-			arcs = append(arcs, Arc{From: from, To: to, Kind: kind})
+		if k := from*n + to; !sc.seen.Has(k) {
+			sc.seen.Set(k)
+			sc.arcs = append(sc.arcs, Arc{From: from, To: to, Kind: kind})
 		}
 	}
 
@@ -173,7 +178,9 @@ func Build(p *tac.Program, a *dep.Analysis) (*Graph, error) {
 		}
 	}
 	// One scratch block for the def table and the degree counters.
-	scratch := make([]int, maxTemp+1+2*n)
+	scratch := slices.Grow(sc.ints[:0], maxTemp+1+2*n)[:maxTemp+1+2*n]
+	clear(scratch)
+	sc.ints = scratch
 	defOf := scratch[:maxTemp+1] // temp -> defining node + 1; 0 = none
 	for i, in := range p.Instrs {
 		if in.Dst > 0 {
@@ -248,7 +255,9 @@ func Build(p *tac.Program, a *dep.Analysis) (*Graph, error) {
 	// sized by a counting pass. Appends below stay within each node's
 	// sub-slice capacity, so list order matches arc discovery order exactly
 	// as the incremental builder produced it.
-	g.Arcs = arcs
+	arcs := sc.arcs
+	g.Arcs = make([]Arc, len(arcs))
+	copy(g.Arcs, arcs)
 	flat := make([]int, 2*len(arcs))
 	deg := scratch[maxTemp+1:]
 	sdeg, pdeg := deg[:n], deg[n:]
@@ -276,6 +285,16 @@ func Build(p *tac.Program, a *dep.Analysis) (*Graph, error) {
 	g.computePaths()
 	return g, nil
 }
+
+// buildScratch is Build's working storage: the arc list before it is
+// published, the dedup bit matrix, and the def and degree tables.
+type buildScratch struct {
+	arcs []Arc
+	seen bitset.Bits
+	ints []int
+}
+
+var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
 // N returns the number of nodes.
 func (g *Graph) N() int { return len(g.Succ) }

@@ -257,6 +257,18 @@ func isIdentPart(c byte) bool {
 	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
 }
 
+// isKeyword reports whether ident spells a keyword, as keywordOf does
+// without upper-casing it.
+func isKeyword(ident string) bool {
+	return strings.EqualFold(ident, "DO") || strings.EqualFold(ident, "IF") ||
+		strings.EqualFold(ident, "DOACROSS") || isLoopEnd(ident)
+}
+
+// isLoopEnd reports whether ident spells ENDDO or END_DOACROSS.
+func isLoopEnd(ident string) bool {
+	return strings.EqualFold(ident, "ENDDO") || strings.EqualFold(ident, "END_DOACROSS")
+}
+
 // keywordOf reports the canonical keyword for an identifier, or "".
 func keywordOf(ident string) string {
 	up := strings.ToUpper(ident)

@@ -19,7 +19,8 @@ type parser struct {
 	// AST nodes come from pointer-stable slabs: node identity (e.g.
 	// *ArrayRef as a map key in dep and tac) needs distinct stable
 	// addresses, which fixed-capacity chunks provide without one heap
-	// object per node.
+	// object per node. presize gives every loop fresh slabs sized from its
+	// own tokens, so a cached loop keeps no storage of its file siblings.
 	binarys slab[Binary]
 	refs    slab[ArrayRef]
 	scalars slab[Scalar]
@@ -29,22 +30,74 @@ type parser struct {
 }
 
 // slab hands out pointer-stable T storage in fixed-capacity chunks (a
-// chunk's backing array never reallocates).
+// chunk's backing array never reallocates, and the nodes handed out keep
+// it alive). The first chunk holds first nodes, later ones slabChunk.
 type slab[T any] struct {
-	chunks [][]T
+	cur   []T
+	first int
 }
 
 const slabChunk = 32
 
 func (s *slab[T]) alloc() *T {
-	k := len(s.chunks) - 1
-	if k < 0 || len(s.chunks[k]) == cap(s.chunks[k]) {
-		s.chunks = append(s.chunks, make([]T, 0, slabChunk))
-		k++
+	if len(s.cur) == cap(s.cur) {
+		size := slabChunk
+		if s.cur == nil && s.first > 0 {
+			size = s.first
+		}
+		s.cur = make([]T, 0, size)
 	}
 	var zero T
-	s.chunks[k] = append(s.chunks[k], zero)
-	return &s.chunks[k][len(s.chunks[k])-1]
+	s.cur = append(s.cur, zero)
+	return &s.cur[len(s.cur)-1]
+}
+
+// presize gives the loop starting at the current token fresh slabs, each
+// first chunk sized from the loop's own tokens (up to its ENDDO): an
+// assignment per '=' after the header's, a constant per number, an array
+// reference per name followed by a bracket, a scalar per other name but the
+// induction variable, and a negation per '-' that cannot end a binary
+// operand, every other operator being a binary node. Statement labels and
+// keywords are not nodes; the signal name of an explicit Send_Signal or
+// Wait_Signal counts as a scalar it does not make.
+func (p *parser) presize() {
+	var binarys, refs, scalars, consts, negs, assigns int
+	prev := TokNewline
+	for i := p.pos; i < len(p.toks); i++ {
+		t := p.toks[i]
+		if t.Kind == TokEOF || t.Kind == TokIdent && isLoopEnd(t.Text) {
+			break
+		}
+		switch t.Kind {
+		case TokIdent:
+			switch next := p.toks[i+1].Kind; {
+			case isKeyword(t.Text) || next == TokColon || isSyncIdent(t.Text) && next == TokLBracket:
+			case next == TokLBracket:
+				refs++
+			default:
+				scalars++
+			}
+		case TokNumber:
+			consts++
+		case TokAssign:
+			assigns++
+		case TokPlus, TokStar, TokSlash:
+			binarys++
+		case TokMinus:
+			if prev == TokIdent || prev == TokNumber || prev == TokRBracket {
+				binarys++
+			} else {
+				negs++
+			}
+		}
+		prev = t.Kind
+	}
+	p.binarys = slab[Binary]{first: binarys}
+	p.refs = slab[ArrayRef]{first: refs}
+	p.scalars = slab[Scalar]{first: scalars - 1}
+	p.consts = slab[Const]{first: consts}
+	p.negs = slab[Neg]{first: negs}
+	p.assigns = slab[Assign]{first: assigns - 1}
 }
 
 func (p *parser) newBinary(op BinOp, l, r Expr) *Binary {
@@ -119,6 +172,7 @@ func (p *parser) skipNewlines() {
 }
 
 func (p *parser) parseLoop() (*Loop, error) {
+	p.presize()
 	kw := p.next()
 	if kw.Kind != TokIdent {
 		return nil, p.errorf(kw, "expected DO or DOACROSS, found %s %q", kw.Kind, kw.Text)
@@ -156,6 +210,9 @@ func (p *parser) parseLoop() (*Loop, error) {
 		return nil, p.errorf(t, "expected end of line after loop header, found %s %q", t.Kind, t.Text)
 	}
 	loop := &Loop{Doacross: doacross, Var: ivTok.Text, Lo: lo, Hi: hi, Line: kw.Line, Col: kw.Col}
+	if n := p.assigns.first; n > 0 {
+		loop.Body = make([]*Assign, 0, n)
+	}
 	used := map[string]bool{}
 	for {
 		p.skipNewlines()

@@ -39,9 +39,6 @@ type Op struct {
 	// Distance is the dependence distance d: Wait_Signal(Src, i-d) waits for
 	// iteration i-d's send. Unused for sends.
 	Distance int
-	// Dep is the dependence this op synchronizes. For deduplicated sends it
-	// is the first dependence that requested the send.
-	Dep dep.Dependence
 }
 
 // String renders the op in the paper's notation.
@@ -89,27 +86,33 @@ func Insert(a *dep.Analysis, opts Options) *Loop {
 		Pre:      prePost[:len(loop.Body)],
 		Post:     prePost[len(loop.Body):],
 	}
+	synced := func(d dep.Dependence) bool {
+		return d.Carried() && (!opts.FlowOnly || d.Kind == dep.Flow)
+	}
+	n := 0
+	for _, d := range a.Deps {
+		if synced(d) {
+			n++
+		}
+	}
+	if n > 0 {
+		out.Synced = make([]dep.Dependence, 0, n)
+	}
 	sentFrom := make([]bool, len(loop.Body)) // source statement index -> send inserted
 	type waitKey struct {
 		snk, src, d int
 	}
 	var waited map[waitKey]bool
 	for _, d := range a.Deps {
-		if !d.Carried() {
+		if !synced(d) {
 			continue
-		}
-		if opts.FlowOnly && d.Kind != dep.Flow {
-			continue
-		}
-		if out.Synced == nil {
-			out.Synced = make([]dep.Dependence, 0, len(a.Deps))
 		}
 		out.Synced = append(out.Synced, d)
 		srcStmt := d.Src.Stmt
 		srcLabel := loop.Body[srcStmt].Label
 		if !sentFrom[srcStmt] {
 			sentFrom[srcStmt] = true
-			out.Post[srcStmt] = append(out.Post[srcStmt], Op{Kind: Send, Src: srcLabel, Dep: d})
+			out.Post[srcStmt] = append(out.Post[srcStmt], Op{Kind: Send, Src: srcLabel})
 		}
 		wk := waitKey{snk: d.Snk.Stmt, src: srcStmt, d: d.Distance}
 		if !waited[wk] {
@@ -117,9 +120,7 @@ func Insert(a *dep.Analysis, opts Options) *Loop {
 				waited = make(map[waitKey]bool, 8)
 			}
 			waited[wk] = true
-			out.Pre[d.Snk.Stmt] = append(out.Pre[d.Snk.Stmt], Op{
-				Kind: Wait, Src: srcLabel, Distance: d.Distance, Dep: d,
-			})
+			out.Pre[d.Snk.Stmt] = append(out.Pre[d.Snk.Stmt], Op{Kind: Wait, Src: srcLabel, Distance: d.Distance})
 		}
 	}
 	// Waits before a statement are ordered by descending distance, matching

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"doacross/internal/diag"
 	"doacross/internal/lang"
@@ -50,25 +51,49 @@ type Program struct {
 	sendOf, sends, waits []int32
 }
 
-// instrArena hands out pointer-stable Instr storage in fixed-capacity
-// chunks: a chunk's backing array never reallocates, so the *Instr pointers
-// threaded through Program's maps and the DFG stay valid while the bulk of
-// the instruction stream lives in a handful of contiguous blocks instead of
-// one heap object per instruction.
+// instrArena hands out pointer-stable Instr storage in fixed-capacity chunks
+// while a program is generated: the *Instr pointers threaded through the
+// generator's maps stay valid while the stream grows. publish copies the
+// stream into one exactly sized block, so an arena's chunks serve one
+// Generate call after another through arenaPool.
 type instrArena struct {
 	chunks [][]Instr
+	n      int
 }
 
 const instrArenaChunk = 64
 
+var arenaPool = sync.Pool{New: func() any { return new(instrArena) }}
+
 func (a *instrArena) alloc() *Instr {
-	k := len(a.chunks) - 1
-	if k < 0 || len(a.chunks[k]) == cap(a.chunks[k]) {
-		a.chunks = append(a.chunks, make([]Instr, 0, instrArenaChunk))
-		k++
+	k, i := a.n/instrArenaChunk, a.n%instrArenaChunk
+	if k == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]Instr, instrArenaChunk))
 	}
-	a.chunks[k] = append(a.chunks[k], Instr{})
-	return &a.chunks[k][len(a.chunks[k])-1]
+	a.n++
+	return &a.chunks[k][i]
+}
+
+// publish copies the generated instructions into one block of exactly their
+// number and returns them in program order.
+func (a *instrArena) publish() []*Instr {
+	block := make([]Instr, a.n)
+	instrs := make([]*Instr, a.n)
+	for i := range block {
+		block[i] = a.chunks[i/instrArenaChunk][i%instrArenaChunk]
+		instrs[i] = &block[i]
+	}
+	return instrs
+}
+
+// release clears the chunks used, so a pooled arena keeps no names alive,
+// and returns the arena to arenaPool.
+func (a *instrArena) release() {
+	for k := 0; k*instrArenaChunk < a.n; k++ {
+		clear(a.chunks[k])
+	}
+	a.n = 0
+	arenaPool.Put(a)
 }
 
 // affineKey is the CSE key of a pure subscript: AffineIndex proves the
@@ -97,7 +122,7 @@ func binOpcode(op lang.BinOp) Opcode {
 // generator lowers one loop.
 type generator struct {
 	prog     *Program
-	arena    instrArena
+	arena    *instrArena
 	iv       string
 	nextTemp int
 	// addrCSE caches scaled-address temps of pure subscripts within the
@@ -114,13 +139,12 @@ func Generate(sl *syncop.Loop) (*Program, error) {
 	// loops without conditionals or scalars never pay for the ones they
 	// don't use.
 	g := &generator{
-		prog: &Program{
-			Sync:   sl,
-			Instrs: make([]*Instr, 0, instrArenaChunk),
-		},
-		iv:   sl.Base.Var,
-		stmt: -1,
+		prog:  &Program{Sync: sl},
+		arena: arenaPool.Get().(*instrArena),
+		iv:    sl.Base.Var,
+		stmt:  -1,
 	}
+	defer g.arena.release()
 	for k, st := range sl.Base.Body {
 		g.stmt = k
 		for _, op := range sl.Pre[k] {
@@ -138,9 +162,22 @@ func Generate(sl *syncop.Loop) (*Program, error) {
 			g.emit(Instr{Op: Send, Signal: op.Src})
 		}
 	}
-	g.prog.NumTemps = g.nextTemp
-	g.prog.index()
-	return g.prog, nil
+	p := g.prog
+	p.Instrs = g.arena.publish()
+	// The maps were filled with arena addresses: repoint them at the
+	// published instructions, found by ID.
+	for k, in := range p.ArrayInstr {
+		p.ArrayInstr[k] = p.Instrs[in.ID-1]
+	}
+	for k, in := range p.ScalarInstr {
+		p.ScalarInstr[k] = p.Instrs[in.ID-1]
+	}
+	for k, in := range p.MergeLoad {
+		p.MergeLoad[k] = p.Instrs[in.ID-1]
+	}
+	p.NumTemps = g.nextTemp
+	p.index()
+	return p, nil
 }
 
 // MustGenerate is Generate for known-good inputs (tests, examples).
@@ -155,9 +192,8 @@ func MustGenerate(sl *syncop.Loop) *Program {
 func (g *generator) emit(in Instr) *Instr {
 	p := g.arena.alloc()
 	*p = in
-	p.ID = len(g.prog.Instrs) + 1
+	p.ID = g.arena.n
 	p.Stmt = g.stmt
-	g.prog.Instrs = append(g.prog.Instrs, p)
 	return p
 }
 
