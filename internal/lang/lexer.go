@@ -257,24 +257,25 @@ func isIdentPart(c byte) bool {
 	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
 }
 
-// isKeyword reports whether ident spells a keyword, as keywordOf does
-// without upper-casing it.
-func isKeyword(ident string) bool {
-	return strings.EqualFold(ident, "DO") || strings.EqualFold(ident, "IF") ||
-		strings.EqualFold(ident, "DOACROSS") || isLoopEnd(ident)
-}
+// isKeyword reports whether ident spells a keyword.
+func isKeyword(ident string) bool { return keywordOf(ident) != "" }
 
 // isLoopEnd reports whether ident spells ENDDO or END_DOACROSS.
 func isLoopEnd(ident string) bool {
 	return strings.EqualFold(ident, "ENDDO") || strings.EqualFold(ident, "END_DOACROSS")
 }
 
-// keywordOf reports the canonical keyword for an identifier, or "".
+// keywords are the canonical spellings keywordOf matches.
+var keywords = [...]string{"DO", "DOACROSS", "ENDDO", "END_DOACROSS", "IF"}
+
+// keywordOf reports the canonical keyword for an identifier, or "". It
+// compares case-insensitively in place, so an identifier in any case costs
+// no allocation.
 func keywordOf(ident string) string {
-	up := strings.ToUpper(ident)
-	switch up {
-	case "DO", "DOACROSS", "ENDDO", "END_DOACROSS", "IF":
-		return up
+	for _, kw := range keywords {
+		if strings.EqualFold(ident, kw) {
+			return kw
+		}
 	}
 	return ""
 }

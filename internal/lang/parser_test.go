@@ -302,3 +302,23 @@ func TestLoopStringContainsLabels(t *testing.T) {
 		}
 	}
 }
+
+// TestKeywordCaseAllocs: keywords match in any case without upper-casing a
+// copy of each identifier, so a loop written in lower case parses with the
+// allocations of the same loop in upper case.
+func TestKeywordCaseAllocs(t *testing.T) {
+	const upper = "DO I = 1, N\nS1: A[I] = A[I-1] + B[I]\nS2: IF (A[I] > 0) C[I] = A[I-2] * 2\nENDDO"
+	lower := strings.ToLower(upper)
+	allocs := func(src string) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, err := Parse(src); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	up, low := allocs(upper), allocs(lower)
+	t.Logf("upper case: %.0f allocations, lower case: %.0f", up, low)
+	if low != up {
+		t.Errorf("the lower-case loop parses with %.0f allocations, the upper-case one with %.0f", low, up)
+	}
+}
