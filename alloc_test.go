@@ -15,9 +15,11 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"doacross"
 	"doacross/internal/check"
+	"doacross/internal/dfg"
 	"doacross/internal/diag"
 	"doacross/internal/dlx"
 	"doacross/internal/hotbench"
@@ -27,6 +29,7 @@ import (
 	"doacross/internal/perfect"
 	"doacross/internal/pipeline"
 	"doacross/internal/scheditest"
+	"doacross/internal/tac"
 )
 
 // TestScratchScheduleAllocs pins steady-state scheduling into a warm
@@ -518,9 +521,11 @@ func servedFootprint(t *testing.T, services, count int, req func(k int) pipeline
 // TestCachedLoopFootprint pins the heap a cached loop keeps resident: 2,000
 // distinct loopgen loops, shapes cycling and 1-6 statements as serve-cold
 // draws them, are served through one Service with an unbounded cache, and
-// the live heap's growth per loop is pinned at the measured 31.6 KB plus
-// 10% (47.8 KB before the compile passes published exactly sized storage).
-// Storage sized for larger loops, or kept for nobody to read, shows here.
+// the live heap's growth per loop is pinned at the measured 20.8 KB plus
+// 10% (47.8 KB before the compile passes published exactly sized storage,
+// 31.6 KB before instructions, graph adjacency and synchronized
+// dependences took their compact forms). Storage sized for larger loops,
+// or kept for nobody to read, shows here.
 //
 // The loops of each multi-loop kernel file, parsed with their file and
 // served one at a time, must weigh in sum within 1% of the same loops each
@@ -531,7 +536,7 @@ func servedFootprint(t *testing.T, services, count int, req func(k int) pipeline
 // Services and each side is its least of three readings, which keeps the
 // heap readings' noise below the bound.
 func TestCachedLoopFootprint(t *testing.T) {
-	const loops, limit = 2000, 31600 * 1.10
+	const loops, limit = 2000, 20800 * 1.10
 	shapes := loopgen.Shapes()
 	var srcs []string
 	seen := map[string]bool{}
@@ -589,6 +594,19 @@ func TestCachedLoopFootprint(t *testing.T) {
 		if withFile > alone*1.01 {
 			t.Errorf("%s: its %d loops weigh %.0f B parsed with their file, over 1%% more than the %.0f B parsed one by one", filepath.Base(path), len(file.Loops), withFile, alone)
 		}
+	}
+}
+
+// TestCompactFormsFootprint pins the sizes of the records a compiled loop
+// keeps one of per instruction and per graph arc: an instruction of 32-bit
+// and byte fields (160 bytes when its fields were int-sized and its names
+// strings), and an arc of two int32 endpoints and a byte kind.
+func TestCompactFormsFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(tac.Instr{}); got > 64 {
+		t.Errorf("tac.Instr is %d bytes, want <= 64", got)
+	}
+	if got := unsafe.Sizeof(dfg.Arc{}); got > 12 {
+		t.Errorf("dfg.Arc is %d bytes, want <= 12", got)
 	}
 }
 

@@ -60,7 +60,7 @@ func run() int {
 	logLevel := flag.String("log", "", "structured decision log level on stderr: debug, info, warn, error (\"\" = off; the flight recorder records regardless)")
 	flightDir := flag.String("flight-dir", "", "directory for triggered flight-recorder dumps (\"\" = stderr)")
 	flightRing := flag.Int("flight-ring", 0, "flight-recorder ring capacity in records (0 = 256)")
-	machineObs := flag.Bool("machine-obs", false, "trace every simulation and attach machine-level utilization reports to responses")
+	machineObs := flag.Bool("machine-obs", false, "trace every simulation and attach machine-level utilization reports to responses (trip counts above 65536 are refused)")
 	flag.Parse()
 
 	var logger *slog.Logger

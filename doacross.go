@@ -267,7 +267,7 @@ func (p *Program) CountLexical() (lfd, lbd int) { return p.Analysis.CountLexical
 func (p *Program) DoacrossSource() string { return p.Sync.String() }
 
 // Listing renders the compiled three-address code (the Fig. 2 view).
-func (p *Program) Listing() string { return tac.Listing(p.Code.Instrs) }
+func (p *Program) Listing() string { return p.Code.Listing() }
 
 // GraphInfo summarizes the data-flow graph partition (the Fig. 3 view).
 func (p *Program) GraphInfo() string { return p.Graph.SyncInfo() }

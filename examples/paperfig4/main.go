@@ -43,7 +43,7 @@ func main() {
 	fmt.Println("\n=== Fig. 3: data-flow graph with synchronization arcs ===")
 	fmt.Println(prog.GraphInfo())
 	for _, sp := range prog.Graph.SyncPaths() {
-		ids := make([]int, len(sp.Nodes))
+		ids := make([]int32, len(sp.Nodes))
 		for i, v := range sp.Nodes {
 			ids[i] = prog.Code.Instrs[v].ID
 		}

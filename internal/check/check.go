@@ -103,12 +103,13 @@ func Edges(p *tac.Program) ([]Edge, error) {
 	}
 	var buf [3]int
 	uses := 0
-	for i, in := range p.Instrs {
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
 		uses += len(in.AppendUses(buf[:0]))
 		if in.Dst == 0 {
 			continue
 		}
-		if in.Dst < 0 || in.Dst > p.NumTemps {
+		if in.Dst < 0 || int(in.Dst) > p.NumTemps {
 			return nil, fmt.Errorf("check: instr %d defines temp t%d outside t1..t%d", i+1, in.Dst, p.NumTemps)
 		}
 		if prev := defOf[in.Dst]; prev >= 0 {
@@ -118,9 +119,9 @@ func Edges(p *tac.Program) ([]Edge, error) {
 	}
 	a := p.Sync.Analysis
 	out := make([]Edge, 0, uses+len(a.Deps)+2*len(p.Sync.Synced))
-	for i, in := range p.Instrs {
+	for i := range p.Instrs {
 		first := len(out)
-		for _, t := range in.AppendUses(buf[:0]) {
+		for _, t := range p.Instrs[i].AppendUses(buf[:0]) {
 			if t < 0 || t > p.NumTemps {
 				return nil, fmt.Errorf("check: instr %d uses temp t%d outside t1..t%d", i+1, t, p.NumTemps)
 			}
@@ -146,33 +147,34 @@ func Edges(p *tac.Program) ([]Edge, error) {
 		if !ok1 || !ok2 {
 			return nil, fmt.Errorf("check: dependence %v has unmapped reference", d)
 		}
-		out = append(out, Edge{From: src.ID - 1, To: snk.ID - 1, Kind: EdgeMem})
+		out = append(out, Edge{From: src, To: snk, Kind: EdgeMem})
 	}
 
 	// Synchronization-condition edges for every synchronized dependence.
-	for _, d := range p.Sync.Synced {
+	for k := range p.Sync.Synced {
+		d := p.Sync.SyncedDep(k)
 		if d.Src.Stmt < 0 || d.Src.Stmt >= len(p.Sync.Base.Body) {
-			return nil, fmt.Errorf("check: synchronized dependence %v has no source statement", d)
+			return nil, fmt.Errorf("check: synchronized dependence %v has no source statement", *d)
 		}
 		label := p.Sync.Base.Body[d.Src.Stmt].Label
 		send := p.SendFor(label)
-		if send == nil {
+		if send < 0 {
 			return nil, fmt.Errorf("check: missing send for signal %s", label)
 		}
-		srcIn, ok := refInstr(p, d.Src)
+		src, ok := refInstr(p, d.Src)
 		if !ok {
-			return nil, fmt.Errorf("check: dependence %v source unmapped", d)
+			return nil, fmt.Errorf("check: dependence %v source unmapped", *d)
 		}
-		out = append(out, Edge{From: srcIn.ID - 1, To: send.ID - 1, Kind: EdgeSrcToSend})
+		out = append(out, Edge{From: src, To: send, Kind: EdgeSrcToSend})
 		wi := p.WaitFor(d.Snk.Stmt, label, d.Distance)
 		if wi < 0 {
-			return nil, fmt.Errorf("check: missing wait for %v", d)
+			return nil, fmt.Errorf("check: missing wait for %v", *d)
 		}
-		snkIn, ok := refInstr(p, d.Snk)
+		snk, ok := refInstr(p, d.Snk)
 		if !ok {
-			return nil, fmt.Errorf("check: dependence %v sink unmapped", d)
+			return nil, fmt.Errorf("check: dependence %v sink unmapped", *d)
 		}
-		out = append(out, Edge{From: wi, To: snkIn.ID - 1, Kind: EdgeWaitToSnk})
+		out = append(out, Edge{From: wi, To: snk, Kind: EdgeWaitToSnk})
 	}
 	return dedupEdges(out, mem), nil
 }
@@ -228,18 +230,20 @@ func dedupEdges(out []Edge, from int) []Edge {
 	return out[:k]
 }
 
-// refInstr maps a dependence reference to the instruction that performs it.
-func refInstr(p *tac.Program, r dep.Ref) (*tac.Instr, bool) {
-	if r.Array != nil {
-		if r.Merge {
-			in, ok := p.MergeLoad[r.Array]
-			return in, ok
-		}
-		in, ok := p.ArrayInstr[r.Array]
-		return in, ok
+// refInstr maps a dependence reference to the index of the instruction
+// that performs it.
+func refInstr(p *tac.Program, r dep.Ref) (int, bool) {
+	var v int32
+	var ok bool
+	switch {
+	case r.Array != nil && r.Merge:
+		v, ok = p.MergeLoad[r.Array]
+	case r.Array != nil:
+		v, ok = p.ArrayInstr[r.Array]
+	default:
+		v, ok = p.ScalarInstr[tac.ScalarKey{Stmt: r.Stmt, Name: r.ScalarName, Write: r.Write}]
 	}
-	in, ok := p.ScalarInstr[tac.ScalarKey{Stmt: r.Stmt, Name: r.ScalarName, Write: r.Write}]
-	return in, ok
+	return int(v), ok
 }
 
 // Err reduces a diagnostic list to its first error, or nil. It is the
@@ -315,7 +319,7 @@ func (vr *Verifier) Verify(s *core.Schedule) diag.List {
 		return out
 	}
 	n := len(s.Prog.Instrs)
-	pos := func(v int) (diag.Pos, string) { return stmtPos(s.Prog, s.Prog.Instrs[v]) }
+	pos := func(v int) (diag.Pos, string) { return stmtPos(s.Prog, &s.Prog.Instrs[v]) }
 
 	// Shape: every instruction scheduled exactly once, rows and cycles in
 	// agreement, issue width respected. Everything after this section may
@@ -359,7 +363,7 @@ func (vr *Verifier) Verify(s *core.Schedule) diag.List {
 	for v := 0; v < n; v++ {
 		if rowPos[v] < 0 {
 			p, st := pos(v)
-			fail(p, st, "instruction %d (%v) never scheduled", s.Prog.Instrs[v].ID, s.Prog.Instrs[v])
+			fail(p, st, "instruction %d (%s) never scheduled", s.Prog.Instrs[v].ID, s.Prog.Format(&s.Prog.Instrs[v]))
 			shapeOK = false
 		}
 	}
@@ -381,14 +385,14 @@ func (vr *Verifier) Verify(s *core.Schedule) diag.List {
 			continue
 		}
 		p, st := pos(e.To)
-		from, to := s.Prog.Instrs[e.From], s.Prog.Instrs[e.To]
+		from, to := &s.Prog.Instrs[e.From], &s.Prog.Instrs[e.To]
 		switch e.Kind {
 		case EdgeSrcToSend:
-			fail(p, st, "synchronization condition 1 violated: %v (instr %d, cycle %d) precedes its source store (instr %d, cycle %d, latency %d)",
-				from, from.ID, s.Cycle[e.To], to.ID, s.Cycle[e.From], lat(e.From))
+			fail(p, st, "synchronization condition 1 violated: %s (instr %d, cycle %d) precedes its source store (instr %d, cycle %d, latency %d)",
+				s.Prog.Format(from), from.ID, s.Cycle[e.To], to.ID, s.Cycle[e.From], lat(e.From))
 		case EdgeWaitToSnk:
-			fail(p, st, "synchronization condition 2 violated: sink %v (instr %d, cycle %d) precedes %v (instr %d, cycle %d)",
-				to, to.ID, s.Cycle[e.To], from, from.ID, s.Cycle[e.From])
+			fail(p, st, "synchronization condition 2 violated: sink %s (instr %d, cycle %d) precedes %s (instr %d, cycle %d)",
+				s.Prog.Format(to), to.ID, s.Cycle[e.To], s.Prog.Format(from), from.ID, s.Cycle[e.From])
 		default:
 			fail(p, st, "%s dependence violated: instr %d (cycle %d, latency %d) -> instr %d (cycle %d)",
 				e.Kind, from.ID, s.Cycle[e.From], lat(e.From), to.ID, s.Cycle[e.To])
@@ -450,7 +454,8 @@ func (vr *Verifier) Verify(s *core.Schedule) diag.List {
 func verifyDeadlockFree(s *core.Schedule, rowPos []int) diag.List {
 	var out diag.List
 	search := false
-	for v, in := range s.Prog.Instrs {
+	for v := range s.Prog.Instrs {
+		in := &s.Prog.Instrs[v]
 		if in.Op != tac.Wait {
 			continue
 		}
@@ -459,7 +464,7 @@ func verifyDeadlockFree(s *core.Schedule, rowPos []int) diag.List {
 			continue
 		}
 		p, st := stmtPos(s.Prog, in)
-		d := diag.Errorf(Stage, p, "deadlock: %v waits for a signal that is never sent", in)
+		d := diag.Errorf(Stage, p, "deadlock: %s waits for a signal that is never sent", s.Prog.Format(in))
 		if st != "" {
 			d = d.WithStmt(st)
 		}
@@ -474,9 +479,9 @@ func verifyDeadlockFree(s *core.Schedule, rowPos []int) diag.List {
 	}
 	names := make([]string, len(cycle))
 	for i, v := range cycle {
-		names[i] = s.Prog.Instrs[v].String()
+		names[i] = s.Prog.Format(&s.Prog.Instrs[v])
 	}
-	p, st := stmtPos(s.Prog, s.Prog.Instrs[cycle[0]])
+	p, st := stmtPos(s.Prog, &s.Prog.Instrs[cycle[0]])
 	d := diag.Errorf(Stage, p, "cross-iteration deadlock: wait-for cycle with non-positive total distance through %v", names)
 	if st != "" {
 		d = d.WithStmt(st)
@@ -487,7 +492,7 @@ func verifyDeadlockFree(s *core.Schedule, rowPos []int) diag.List {
 // stmtPos returns the position and label of the statement an instruction
 // was generated from, or zero values when it has none.
 func stmtPos(p *tac.Program, in *tac.Instr) (diag.Pos, string) {
-	if p.Sync != nil && in.Stmt >= 0 && in.Stmt < len(p.Sync.Base.Body) {
+	if p.Sync != nil && in.Stmt >= 0 && int(in.Stmt) < len(p.Sync.Base.Body) {
 		st := p.Sync.Base.Body[in.Stmt]
 		return st.Pos(), st.Label
 	}
@@ -507,8 +512,8 @@ func stmtPos(p *tac.Program, in *tac.Instr) (diag.Pos, string) {
 // schedule order, and a pass costs O(syncs).
 func deadlockCycle(s *core.Schedule, rowPos []int) []int {
 	var syncs []int // sync instructions in schedule order
-	for v, in := range s.Prog.Instrs {
-		if in.IsSync() {
+	for v := range s.Prog.Instrs {
+		if s.Prog.Instrs[v].IsSync() {
 			syncs = append(syncs, v)
 		}
 	}
@@ -537,7 +542,7 @@ func deadlockCycle(s *core.Schedule, rowPos []int) []int {
 		changed := -1
 		for i, v := range syncs {
 			if j := to[i]; j >= 0 {
-				if w := dist[i] + s.Prog.Instrs[v].SigDist*k - 1; w < dist[j] {
+				if w := dist[i] + int(s.Prog.Instrs[v].SigDist)*k - 1; w < dist[j] {
 					dist[j], pred[j], changed = w, i, j
 				}
 			}
@@ -577,7 +582,8 @@ func verifyLBDAccounting(s *core.Schedule) diag.List {
 	var out diag.List
 	lbd := 0
 	worst := 0.0
-	for v, in := range s.Prog.Instrs {
+	for v := range s.Prog.Instrs {
+		in := &s.Prog.Instrs[v]
 		if in.Op != tac.Wait {
 			continue
 		}

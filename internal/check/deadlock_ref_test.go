@@ -9,8 +9,8 @@ import (
 
 // refSendFor is the linear send lookup tac.(*Program).SendFor replaced.
 func refSendFor(p *tac.Program, signal string) *tac.Instr {
-	for _, in := range p.Instrs {
-		if in.Op == tac.Send && in.Signal == signal {
+	for i := range p.Instrs {
+		if in := &p.Instrs[i]; in.Op == tac.Send && p.Name(in.Signal) == signal {
 			return in
 		}
 	}
@@ -38,8 +38,8 @@ func refSendFor(p *tac.Program, signal string) *tac.Instr {
 func refVerifyDeadlockFree(s *core.Schedule, rowPos []int) diag.List {
 	var out diag.List
 	var syncs []int
-	for v, in := range s.Prog.Instrs {
-		if in.IsSync() {
+	for v := range s.Prog.Instrs {
+		if s.Prog.Instrs[v].IsSync() {
 			syncs = append(syncs, v)
 		}
 	}
@@ -55,17 +55,17 @@ func refVerifyDeadlockFree(s *core.Schedule, rowPos []int) diag.List {
 	}
 	var arcs []arc
 	for i, v := range syncs {
-		in := s.Prog.Instrs[v]
+		in := &s.Prog.Instrs[v]
 		if in.Op == tac.Wait {
-			send := refSendFor(s.Prog, in.Signal)
+			send := refSendFor(s.Prog, s.Prog.Name(in.Signal))
 			if send == nil {
 				st := ""
 				p := diag.Pos{}
-				if s.Prog.Sync != nil && in.Stmt >= 0 && in.Stmt < len(s.Prog.Sync.Base.Body) {
+				if s.Prog.Sync != nil && in.Stmt >= 0 && int(in.Stmt) < len(s.Prog.Sync.Base.Body) {
 					stmt := s.Prog.Sync.Base.Body[in.Stmt]
 					p, st = stmt.Pos(), stmt.Label
 				}
-				d := diag.Errorf(check.Stage, p, "deadlock: %v waits for a signal that is never sent", in)
+				d := diag.Errorf(check.Stage, p, "deadlock: %s waits for a signal that is never sent", s.Prog.Format(in))
 				if st != "" {
 					d = d.WithStmt(st)
 				}
@@ -73,10 +73,10 @@ func refVerifyDeadlockFree(s *core.Schedule, rowPos []int) diag.List {
 				continue
 			}
 			to := 0
-			if j := send.ID - 1; j >= 0 && j < len(idx) {
+			if j := int(send.ID) - 1; j >= 0 && j < len(idx) {
 				to = idx[j]
 			}
-			arcs = append(arcs, arc{from: i, to: to, w: in.SigDist})
+			arcs = append(arcs, arc{from: i, to: to, w: int(in.SigDist)})
 			// Same-iteration stall arcs into this wait.
 			for j, x := range syncs {
 				if x == v {
@@ -126,16 +126,16 @@ func refVerifyDeadlockFree(s *core.Schedule, rowPos []int) diag.List {
 		var names []string
 		start := v
 		for {
-			names = append(names, s.Prog.Instrs[syncs[v]].String())
+			names = append(names, s.Prog.Format(&s.Prog.Instrs[syncs[v]]))
 			v = pred[v]
 			if v == start || len(names) > len(syncs) {
 				break
 			}
 		}
-		in := s.Prog.Instrs[syncs[start]]
+		in := &s.Prog.Instrs[syncs[start]]
 		p := diag.Pos{}
 		st := ""
-		if s.Prog.Sync != nil && in.Stmt >= 0 && in.Stmt < len(s.Prog.Sync.Base.Body) {
+		if s.Prog.Sync != nil && in.Stmt >= 0 && int(in.Stmt) < len(s.Prog.Sync.Base.Body) {
 			stmt := s.Prog.Sync.Base.Body[in.Stmt]
 			p, st = stmt.Pos(), stmt.Label
 		}

@@ -29,7 +29,7 @@ func refEdges(p *tac.Program) ([]check.Edge, error) {
 		out = append(out, check.Edge{From: from, To: to, Kind: kind})
 	}
 
-	defOf := map[int]int{}
+	defOf := map[int32]int{}
 	for i, in := range p.Instrs {
 		if in.Dst != 0 {
 			if prev, dup := defOf[in.Dst]; dup {
@@ -40,7 +40,7 @@ func refEdges(p *tac.Program) ([]check.Edge, error) {
 	}
 	for i, in := range p.Instrs {
 		for _, t := range in.Uses() {
-			d, ok := defOf[t]
+			d, ok := defOf[int32(t)]
 			if !ok {
 				return nil, fmt.Errorf("check: instr %d uses undefined temp t%d", i+1, t)
 			}
@@ -61,52 +61,54 @@ func refEdges(p *tac.Program) ([]check.Edge, error) {
 		if !ok1 || !ok2 {
 			return nil, fmt.Errorf("check: dependence %v has unmapped reference", d)
 		}
-		add(src.ID-1, snk.ID-1, check.EdgeMem)
+		add(src, snk, check.EdgeMem)
 	}
 
-	for _, d := range p.Sync.Synced {
+	for k := range p.Sync.Synced {
+		d := *p.Sync.SyncedDep(k)
 		if d.Src.Stmt < 0 || d.Src.Stmt >= len(p.Sync.Base.Body) {
 			return nil, fmt.Errorf("check: synchronized dependence %v has no source statement", d)
 		}
 		label := p.Sync.Base.Body[d.Src.Stmt].Label
 		send := p.SendFor(label)
-		if send == nil {
+		if send < 0 {
 			return nil, fmt.Errorf("check: missing send for signal %s", label)
 		}
-		srcIn, ok := refRefInstr(p, d.Src)
+		src, ok := refRefInstr(p, d.Src)
 		if !ok {
 			return nil, fmt.Errorf("check: dependence %v source unmapped", d)
 		}
-		add(srcIn.ID-1, send.ID-1, check.EdgeSrcToSend)
+		add(src, send, check.EdgeSrcToSend)
 		wi, ok := refWaitIndex(p, d.Snk.Stmt, label, d.Distance)
 		if !ok {
 			return nil, fmt.Errorf("check: missing wait for %v", d)
 		}
-		snkIn, ok := refRefInstr(p, d.Snk)
+		snk, ok := refRefInstr(p, d.Snk)
 		if !ok {
 			return nil, fmt.Errorf("check: dependence %v sink unmapped", d)
 		}
-		add(wi, snkIn.ID-1, check.EdgeWaitToSnk)
+		add(wi, snk, check.EdgeWaitToSnk)
 	}
 	return out, nil
 }
 
-func refRefInstr(p *tac.Program, r dep.Ref) (*tac.Instr, bool) {
-	if r.Array != nil {
-		if r.Merge {
-			in, ok := p.MergeLoad[r.Array]
-			return in, ok
-		}
-		in, ok := p.ArrayInstr[r.Array]
-		return in, ok
+func refRefInstr(p *tac.Program, r dep.Ref) (int, bool) {
+	var v int32
+	var ok bool
+	switch {
+	case r.Array != nil && r.Merge:
+		v, ok = p.MergeLoad[r.Array]
+	case r.Array != nil:
+		v, ok = p.ArrayInstr[r.Array]
+	default:
+		v, ok = p.ScalarInstr[tac.ScalarKey{Stmt: r.Stmt, Name: r.ScalarName, Write: r.Write}]
 	}
-	in, ok := p.ScalarInstr[tac.ScalarKey{Stmt: r.Stmt, Name: r.ScalarName, Write: r.Write}]
-	return in, ok
+	return int(v), ok
 }
 
 func refWaitIndex(p *tac.Program, stmt int, signal string, dist int) (int, bool) {
 	for i, in := range p.Instrs {
-		if in.Op == tac.Wait && in.Stmt == stmt && in.Signal == signal && in.SigDist == dist {
+		if in.Op == tac.Wait && int(in.Stmt) == stmt && p.Name(in.Signal) == signal && int(in.SigDist) == dist {
 			return i, true
 		}
 	}

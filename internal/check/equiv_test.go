@@ -127,11 +127,10 @@ func TestVerifierOtherProgramFallsBack(t *testing.T) {
 func withInstr(p *tac.Program, k int, edit func(*tac.Instr)) *tac.Program {
 	cp := &tac.Program{
 		Sync: p.Sync, Instrs: slices.Clone(p.Instrs), NumTemps: p.NumTemps,
+		Names: p.Names, Consts: p.Consts,
 		ArrayInstr: p.ArrayInstr, ScalarInstr: p.ScalarInstr, MergeLoad: p.MergeLoad,
 	}
-	in := *cp.Instrs[k]
-	edit(&in)
-	cp.Instrs[k] = &in
+	edit(&cp.Instrs[k])
 	return cp
 }
 
@@ -157,7 +156,7 @@ func TestEdgesRejectTempsOutOfRange(t *testing.T) {
 	if def < 0 || use < 0 {
 		t.Fatal("test premise: the paper loop defines and reads temps")
 	}
-	above := p.Code.NumTemps + 3
+	above := int32(p.Code.NumTemps + 3)
 	cases := []struct {
 		name string
 		prog *tac.Program
@@ -270,7 +269,7 @@ func TestDeadlockEquivalence(t *testing.T) {
 				if send < 0 {
 					continue
 				}
-				for _, d := range []int{in.SigDist, 0, -1} {
+				for _, d := range []int{int(in.SigDist), 0, -1} {
 					mut := withWaitDistance(s, v, d)
 					for _, at := range []int{0, s.Cycle[send], len(s.Rows)} {
 						mut := cloneSchedule(mut)
@@ -293,7 +292,7 @@ func TestDeadlockEquivalence(t *testing.T) {
 // withWaitDistance returns a copy of s whose program gives wait v distance d.
 func withWaitDistance(s *core.Schedule, v, d int) *core.Schedule {
 	cp := *s
-	cp.Prog = withInstr(s.Prog, v, func(in *tac.Instr) { in.SigDist = d })
+	cp.Prog = withInstr(s.Prog, v, func(in *tac.Instr) { in.SigDist = int32(d) })
 	return &cp
 }
 
@@ -336,7 +335,7 @@ func realDeadlockCycle(s *core.Schedule, cycle []int) bool {
 		from := cycle[(i+1)%len(cycle)]
 		w, ok := 0, false
 		if in := s.Prog.Instrs[from]; in.Op == tac.Wait && s.Prog.SendOf(from) == to {
-			w, ok = in.SigDist, true
+			w, ok = int(in.SigDist), true
 		}
 		later := s.Cycle[from] > s.Cycle[to] || s.Cycle[from] == s.Cycle[to] && rowPos[from] > rowPos[to]
 		if s.Prog.Instrs[to].Op == tac.Wait && s.Prog.SendOf(to) >= 0 && later && (!ok || w > 0) {

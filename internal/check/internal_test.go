@@ -8,13 +8,20 @@ import (
 	"doacross/internal/tac"
 )
 
+// syncOp is one hand-written synchronization instruction.
+type syncOp struct {
+	op  tac.Opcode
+	sig string
+	d   int
+}
+
 // syncSchedule hand-builds a schedule containing only synchronization
 // instructions, for exercising the wait-for-graph deadlock analysis in
 // isolation.
-func syncSchedule(instrs []*tac.Instr, cycles []int) (*core.Schedule, []int) {
-	for i, in := range instrs {
-		in.ID = i + 1
-		in.Stmt = -1
+func syncSchedule(ops []syncOp, cycles []int) (*core.Schedule, []int) {
+	prog := &tac.Program{}
+	for i, o := range ops {
+		prog.Instrs = append(prog.Instrs, tac.Instr{ID: int32(i + 1), Stmt: -1, Op: o.op, Signal: prog.Intern(o.sig), SigDist: int32(o.d)})
 	}
 	max := 0
 	for _, c := range cycles {
@@ -23,13 +30,13 @@ func syncSchedule(instrs []*tac.Instr, cycles []int) (*core.Schedule, []int) {
 		}
 	}
 	rows := make([][]int, max+1)
-	rowPos := make([]int, len(instrs))
+	rowPos := make([]int, len(ops))
 	for v, c := range cycles {
 		rowPos[v] = len(rows[c])
 		rows[c] = append(rows[c], v)
 	}
 	s := &core.Schedule{
-		Prog:  &tac.Program{Instrs: instrs},
+		Prog:  prog,
 		Cycle: cycles,
 		Rows:  rows,
 	}
@@ -37,15 +44,11 @@ func syncSchedule(instrs []*tac.Instr, cycles []int) (*core.Schedule, []int) {
 }
 
 func TestDeadlockDetection(t *testing.T) {
-	wait := func(sig string, d int) *tac.Instr {
-		return &tac.Instr{Op: tac.Wait, Signal: sig, SigDist: d}
-	}
-	send := func(sig string) *tac.Instr {
-		return &tac.Instr{Op: tac.Send, Signal: sig}
-	}
+	wait := func(sig string, d int) syncOp { return syncOp{tac.Wait, sig, d} }
+	send := func(sig string) syncOp { return syncOp{tac.Send, sig, 0} }
 	cases := []struct {
 		name     string
-		instrs   []*tac.Instr
+		instrs   []syncOp
 		cycles   []int
 		deadlock bool
 	}{
@@ -53,14 +56,14 @@ func TestDeadlockDetection(t *testing.T) {
 			// An LBD pair: the wait stalls but each iteration's send
 			// eventually unblocks the next. Not a deadlock.
 			name:   "lbd pair",
-			instrs: []*tac.Instr{wait("S1", 1), send("S1")},
+			instrs: []syncOp{wait("S1", 1), send("S1")},
 			cycles: []int{0, 1},
 		},
 		{
 			// Distance 0 with the send after the wait: the wait needs its
 			// own iteration's send, which sits behind it. Deadlock.
 			name:     "distance zero send after",
-			instrs:   []*tac.Instr{wait("S1", 0), send("S1")},
+			instrs:   []syncOp{wait("S1", 0), send("S1")},
 			cycles:   []int{0, 1},
 			deadlock: true,
 		},
@@ -68,14 +71,14 @@ func TestDeadlockDetection(t *testing.T) {
 			// Distance 0 with the send before the wait is satisfied within
 			// the iteration.
 			name:   "distance zero send before",
-			instrs: []*tac.Instr{send("S1"), wait("S1", 0)},
+			instrs: []syncOp{send("S1"), wait("S1", 0)},
 			cycles: []int{0, 1},
 		},
 		{
 			// Negative distance (wait on a future iteration) with the send
 			// behind the wait: infinite regress across iterations.
 			name:     "future wait send after",
-			instrs:   []*tac.Instr{wait("S1", -1), send("S1")},
+			instrs:   []syncOp{wait("S1", -1), send("S1")},
 			cycles:   []int{0, 1},
 			deadlock: true,
 		},
@@ -83,13 +86,13 @@ func TestDeadlockDetection(t *testing.T) {
 			// Negative distance but the send issues first: every iteration
 			// sends early, so the waits resolve.
 			name:   "future wait send before",
-			instrs: []*tac.Instr{send("S1"), wait("S1", -1)},
+			instrs: []syncOp{send("S1"), wait("S1", -1)},
 			cycles: []int{0, 1},
 		},
 		{
 			// Two crossing distance-0 pairs blocking each other.
 			name: "crossing pairs",
-			instrs: []*tac.Instr{
+			instrs: []syncOp{
 				wait("S1", 0), send("S2"), wait("S2", 0), send("S1"),
 			},
 			cycles:   []int{0, 1, 2, 3},
@@ -99,14 +102,14 @@ func TestDeadlockDetection(t *testing.T) {
 			// The same crossing shape with positive distances recedes to
 			// earlier iterations and bottoms out.
 			name: "crossing pairs positive",
-			instrs: []*tac.Instr{
+			instrs: []syncOp{
 				wait("S1", 1), send("S2"), wait("S2", 1), send("S1"),
 			},
 			cycles: []int{0, 1, 2, 3},
 		},
 		{
 			name:     "missing send",
-			instrs:   []*tac.Instr{wait("S9", 1)},
+			instrs:   []syncOp{wait("S9", 1)},
 			cycles:   []int{0},
 			deadlock: true,
 		},
@@ -123,9 +126,9 @@ func TestDeadlockDetection(t *testing.T) {
 }
 
 func TestDeadlockReportNamesCycle(t *testing.T) {
-	s, rowPos := syncSchedule([]*tac.Instr{
-		{Op: tac.Wait, Signal: "S1", SigDist: 0},
-		{Op: tac.Send, Signal: "S1"},
+	s, rowPos := syncSchedule([]syncOp{
+		{tac.Wait, "S1", 0},
+		{tac.Send, "S1", 0},
 	}, []int{0, 1})
 	l := verifyDeadlockFree(s, rowPos)
 	if len(l.Errors()) == 0 {

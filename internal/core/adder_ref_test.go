@@ -14,7 +14,7 @@ type refAdder struct {
 	adHead  []int32 // node -> first extra arc index + 1 (0 = none)
 	adNext  []int32
 	adMark  bitset.Bits
-	adStack []int
+	adStack []int32
 }
 
 func (sc *refAdder) reset(g *dfg.Graph, _ []int32) {
@@ -31,8 +31,8 @@ func (sc *refAdder) arcs() []dfg.Arc { return sc.adExtra }
 
 // adHas reports whether from→to exists in the base graph or the accepted
 // extra arcs.
-func (sc *refAdder) adHas(g *dfg.Graph, from, to int) bool {
-	for _, t := range g.Succ[from] {
+func (sc *refAdder) adHas(g *dfg.Graph, from, to int32) bool {
+	for _, t := range g.Succ(int(from)) {
 		if t == to {
 			return true
 		}
@@ -73,24 +73,24 @@ func (sc *refAdder) removeLast() {
 }
 
 // adReaches reports whether dst is reachable from src over base + extras.
-func (sc *refAdder) adReaches(g *dfg.Graph, src, dst int) bool {
+func (sc *refAdder) adReaches(g *dfg.Graph, src, dst int32) bool {
 	if src == dst {
 		return true
 	}
 	mark := bitset.Make(sc.adMark, g.N())
 	sc.adMark = mark
 	stack := append(sc.adStack[:0], src)
-	mark.Set(src)
+	mark.Set(int(src))
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range g.Succ[v] {
+		for _, w := range g.Succ(int(v)) {
 			if w == dst {
 				sc.adStack = stack
 				return true
 			}
-			if !mark.Has(w) {
-				mark.Set(w)
+			if !mark.Has(int(w)) {
+				mark.Set(int(w))
 				stack = append(stack, w)
 			}
 		}
@@ -100,8 +100,8 @@ func (sc *refAdder) adReaches(g *dfg.Graph, src, dst int) bool {
 				sc.adStack = stack
 				return true
 			}
-			if !mark.Has(w) {
-				mark.Set(w)
+			if !mark.Has(int(w)) {
+				mark.Set(int(w))
 				stack = append(stack, w)
 			}
 		}

@@ -146,10 +146,10 @@ func TestScheduleOrderExecutesCorrectly(t *testing.T) {
 		ref := loop.SeedStore(5, 8, 11)
 		got := ref.Clone()
 		for i := 1; i <= 5; i++ {
-			if err := tac.ExecIteration(p.Instrs, p.NumTemps, i, ref); err != nil {
+			if err := p.ExecIteration(nil, i, ref); err != nil {
 				t.Fatal(err)
 			}
-			if err := tac.ExecIteration(s.Order(), p.NumTemps, i, got); err != nil {
+			if err := p.ExecIteration(s.Order(), i, got); err != nil {
 				t.Fatalf("%s order execution: %v\n%s", s.Method, err, s.Listing())
 			}
 		}
@@ -184,7 +184,7 @@ func TestMultiplierLatencyRespected(t *testing.T) {
 		if in.Op == tac.Mul {
 			mulC = s.Cycle[v]
 		}
-		if in.Op == tac.Store && in.Array == "G" {
+		if in.Op == tac.Store && s.Prog.Name(in.Array) == "G" {
 			storeC = s.Cycle[v]
 		}
 	}
@@ -348,10 +348,10 @@ func TestQuickSchedulesValidAndSemanticsPreserved(t *testing.T) {
 			ref := loop.SeedStore(4, 10, uint64(seed))
 			got := ref.Clone()
 			for i := 1; i <= 4; i++ {
-				if err := tac.ExecIteration(p.Instrs, p.NumTemps, i, ref); err != nil {
+				if err := p.ExecIteration(nil, i, ref); err != nil {
 					return true // non-finite data path; skip
 				}
-				if err := tac.ExecIteration(s.Order(), p.NumTemps, i, got); err != nil {
+				if err := p.ExecIteration(s.Order(), i, got); err != nil {
 					t.Logf("seed %d %s: %v", seed, s.Method, err)
 					return false
 				}

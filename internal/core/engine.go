@@ -61,6 +61,7 @@ func (sc *Scratch) engine(g *dfg.Graph, cfg dlx.Config, extra []dfg.Arc, ord *or
 	}
 	n := g.N()
 	lat := sc.lat
+	succOff, succ := g.SuccCSR()
 	// Past this cycle the engine gives up. A node that could issue only
 	// later never enters the ring, so a ring longer than the limit is never
 	// needed.
@@ -81,8 +82,9 @@ func (sc *Scratch) engine(g *dfg.Graph, cfg dlx.Config, extra []dfg.Arc, ord *or
 	rem, next, xhead, head := links[:n], links[n:2*n], links[2*n:3*n], links[3*n:]
 	clear(head)
 	if len(extra) == 0 {
+		predOff, _ := g.PredCSR()
 		for v := range rem {
-			rem[v] = int32(len(g.Pred[v]))
+			rem[v] = predOff[v+1] - predOff[v]
 		}
 		clear(xhead)
 	} else {
@@ -117,7 +119,7 @@ func (sc *Scratch) engine(g *dfg.Graph, cfg dlx.Config, extra []dfg.Arc, ord *or
 				sc.occupy(cls, from, t+l)
 			}
 			ra := t + max(l, 1)
-			for _, s := range g.Succ[v] {
+			for _, s := range succ[succOff[v]:succOff[v+1]] {
 				readyAt[s] = max(readyAt[s], ra)
 				rem[s]--
 			}
@@ -187,16 +189,16 @@ func (sc *Scratch) engine(g *dfg.Graph, cfg dlx.Config, extra []dfg.Arc, ord *or
 				// A successor never issues in its predecessor's cycle, even
 				// at latency 0: candidates are fixed before the cycle issues.
 				ra := cycle + max(l, 1)
-				release := func(s int) {
+				release := func(s int32) {
 					readyAt[s] = max(readyAt[s], ra)
 					if rem[s]--; rem[s] == 0 && readyAt[s] <= limit {
 						r := readyAt[s] & mask
 						next[s] = head[r]
-						head[r] = int32(s) + 1
+						head[r] = s + 1
 						pending++
 					}
 				}
-				for _, s := range g.Succ[v] {
+				for _, s := range succ[succOff[v]:succOff[v+1]] {
 					release(s)
 				}
 				for e := xhead[v]; e != 0; e = xnext[e-1] {

@@ -100,15 +100,15 @@ func (r *refScheduler) sync(g *dfg.Graph, cfg dlx.Config, opt SyncOptions) (*Sch
 	if opt.NoPairArcs {
 		return best, nil
 	}
-	for i, in := range g.Prog.Instrs {
-		if in.Op != tac.Wait {
+	for i := range g.Prog.Instrs {
+		if g.Prog.Instrs[i].Op != tac.Wait {
 			continue
 		}
 		s := g.Prog.SendOf(i)
 		if s < 0 || best.Cycle[s] < best.Cycle[i] {
 			continue
 		}
-		if !ad.add(g, dfg.Arc{From: s, To: i, Kind: dfg.SrcToSend}) {
+		if !ad.add(g, dfg.Arc{From: int32(s), To: int32(i), Kind: dfg.SrcToSend}) {
 			continue
 		}
 		cand, err := r.engine(g, cfg, ad.arcs(), priority, "sync")
@@ -152,14 +152,14 @@ func (r *refScheduler) kahn(g *dfg.Graph) []int32 {
 	indeg := growInts(&r.indeg, n)
 	topo := r.topo[:0]
 	for i := 0; i < n; i++ {
-		if indeg[i] = len(g.Pred[i]); indeg[i] == 0 {
+		if indeg[i] = len(g.Pred(i)); indeg[i] == 0 {
 			topo = append(topo, int32(i))
 		}
 	}
 	for head := 0; head < len(topo); head++ {
-		for _, w := range g.Succ[topo[head]] {
+		for _, w := range g.Succ(int(topo[head])) {
 			if indeg[w]--; indeg[w] == 0 {
-				topo = append(topo, int32(w))
+				topo = append(topo, w)
 			}
 		}
 	}
@@ -179,7 +179,7 @@ func (r *refScheduler) criticalPaths(g *dfg.Graph, cfg dlx.Config) ([]int, error
 	for i := n - 1; i >= 0; i-- {
 		v := queue[i]
 		best := 0
-		for _, w := range g.Succ[v] {
+		for _, w := range g.Succ(int(v)) {
 			if cp[w] > best {
 				best = cp[w]
 			}
@@ -239,7 +239,7 @@ func (r *refScheduler) engine(g *dfg.Graph, cfg dlx.Config, extra []dfg.Arc, pri
 	// Merged successor CSR (base graph + extra arcs) and predecessor counts.
 	deg := growInts(&r.deg, n)
 	for i := 0; i < n; i++ {
-		deg[i] = len(g.Succ[i])
+		deg[i] = len(g.Succ(i))
 	}
 	for _, a := range extra {
 		deg[a.From]++
@@ -253,16 +253,19 @@ func (r *refScheduler) engine(g *dfg.Graph, cfg dlx.Config, extra []dfg.Arc, pri
 	off[n] = total
 	succ := growInts(&r.succ, total)
 	for i := 0; i < n; i++ {
-		copy(succ[off[i]:], g.Succ[i])
-		deg[i] = off[i] + len(g.Succ[i]) // reuse deg as the extra-fill cursor
+		deg[i] = off[i] // reuse deg as the fill cursor
+		for _, w := range g.Succ(i) {
+			succ[deg[i]] = int(w)
+			deg[i]++
+		}
 	}
 	for _, a := range extra {
-		succ[deg[a.From]] = a.To
+		succ[deg[a.From]] = int(a.To)
 		deg[a.From]++
 	}
 	rem := growInts(&r.rem, n)
 	for i := 0; i < n; i++ {
-		rem[i] = len(g.Pred[i])
+		rem[i] = len(g.Pred(i))
 	}
 	for _, a := range extra {
 		rem[a.To]++

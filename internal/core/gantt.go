@@ -36,7 +36,7 @@ func (s *Schedule) Gantt() string {
 	busyUntil := make([]int, syncLane)
 	for _, row := range s.Rows {
 		for _, v := range row {
-			in := s.Prog.Instrs[v]
+			in := &s.Prog.Instrs[v]
 			c := s.Cycle[v]
 			lat := s.Cfg.Latency[in.Class()]
 			if in.Class() == dlx.Sync {

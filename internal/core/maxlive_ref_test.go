@@ -18,7 +18,7 @@ func refMaxLive(s *core.Schedule) int {
 	defAt := map[int]int{}
 	for v, in := range s.Prog.Instrs {
 		if in.Dst != 0 {
-			defAt[in.Dst] = s.Cycle[v]
+			defAt[int(in.Dst)] = s.Cycle[v]
 		}
 		for _, t := range in.Uses() {
 			if s.Cycle[v] > lastUse[t] {
@@ -86,9 +86,9 @@ func TestMaxLiveTempsOutOfRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	edits := map[string]func(*tac.Instr){
-		"def above NumTemps": func(in *tac.Instr) { in.Dst = s.Prog.NumTemps + 3 },
+		"def above NumTemps": func(in *tac.Instr) { in.Dst = int32(s.Prog.NumTemps + 3) },
 		"negative def":       func(in *tac.Instr) { in.Dst = -2 },
-		"use above NumTemps": func(in *tac.Instr) { in.A = tac.Operand{Kind: tac.Temp, Reg: s.Prog.NumTemps + 5} },
+		"use above NumTemps": func(in *tac.Instr) { in.A = tac.TempOp(s.Prog.NumTemps + 5) },
 		"negative use":       func(in *tac.Instr) { in.A = tac.Operand{Kind: tac.Temp, Reg: -1} },
 	}
 	for name, edit := range edits {
@@ -96,9 +96,7 @@ func TestMaxLiveTempsOutOfRange(t *testing.T) {
 			for k := range s.Prog.Instrs {
 				prog := *s.Prog
 				prog.Instrs = slices.Clone(s.Prog.Instrs)
-				in := *prog.Instrs[k]
-				edit(&in)
-				prog.Instrs[k] = &in
+				edit(&prog.Instrs[k])
 				hs := *s
 				hs.Prog = &prog
 				if got, want := hs.MaxLive(), refMaxLive(&hs); got != want {

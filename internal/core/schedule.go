@@ -142,8 +142,8 @@ func (p PairSpan) Span() int { return p.SendCycle - p.WaitCycle }
 // wait node index.
 func (s *Schedule) PairSpans() []PairSpan {
 	var out []PairSpan
-	for v, in := range s.Prog.Instrs {
-		if p, ok := s.pairAt(v, in); ok {
+	for v := range s.Prog.Instrs {
+		if p, ok := s.pairAt(v); ok {
 			out = append(out, p)
 		}
 	}
@@ -152,7 +152,8 @@ func (s *Schedule) PairSpans() []PairSpan {
 
 // pairAt returns the placement of the pair whose wait is instruction v, or
 // false when v is not a wait or its signal is never sent.
-func (s *Schedule) pairAt(v int, in *tac.Instr) (PairSpan, bool) {
+func (s *Schedule) pairAt(v int) (PairSpan, bool) {
+	in := &s.Prog.Instrs[v]
 	if in.Op != tac.Wait {
 		return PairSpan{}, false
 	}
@@ -161,8 +162,8 @@ func (s *Schedule) pairAt(v int, in *tac.Instr) (PairSpan, bool) {
 		return PairSpan{}, false
 	}
 	return PairSpan{
-		Signal:    in.Signal,
-		Distance:  in.SigDist,
+		Signal:    s.Prog.Name(in.Signal),
+		Distance:  int(in.SigDist),
 		WaitCycle: s.Cycle[v],
 		SendCycle: s.Cycle[send],
 		WaitNode:  v,
@@ -173,8 +174,8 @@ func (s *Schedule) pairAt(v int, in *tac.Instr) (PairSpan, bool) {
 // NumLBD returns the number of synchronization pairs that remain LBD.
 func (s *Schedule) NumLBD() int {
 	n := 0
-	for v, in := range s.Prog.Instrs {
-		if p, ok := s.pairAt(v, in); ok && p.LBD() {
+	for v := range s.Prog.Instrs {
+		if p, ok := s.pairAt(v); ok && p.LBD() {
 			n++
 		}
 	}
@@ -189,8 +190,8 @@ func (s *Schedule) NumLBD() int {
 func (s *Schedule) ChainBound(n int) int {
 	l := s.CompletionLength()
 	best := l
-	for v, in := range s.Prog.Instrs {
-		p, ok := s.pairAt(v, in)
+	for v := range s.Prog.Instrs {
+		p, ok := s.pairAt(v)
 		if !ok || !p.LBD() {
 			continue
 		}
@@ -206,8 +207,8 @@ func (s *Schedule) ChainBound(n int) int {
 // max(span/d). This is the slope of the parallel execution time in n.
 func (s *Schedule) MaxLBDStall() float64 {
 	worst := 0.0
-	for v, in := range s.Prog.Instrs {
-		p, ok := s.pairAt(v, in)
+	for v := range s.Prog.Instrs {
+		p, ok := s.pairAt(v)
 		if !ok || !p.LBD() {
 			continue
 		}
@@ -238,9 +239,9 @@ func (s *Schedule) Validate() error {
 	}
 	// Dependence + latency.
 	for _, a := range s.Graph.Arcs {
-		if s.Cycle[a.To] < s.Cycle[a.From]+s.latency(a.From) {
+		if s.Cycle[a.To] < s.Cycle[a.From]+s.latency(int(a.From)) {
 			return fmt.Errorf("core: arc %v violated: %d -> %d with latency %d",
-				a, s.Cycle[a.From], s.Cycle[a.To], s.latency(a.From))
+				a, s.Cycle[a.From], s.Cycle[a.To], s.latency(int(a.From)))
 		}
 	}
 	// Function-unit occupancy (units are not pipelined: an instruction holds
@@ -299,7 +300,7 @@ func (s *Schedule) validateShape() error {
 	}
 	for v := 0; v < n; v++ {
 		if seen[v] == 0 {
-			return fmt.Errorf("core: node %d (instr %v) not scheduled", v, s.Prog.Instrs[v])
+			return fmt.Errorf("core: node %d (instr %s) not scheduled", v, s.Prog.Format(&s.Prog.Instrs[v]))
 		}
 	}
 	return nil
@@ -343,10 +344,11 @@ func PutTable(t *[]int) { tablePool.Put(t) }
 func (s *Schedule) MaxLive() int {
 	var buf [4]int // up to three uses and the def
 	lo, hi := 0, 0
-	for _, in := range s.Prog.Instrs {
+	for i := range s.Prog.Instrs {
+		in := &s.Prog.Instrs[i]
 		ts := in.AppendUses(buf[:0])
 		if in.Dst != 0 {
-			ts = append(ts, in.Dst)
+			ts = append(ts, int(in.Dst))
 		}
 		for _, t := range ts {
 			lo, hi = min(lo, t), max(hi, t)
@@ -360,9 +362,10 @@ func (s *Schedule) MaxLive() int {
 	// defAt[t-lo] is the def cycle + 1 (0: never defined); lastUse[t-lo]
 	// is the last consumer's issue cycle (0: no consumer after cycle 0).
 	defAt, lastUse, delta := tab[:temps], tab[temps:2*temps], tab[2*temps:]
-	for v, in := range s.Prog.Instrs {
+	for v := range s.Prog.Instrs {
+		in := &s.Prog.Instrs[v]
 		if in.Dst != 0 {
-			defAt[in.Dst-lo] = s.Cycle[v] + 1
+			defAt[int(in.Dst)-lo] = s.Cycle[v] + 1
 		}
 		for _, t := range in.AppendUses(buf[:0]) {
 			if s.Cycle[v] > lastUse[t-lo] {
@@ -417,20 +420,19 @@ func (s *Schedule) Listing() string {
 	for c, row := range s.Rows {
 		fmt.Fprintf(&sb, "cycle %3d:", c)
 		for _, v := range row {
-			fmt.Fprintf(&sb, "  [%d] %s", s.Prog.Instrs[v].ID, s.Prog.Instrs[v])
+			fmt.Fprintf(&sb, "  [%d] %s", s.Prog.Instrs[v].ID, s.Prog.Format(&s.Prog.Instrs[v]))
 		}
 		sb.WriteByte('\n')
 	}
 	return sb.String()
 }
 
-// Order returns the instructions in issue order (row by row, left to right).
-func (s *Schedule) Order() []*tac.Instr {
-	out := make([]*tac.Instr, 0, len(s.Cycle))
+// Order returns the instruction indexes in issue order (row by row, left to
+// right).
+func (s *Schedule) Order() []int {
+	out := make([]int, 0, len(s.Cycle))
 	for _, row := range s.Rows {
-		for _, v := range row {
-			out = append(out, s.Prog.Instrs[v])
-		}
+		out = append(out, row...)
 	}
 	return out
 }

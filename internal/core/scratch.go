@@ -83,9 +83,9 @@ type Scratch struct {
 	desc    bitset.Bits
 	inPath  bitset.Bits
 	visited bitset.Bits
-	stack   []int
-	queue   []int
-	anc     []int
+	stack   []int32
+	queue   []int32
+	anc     []int32
 	lazyBuf []dfg.Arc
 	pairBuf []dfg.Arc
 	prioBuf []int // priority, class and rank
@@ -181,14 +181,14 @@ func (sc *Scratch) bind(g *dfg.Graph, cfg dlx.Config) {
 		}
 		indeg := growInts(&sc.readyAt, n)
 		for v := 0; v < n; v++ {
-			if indeg[v] = len(g.Pred[v]); indeg[v] == 0 {
+			if indeg[v] = len(g.Pred(v)); indeg[v] == 0 {
 				sc.topo = append(sc.topo, int32(v))
 			}
 		}
 		for head := 0; head < len(sc.topo); head++ {
-			for _, w := range g.Succ[sc.topo[head]] {
+			for _, w := range g.Succ(int(sc.topo[head])) {
 				if indeg[w]--; indeg[w] == 0 {
-					sc.topo = append(sc.topo, int32(w))
+					sc.topo = append(sc.topo, w)
 				}
 			}
 		}
@@ -201,15 +201,15 @@ func (sc *Scratch) bind(g *dfg.Graph, cfg dlx.Config) {
 	sc.latOK, sc.cpListOK, sc.syncOK = false, false, false
 	buf := growInts(&sc.latBuf, 2*n)
 	sc.lat, sc.cp = buf[:n], buf[n:]
-	for v, in := range g.Prog.Instrs {
-		sc.lat[v] = cfg.Latency[in.Class()]
+	for v := range g.Prog.Instrs {
+		sc.lat[v] = cfg.Latency[g.Prog.Instrs[v].Class()]
 	}
 	// Latency-weighted longest path to a sink, the values of
 	// Graph.CriticalPathLengths (they do not depend on the topological order).
 	for i := n - 1; i >= 0 && sc.acyclic; i-- {
 		v := sc.topo[i]
 		best := 0
-		for _, w := range g.Succ[v] {
+		for _, w := range g.Succ(int(v)) {
 			best = max(best, sc.cp[w])
 		}
 		sc.cp[v] = sc.lat[v] + best
@@ -302,8 +302,8 @@ func (sc *Scratch) syncImpl(g *dfg.Graph, cfg dlx.Config, opt SyncOptions) (*Sch
 	// The adder is marked invalid while the loop changes it, so a call that
 	// panics halfway leaves it to be rebuilt.
 	sc.adOK = false
-	for i, in := range g.Prog.Instrs {
-		if in.Op != tac.Wait {
+	for i := range g.Prog.Instrs {
+		if g.Prog.Instrs[i].Op != tac.Wait {
 			continue
 		}
 		s := g.Prog.SendOf(i)
@@ -313,7 +313,7 @@ func (sc *Scratch) syncImpl(g *dfg.Graph, cfg dlx.Config, opt SyncOptions) (*Sch
 		if best.Cycle[s] < best.Cycle[i] {
 			continue // already LFD
 		}
-		if !ad.add(g, dfg.Arc{From: s, To: i, Kind: dfg.SrcToSend}) {
+		if !ad.add(g, dfg.Arc{From: int32(s), To: int32(i), Kind: dfg.SrcToSend}) {
 			continue
 		}
 		cand, err := sc.engine(g, cfg, ad.arcs(), ord, "sync", best, best.Cycle[i])
@@ -360,8 +360,9 @@ func (sc *Scratch) baseArcs(g *dfg.Graph, opt SyncOptions) arcAdder {
 	// The engine starts every call on these arcs from their in-degrees and
 	// successor lists.
 	base := ad.arcs()
+	predOff, _ := g.PredCSR()
 	for v := range sc.baseRem {
-		sc.baseRem[v] = int32(len(g.Pred[v]))
+		sc.baseRem[v] = predOff[v+1] - predOff[v]
 	}
 	clear(sc.baseXhead)
 	sc.xnext = sc.xnext[:0]
@@ -441,9 +442,9 @@ type dagAdder struct {
 	set   []uint64 // open addressing: from<<32 | to + 1 per arc, 0: empty
 	setN  int      // keys held
 	mark  bitset.Bits
-	stack []int
-	fwd   []int // the repair's descendants of the arc's head
-	bwd   []int // the repair's ancestors of the arc's tail
+	stack []int32
+	fwd   []int32 // the repair's descendants of the arc's head
+	bwd   []int32 // the repair's ancestors of the arc's tail
 	pool  []int32
 }
 
@@ -490,10 +491,8 @@ func (d *dagAdder) rehash(g *dfg.Graph, size int) {
 	d.set = d.set[:size]
 	clear(d.set)
 	d.setN = 0
-	for v, succ := range g.Succ {
-		for _, w := range succ {
-			d.insert(v, w)
-		}
+	for _, a := range g.Arcs {
+		d.insert(a.From, a.To)
 	}
 	for _, a := range d.extra {
 		d.insert(a.From, a.To)
@@ -502,7 +501,7 @@ func (d *dagAdder) rehash(g *dfg.Graph, size int) {
 
 // slot returns the slot holding from→to, or the empty slot where it
 // belongs.
-func (d *dagAdder) slot(from, to int) int {
+func (d *dagAdder) slot(from, to int32) int {
 	key := uint64(from)<<32 | uint64(to) + 1
 	mask := len(d.set) - 1
 	k := int((key*0x9E3779B97F4A7C15)>>32) & mask
@@ -512,7 +511,7 @@ func (d *dagAdder) slot(from, to int) int {
 	return k
 }
 
-func (d *dagAdder) insert(from, to int) {
+func (d *dagAdder) insert(from, to int32) {
 	if k := d.slot(from, to); d.set[k] == 0 {
 		d.set[k] = uint64(from)<<32 | uint64(to) + 1
 		d.setN++
@@ -546,25 +545,25 @@ func (d *dagAdder) add(g *dfg.Graph, arc dfg.Arc) bool {
 // untouched. Otherwise it collects x's ancestors down to position lb and
 // moves them, in their relative order, before the descendants, onto the
 // positions both sets held.
-func (d *dagAdder) reorder(g *dfg.Graph, x, y int, lb, ub int32) bool {
+func (d *dagAdder) reorder(g *dfg.Graph, x, y int32, lb, ub int32) bool {
 	d.fwd = d.fwd[:0]
 	d.bwd = d.bwd[:0]
 	stack := append(d.stack[:0], y)
-	d.mark.Set(y)
+	d.mark.Set(int(y))
 	cyclic := false
 	for len(stack) > 0 && !cyclic {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		d.fwd = append(d.fwd, v)
-		visit := func(w int) {
+		visit := func(w int32) {
 			if w == x {
 				cyclic = true
-			} else if d.ord[w] < ub && !d.mark.Has(w) {
-				d.mark.Set(w)
+			} else if d.ord[w] < ub && !d.mark.Has(int(w)) {
+				d.mark.Set(int(w))
 				stack = append(stack, w)
 			}
 		}
-		for _, w := range g.Succ[v] {
+		for _, w := range g.Succ(int(v)) {
 			visit(w)
 		}
 		for e := d.outHead[v]; e != 0; e = d.outNext[e-1] {
@@ -576,24 +575,24 @@ func (d *dagAdder) reorder(g *dfg.Graph, x, y int, lb, ub int32) bool {
 	}
 	if cyclic {
 		for _, v := range d.fwd {
-			d.mark.Clear(v)
+			d.mark.Clear(int(v))
 		}
 		d.stack = stack[:0]
 		return false
 	}
 	stack = append(stack[:0], x)
-	d.mark.Set(x)
+	d.mark.Set(int(x))
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		d.bwd = append(d.bwd, v)
-		visit := func(w int) {
-			if d.ord[w] > lb && !d.mark.Has(w) {
-				d.mark.Set(w)
+		visit := func(w int32) {
+			if d.ord[w] > lb && !d.mark.Has(int(w)) {
+				d.mark.Set(int(w))
 				stack = append(stack, w)
 			}
 		}
-		for _, w := range g.Pred[v] {
+		for _, w := range g.Pred(int(v)) {
 			visit(w)
 		}
 		for e := d.inHead[v]; e != 0; e = d.inNext[e-1] {
@@ -603,7 +602,7 @@ func (d *dagAdder) reorder(g *dfg.Graph, x, y int, lb, ub int32) bool {
 	d.stack = stack[:0]
 	// Both sets keep their relative order; together they take the sorted
 	// positions they held, ancestors first.
-	byOrd := func(a, b int) int { return cmp.Compare(d.ord[a], d.ord[b]) }
+	byOrd := func(a, b int32) int { return cmp.Compare(d.ord[a], d.ord[b]) }
 	slices.SortFunc(d.bwd, byOrd)
 	slices.SortFunc(d.fwd, byOrd)
 	pool := d.pool[:0]
@@ -615,10 +614,10 @@ func (d *dagAdder) reorder(g *dfg.Graph, x, y int, lb, ub int32) bool {
 	}
 	slices.Sort(pool)
 	i := 0
-	for _, set := range [2][]int{d.bwd, d.fwd} {
+	for _, set := range [2][]int32{d.bwd, d.fwd} {
 		for _, v := range set {
 			d.ord[v] = pool[i]
-			d.mark.Clear(v)
+			d.mark.Clear(int(v))
 			i++
 		}
 	}
@@ -644,8 +643,8 @@ func (d *dagAdder) removeLast() {
 // pairArcs is Graph.PairArcs into a scratch buffer.
 func (sc *Scratch) pairArcs(g *dfg.Graph) []dfg.Arc {
 	out := sc.pairBuf[:0]
-	for i, in := range g.Prog.Instrs {
-		if in.Op != tac.Wait {
+	for i := range g.Prog.Instrs {
+		if g.Prog.Instrs[i].Op != tac.Wait {
 			continue
 		}
 		s := g.Prog.SendOf(i)
@@ -658,7 +657,7 @@ func (sc *Scratch) pairArcs(g *dfg.Graph) []dfg.Arc {
 		waitComp := g.Component(g.ComponentOf(i)).Kind
 		sendComp := g.Component(g.ComponentOf(s)).Kind
 		if waitComp == dfg.Wat || sendComp == dfg.Sig {
-			out = append(out, dfg.Arc{From: s, To: i, Kind: dfg.SrcToSend})
+			out = append(out, dfg.Arc{From: int32(s), To: int32(i), Kind: dfg.SrcToSend})
 		}
 	}
 	sc.pairBuf = out
@@ -669,15 +668,15 @@ func (sc *Scratch) pairArcs(g *dfg.Graph) []dfg.Arc {
 func (sc *Scratch) markDescendants(g *dfg.Graph, node int) bitset.Bits {
 	desc := bitset.Make(sc.desc, g.N())
 	sc.desc = desc
-	stack := append(sc.queue[:0], g.Succ[node]...)
+	stack := append(sc.queue[:0], g.Succ(node)...)
 	for len(stack) > 0 {
-		v := stack[len(stack)-1]
+		v := int(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
 		if desc.Has(v) {
 			continue
 		}
 		desc.Set(v)
-		stack = append(stack, g.Succ[v]...)
+		stack = append(stack, g.Succ(v)...)
 	}
 	sc.queue = stack[:0]
 	return desc
@@ -703,9 +702,9 @@ func (sc *Scratch) lazyWaitArcs(g *dfg.Graph) []dfg.Arc {
 			continue
 		}
 		w, k := a.From, a.To
-		desc := sc.markDescendants(g, w)
-		for _, p := range g.Pred[k] {
-			if p == w || g.Prog.Instrs[p].IsSync() || desc.Has(p) {
+		desc := sc.markDescendants(g, int(w))
+		for _, p := range g.Pred(int(k)) {
+			if p == w || g.Prog.Instrs[p].IsSync() || desc.Has(int(p)) {
 				continue
 			}
 			out = append(out, dfg.Arc{From: p, To: w, Kind: dfg.WaitToSnk})
@@ -713,11 +712,11 @@ func (sc *Scratch) lazyWaitArcs(g *dfg.Graph) []dfg.Arc {
 	}
 	for _, sp := range g.SyncPaths() {
 		w := sp.Wait
-		desc := sc.markDescendants(g, w)
+		desc := sc.markDescendants(g, int(w))
 		inPath := bitset.Make(sc.inPath, n)
 		sc.inPath = inPath
 		for _, v := range sp.Nodes {
-			inPath.Set(v)
+			inPath.Set(int(v))
 		}
 		// One reverse DFS per path, shared across its nodes: a visited node's
 		// ancestor closure has already been explored, so expansion stops
@@ -729,21 +728,21 @@ func (sc *Scratch) lazyWaitArcs(g *dfg.Graph) []dfg.Arc {
 		anc := sc.anc[:0]
 		stack := sc.stack[:0]
 		for _, k := range sp.Nodes[1:] {
-			for _, p := range g.Pred[k] {
-				if !visited.Has(p) {
-					visited.Set(p)
+			for _, p := range g.Pred(int(k)) {
+				if !visited.Has(int(p)) {
+					visited.Set(int(p))
 					stack = append(stack, p)
 				}
 			}
 			for len(stack) > 0 {
 				v := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				if !inPath.Has(v) && !desc.Has(v) && !g.Prog.Instrs[v].IsSync() {
+				if !inPath.Has(int(v)) && !desc.Has(int(v)) && !g.Prog.Instrs[v].IsSync() {
 					anc = append(anc, v)
 				}
-				for _, p := range g.Pred[v] {
-					if !visited.Has(p) {
-						visited.Set(p)
+				for _, p := range g.Pred(int(v)) {
+					if !visited.Has(int(p)) {
+						visited.Set(int(p))
 						stack = append(stack, p)
 					}
 				}

@@ -42,14 +42,14 @@ func TestValidateFailureInjection(t *testing.T) {
 		// otherwise).
 		for i, row := range c.Rows {
 			for j, v := range row {
-				if v == arc.To {
+				if v == int(arc.To) {
 					c.Rows[i] = append(row[:j], row[j+1:]...)
 					goto moved
 				}
 			}
 		}
 	moved:
-		c.Rows[0] = append(c.Rows[0], arc.To)
+		c.Rows[0] = append(c.Rows[0], int(arc.To))
 		_ = old
 		err := c.Validate()
 		if err == nil {

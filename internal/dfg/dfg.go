@@ -25,7 +25,7 @@ import (
 )
 
 // ArcKind classifies a dependence arc.
-type ArcKind int
+type ArcKind uint8
 
 // Arc kinds.
 const (
@@ -57,12 +57,12 @@ func (k ArcKind) String() string {
 
 // Arc is one directed dependence arc between instruction indices.
 type Arc struct {
-	From, To int
+	From, To int32
 	Kind     ArcKind
 }
 
 // CompKind classifies a weakly connected component per §3.1.
-type CompKind int
+type CompKind uint8
 
 // Component kinds.
 const (
@@ -89,26 +89,26 @@ func (k CompKind) String() string {
 
 // Component is one weakly connected component of the graph.
 type Component struct {
-	ID    int
+	ID    int32
 	Kind  CompKind
-	Nodes []int // instruction indices, ascending
-	Waits []int
-	Sends []int
+	Nodes []int32 // instruction indices, ascending
+	Waits []int32
+	Sends []int32
 }
 
 // SyncPath is a synchronization path SP(Wat, Sig): the shortest directed
 // path from a wait to its corresponding send within a Sigwat component.
 type SyncPath struct {
 	// Wait and Send are the endpoint instruction indices.
-	Wait, Send int
+	Wait, Send int32
 	// Nodes is the path, wait first, send last.
-	Nodes []int
+	Nodes []int32
 	// Distance is the dependence distance d of the pair.
-	Distance int
-	// Signal is the signal name.
-	Signal string
+	Distance int32
+	// Signal is the signal name, in the program's name table.
+	Signal tac.Sym
 	// Comp is the owning component ID.
-	Comp int
+	Comp int32
 }
 
 // Weight is the paper's ordering key (n/d)·|SP| divided by n: |SP|/d. Paths
@@ -118,15 +118,19 @@ func (p SyncPath) Weight() float64 { return float64(len(p.Nodes)) / float64(p.Di
 // Graph is the augmented data-flow graph of one iteration.
 type Graph struct {
 	Prog *tac.Program
-	// Succ and Pred are adjacency lists over instruction indices
-	// (0-based positions in Prog.Instrs).
-	Succ, Pred [][]int
-	// Arcs lists every arc with its kind.
+	// Arcs lists every arc with its kind, in discovery order.
 	Arcs []Arc
+
+	// The adjacency in compressed sparse row form, over instruction
+	// indices (0-based positions in Prog.Instrs): node v's successors are
+	// succ[succOff[v]:succOff[v+1]] and its predecessors
+	// pred[predOff[v]:predOff[v+1]], each in arc order. All four share one
+	// block.
+	succOff, predOff, succ, pred []int32
 
 	comps []Component
 	// compOf maps node -> component ID.
-	compOf []int
+	compOf []int32
 	paths  []SyncPath
 }
 
@@ -136,9 +140,8 @@ type Graph struct {
 // The builder is allocation-lean by design: arcs are collected in pooled
 // scratch of at least their estimated number (deduplicated with a dense bit
 // matrix, preserving first-occurrence order) and published at their final
-// number, and the adjacency lists are carved out of two flat slabs sized by
-// a counting pass, so the finished graph is a handful of exactly sized
-// blocks instead of per-node append-grown slices.
+// number, and the adjacency is one exactly sized block of offsets and
+// targets filled by a counting pass.
 func Build(p *tac.Program, a *dep.Analysis) (*Graph, error) {
 	n := len(p.Instrs)
 	g := &Graph{Prog: p}
@@ -147,8 +150,8 @@ func Build(p *tac.Program, a *dep.Analysis) (*Graph, error) {
 	// one per distance-0 memory dependence, two per synchronized dependence.
 	est := 0
 	var useBuf [3]int
-	for _, in := range p.Instrs {
-		est += len(in.AppendUses(useBuf[:0]))
+	for i := range p.Instrs {
+		est += len(p.Instrs[i].AppendUses(useBuf[:0]))
 	}
 	for _, d := range a.Deps {
 		if d.Distance == 0 {
@@ -166,32 +169,28 @@ func Build(p *tac.Program, a *dep.Analysis) (*Graph, error) {
 		}
 		if k := from*n + to; !sc.seen.Has(k) {
 			sc.seen.Set(k)
-			sc.arcs = append(sc.arcs, Arc{From: from, To: to, Kind: kind})
+			sc.arcs = append(sc.arcs, Arc{From: int32(from), To: int32(to), Kind: kind})
 		}
 	}
 
 	// 1. Register def-use arcs. Each temp has exactly one definition.
 	maxTemp := p.NumTemps
-	for _, in := range p.Instrs {
-		if in.Dst > maxTemp {
-			maxTemp = in.Dst
-		}
+	for i := range p.Instrs {
+		maxTemp = max(maxTemp, int(p.Instrs[i].Dst))
 	}
-	// One scratch block for the def table and the degree counters.
-	scratch := slices.Grow(sc.ints[:0], maxTemp+1+2*n)[:maxTemp+1+2*n]
-	clear(scratch)
-	sc.ints = scratch
-	defOf := scratch[:maxTemp+1] // temp -> defining node + 1; 0 = none
-	for i, in := range p.Instrs {
-		if in.Dst > 0 {
-			if prev := defOf[in.Dst]; prev != 0 {
-				return nil, fmt.Errorf("dfg: temp t%d defined twice (instrs %d and %d)", in.Dst, prev, i+1)
+	defOf := slices.Grow(sc.ints[:0], maxTemp+1)[:maxTemp+1] // temp -> defining node + 1; 0 = none
+	clear(defOf)
+	sc.ints = defOf
+	for i := range p.Instrs {
+		if t := p.Instrs[i].Dst; t > 0 {
+			if prev := defOf[t]; prev != 0 {
+				return nil, fmt.Errorf("dfg: temp t%d defined twice (instrs %d and %d)", t, prev, i+1)
 			}
-			defOf[in.Dst] = i + 1
+			defOf[t] = i + 1
 		}
 	}
-	for i, in := range p.Instrs {
-		for _, t := range in.AppendUses(useBuf[:0]) {
+	for i := range p.Instrs {
+		for _, t := range p.Instrs[i].AppendUses(useBuf[:0]) {
 			if t <= 0 || t >= len(defOf) || defOf[t] == 0 {
 				return nil, fmt.Errorf("dfg: instr %d uses undefined temp t%d", i+1, t)
 			}
@@ -204,17 +203,18 @@ func Build(p *tac.Program, a *dep.Analysis) (*Graph, error) {
 	}
 
 	// 2. Loop-independent memory dependence arcs from the analysis.
-	refInstr := func(r dep.Ref) (*tac.Instr, bool) {
-		if r.Array != nil {
-			if r.Merge {
-				in, ok := p.MergeLoad[r.Array]
-				return in, ok
-			}
-			in, ok := p.ArrayInstr[r.Array]
-			return in, ok
+	refInstr := func(r dep.Ref) (int, bool) {
+		var v int32
+		var ok bool
+		switch {
+		case r.Array != nil && r.Merge:
+			v, ok = p.MergeLoad[r.Array]
+		case r.Array != nil:
+			v, ok = p.ArrayInstr[r.Array]
+		default:
+			v, ok = p.ScalarInstr[tac.ScalarKey{Stmt: r.Stmt, Name: r.ScalarName, Write: r.Write}]
 		}
-		in, ok := p.ScalarInstr[tac.ScalarKey{Stmt: r.Stmt, Name: r.ScalarName, Write: r.Write}]
-		return in, ok
+		return int(v), ok
 	}
 	for _, d := range a.Deps {
 		if d.Distance != 0 {
@@ -225,79 +225,100 @@ func Build(p *tac.Program, a *dep.Analysis) (*Graph, error) {
 		if !ok1 || !ok2 {
 			return nil, fmt.Errorf("dfg: dependence %v has unmapped reference", d)
 		}
-		addArc(src.ID-1, snk.ID-1, Mem)
+		addArc(src, snk, Mem)
 	}
 
 	// 3. Synchronization-condition arcs for every synchronized dependence.
-	for _, d := range p.Sync.Synced {
+	for k := range p.Sync.Synced {
+		d := p.Sync.SyncedDep(k)
 		label := p.Sync.Base.Body[d.Src.Stmt].Label
 		send := p.SendFor(label)
-		if send == nil {
+		if send < 0 {
 			return nil, fmt.Errorf("dfg: missing send for signal %s", label)
 		}
-		srcIn, ok := refInstr(d.Src)
+		src, ok := refInstr(d.Src)
 		if !ok {
-			return nil, fmt.Errorf("dfg: dependence %v source unmapped", d)
+			return nil, fmt.Errorf("dfg: dependence %v source unmapped", *d)
 		}
-		addArc(srcIn.ID-1, send.ID-1, SrcToSend)
+		addArc(src, send, SrcToSend)
 		wi := p.WaitFor(d.Snk.Stmt, label, d.Distance)
 		if wi < 0 {
-			return nil, fmt.Errorf("dfg: missing wait for %v", d)
+			return nil, fmt.Errorf("dfg: missing wait for %v", *d)
 		}
-		snkIn, ok := refInstr(d.Snk)
+		snk, ok := refInstr(d.Snk)
 		if !ok {
-			return nil, fmt.Errorf("dfg: dependence %v sink unmapped", d)
+			return nil, fmt.Errorf("dfg: dependence %v sink unmapped", *d)
 		}
-		addArc(wi, snkIn.ID-1, WaitToSnk)
+		addArc(wi, snk, WaitToSnk)
 	}
 
-	// Finalize: carve the Succ/Pred adjacency lists out of one flat slab
-	// sized by a counting pass. Appends below stay within each node's
-	// sub-slice capacity, so list order matches arc discovery order exactly
-	// as the incremental builder produced it.
-	arcs := sc.arcs
-	g.Arcs = make([]Arc, len(arcs))
-	copy(g.Arcs, arcs)
-	flat := make([]int, 2*len(arcs))
-	deg := scratch[maxTemp+1:]
-	sdeg, pdeg := deg[:n], deg[n:]
-	for _, a := range arcs {
-		sdeg[a.From]++
-		pdeg[a.To]++
+	// Finalize: publish the arcs and lay out the adjacency in one block.
+	// Filling each node's rows in arc order keeps every successor and
+	// predecessor list in arc discovery order.
+	g.Arcs = append(make([]Arc, 0, len(sc.arcs)), sc.arcs...)
+	m := len(g.Arcs)
+	adj := make([]int32, 2*(n+1)+2*m)
+	g.succOff, g.predOff = adj[:n+1:n+1], adj[n+1:2*n+2:2*n+2]
+	g.succ, g.pred = adj[2*n+2:2*n+2+m:2*n+2+m], adj[2*n+2+m:]
+	for _, a := range g.Arcs {
+		g.succOff[a.From+1]++
+		g.predOff[a.To+1]++
 	}
-	adj := make([][]int, 2*n)
-	g.Succ, g.Pred = adj[:n], adj[n:]
-	off := 0
-	for i := 0; i < n; i++ {
-		g.Succ[i] = flat[off : off : off+sdeg[i]]
-		off += sdeg[i]
+	for v := 0; v < n; v++ {
+		g.succOff[v+1] += g.succOff[v]
+		g.predOff[v+1] += g.predOff[v]
 	}
-	for i := 0; i < n; i++ {
-		g.Pred[i] = flat[off : off : off+pdeg[i]]
-		off += pdeg[i]
+	// Place each arc at its node's cursor, the node's offset, advancing it.
+	// The advanced offsets are the next nodes' starts, shifted into place
+	// after the pass.
+	for _, a := range g.Arcs {
+		g.succ[g.succOff[a.From]] = a.To
+		g.succOff[a.From]++
+		g.pred[g.predOff[a.To]] = a.From
+		g.predOff[a.To]++
 	}
-	for _, a := range arcs {
-		g.Succ[a.From] = append(g.Succ[a.From], a.To)
-		g.Pred[a.To] = append(g.Pred[a.To], a.From)
-	}
+	copy(g.succOff[1:], g.succOff[:n])
+	copy(g.predOff[1:], g.predOff[:n])
+	g.succOff[0], g.predOff[0] = 0, 0
 
 	g.computeComponents()
-	g.computePaths()
+	g.computePaths(sc)
 	return g, nil
 }
 
 // buildScratch is Build's working storage: the arc list before it is
-// published, the dedup bit matrix, and the def and degree tables.
+// published, the dedup bit matrix, the def table, and the path search's
+// queue, predecessor table and found paths.
 type buildScratch struct {
-	arcs []Arc
-	seen bitset.Bits
-	ints []int
+	arcs  []Arc
+	seen  bitset.Bits
+	ints  []int
+	prev  []int32
+	queue []int32
+	found []SyncPath
+	nodes []int32
 }
 
 var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
+// Succ returns the successors of node v in arc order. The slice is the
+// graph's own storage: callers read it and must not modify it.
+func (g *Graph) Succ(v int) []int32 { return g.succ[g.succOff[v]:g.succOff[v+1]] }
+
+// Pred returns the predecessors of node v in arc order. The slice is the
+// graph's own storage: callers read it and must not modify it.
+func (g *Graph) Pred(v int) []int32 { return g.pred[g.predOff[v]:g.predOff[v+1]] }
+
+// SuccCSR returns the successor adjacency in compressed sparse row form:
+// node v's successors are succ[off[v]:off[v+1]]. Both slices are the
+// graph's own storage, for hot loops that index them directly.
+func (g *Graph) SuccCSR() (off, succ []int32) { return g.succOff, g.succ }
+
+// PredCSR is SuccCSR for predecessors.
+func (g *Graph) PredCSR() (off, pred []int32) { return g.predOff, g.pred }
+
 // N returns the number of nodes.
-func (g *Graph) N() int { return len(g.Succ) }
+func (g *Graph) N() int { return len(g.succOff) - 1 }
 
 // computeComponents finds weakly connected components (union-find) and
 // classifies them.
@@ -305,21 +326,30 @@ func (g *Graph) computeComponents() {
 	n := g.N()
 	// One scratch block: union-find parents, root->component map, and the
 	// three per-component counters (nc <= n).
-	scratch := make([]int, 5*n)
+	scratch := make([]int32, 5*n)
 	parent := scratch[:n]
 	for i := range parent {
-		parent[i] = i
+		parent[i] = int32(i)
 	}
 	for _, a := range g.Arcs {
 		ufUnion(parent, a.From, a.To)
 	}
 	// Assign component IDs in order of first encounter and count members,
-	// then carve the per-component node/wait/send lists out of flat slabs.
+	// then carve the per-component node/wait/send lists out of one slab,
+	// which also holds compOf.
 	rootToComp := scratch[n : 2*n] // root -> comp ID + 1; 0 = unassigned
-	g.compOf = make([]int, n)
-	nc := 0
+	syncTotal := 0
+	for i := range g.Prog.Instrs {
+		if g.Prog.Instrs[i].IsSync() {
+			syncTotal++
+		}
+	}
+	slab := make([]int32, 2*n+syncTotal)
+	g.compOf = slab[:n:n]
+	nodeSlab, syncSlab := slab[n:2*n], slab[2*n:]
+	var nc int32
 	for i := 0; i < n; i++ {
-		r := ufFind(parent, i)
+		r := ufFind(parent, int32(i))
 		if rootToComp[r] == 0 {
 			nc++
 			rootToComp[r] = nc
@@ -327,25 +357,20 @@ func (g *Graph) computeComponents() {
 		g.compOf[i] = rootToComp[r] - 1
 	}
 	g.comps = make([]Component, nc)
-	counts := scratch[2*n : 2*n+3*nc]
+	counts := scratch[2*n : 2*n+3*int(nc)]
 	nodeCnt, waitCnt, sendCnt := counts[:nc], counts[nc:2*nc], counts[2*nc:]
-	syncTotal := 0
 	for i := 0; i < n; i++ {
 		id := g.compOf[i]
 		nodeCnt[id]++
 		switch g.Prog.Instrs[i].Op {
 		case tac.Wait:
 			waitCnt[id]++
-			syncTotal++
 		case tac.Send:
 			sendCnt[id]++
-			syncTotal++
 		}
 	}
-	slab := make([]int, n+syncTotal)
-	nodeSlab, syncSlab := slab[:n], slab[n:]
-	nodeOff, syncOff := 0, 0
-	for id := 0; id < nc; id++ {
+	var nodeOff, syncOff int32
+	for id := int32(0); id < nc; id++ {
 		c := &g.comps[id]
 		c.ID = id
 		c.Nodes = nodeSlab[nodeOff : nodeOff : nodeOff+nodeCnt[id]]
@@ -357,12 +382,12 @@ func (g *Graph) computeComponents() {
 	}
 	for i := 0; i < n; i++ {
 		c := &g.comps[g.compOf[i]]
-		c.Nodes = append(c.Nodes, i)
+		c.Nodes = append(c.Nodes, int32(i))
 		switch g.Prog.Instrs[i].Op {
 		case tac.Wait:
-			c.Waits = append(c.Waits, i)
+			c.Waits = append(c.Waits, int32(i))
 		case tac.Send:
-			c.Sends = append(c.Sends, i)
+			c.Sends = append(c.Sends, int32(i))
 		}
 	}
 	for i := range g.comps {
@@ -381,7 +406,7 @@ func (g *Graph) computeComponents() {
 }
 
 // ufFind is union-find root lookup with path halving.
-func ufFind(parent []int, x int) int {
+func ufFind(parent []int32, x int32) int32 {
 	for parent[x] != x {
 		parent[x] = parent[parent[x]]
 		x = parent[x]
@@ -389,7 +414,7 @@ func ufFind(parent []int, x int) int {
 	return x
 }
 
-func ufUnion(parent []int, a, b int) {
+func ufUnion(parent []int32, a, b int32) {
 	ra, rb := ufFind(parent, a), ufFind(parent, b)
 	if ra != rb {
 		parent[ra] = rb
@@ -400,33 +425,45 @@ func ufUnion(parent []int, a, b int) {
 // and send fall in the same Sigwat component and are connected by a directed
 // path. Paths are sorted by descending weight |SP|/d (the paper's
 // (n/d)·|SP| with the common factor n dropped), ties broken by wait index.
-func (g *Graph) computePaths() {
-	var prev, queue []int // BFS buffers shared across all pairs
+// The paths are found in sc and published in two exactly sized blocks, the
+// paths and their nodes.
+func (g *Graph) computePaths(sc *buildScratch) {
+	sc.found, sc.nodes = sc.found[:0], sc.nodes[:0]
+	sc.prev = slices.Grow(sc.prev[:0], g.N())[:g.N()]
 	for _, c := range g.comps {
 		if c.Kind != Sigwat {
 			continue
 		}
-		if prev == nil {
-			buf := make([]int, 2*g.N())
-			prev = buf[:g.N()]
-			queue = buf[g.N():g.N()]
-		}
 		for _, w := range c.Waits {
-			win := g.Prog.Instrs[w]
+			win := &g.Prog.Instrs[w]
 			for _, s := range c.Sends {
-				sin := g.Prog.Instrs[s]
-				if sin.Signal != win.Signal {
+				if g.Prog.Instrs[s].Signal != win.Signal {
 					continue
 				}
-				if nodes := g.shortestPathInto(w, s, prev, queue); nodes != nil {
-					g.paths = append(g.paths, SyncPath{
-						Wait: w, Send: s, Nodes: nodes,
+				start := len(sc.nodes)
+				if g.shortestPathInto(sc, w, s) {
+					// Only the length of Nodes counts until the nodes are
+					// published: sc.nodes may move as it grows.
+					sc.found = append(sc.found, SyncPath{
+						Wait: w, Send: s, Nodes: sc.nodes[start:len(sc.nodes):len(sc.nodes)],
 						Distance: win.SigDist, Signal: win.Signal, Comp: c.ID,
 					})
 				}
 			}
 		}
 	}
+	if len(sc.found) == 0 {
+		return
+	}
+	g.paths = append(make([]SyncPath, 0, len(sc.found)), sc.found...)
+	nodes := append(make([]int32, 0, len(sc.nodes)), sc.nodes...)
+	off := 0
+	for i := range g.paths {
+		k := len(g.paths[i].Nodes)
+		g.paths[i].Nodes = nodes[off : off+k : off+k]
+		off += k
+	}
+	clear(sc.found)
 	if len(g.paths) > 1 {
 		sort.Stable(pathsByWeight(g.paths))
 	}
@@ -448,19 +485,25 @@ func (s pathsByWeight) Less(i, j int) bool {
 
 // shortestPath returns the node sequence of a shortest directed path from
 // src to dst, or nil if none exists.
-func (g *Graph) shortestPath(src, dst int) []int {
-	return g.shortestPathInto(src, dst, make([]int, g.N()), make([]int, 0, g.N()))
+func (g *Graph) shortestPath(src, dst int32) []int32 {
+	sc := &buildScratch{prev: make([]int32, g.N())}
+	if !g.shortestPathInto(sc, src, dst) {
+		return nil
+	}
+	return sc.nodes
 }
 
-// shortestPathInto is shortestPath over caller-owned BFS scratch (prev of
-// length N, queue of capacity N). Only the returned path is allocated, at
-// its exact length.
-func (g *Graph) shortestPathInto(src, dst int, prev, queue []int) []int {
+// shortestPathInto appends the node sequence of a shortest directed path
+// from src to dst to sc.nodes and reports whether one exists. It searches
+// breadth first with sc's queue and predecessor table (of length N).
+func (g *Graph) shortestPathInto(sc *buildScratch, src, dst int32) bool {
+	prev := sc.prev
 	for i := range prev {
 		prev[i] = -1
 	}
 	prev[src] = src
-	queue = append(queue[:0], src)
+	queue := append(sc.queue[:0], src)
+	defer func() { sc.queue = queue }()
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
 		if v == dst {
@@ -468,30 +511,32 @@ func (g *Graph) shortestPathInto(src, dst int, prev, queue []int) []int {
 			for x := dst; x != src; x = prev[x] {
 				hops++
 			}
-			path := make([]int, hops)
+			start := len(sc.nodes)
+			sc.nodes = slices.Grow(sc.nodes, hops)[:start+hops]
+			path := sc.nodes[start:]
 			for x, i := dst, hops-1; ; x, i = prev[x], i-1 {
 				path[i] = x
 				if x == src {
 					break
 				}
 			}
-			return path
+			return true
 		}
-		for _, w := range g.Succ[v] {
+		for _, w := range g.Succ(int(v)) {
 			if prev[w] == -1 {
 				prev[w] = v
 				queue = append(queue, w)
 			}
 		}
 	}
-	return nil
+	return false
 }
 
 // Components returns the weakly connected components.
 func (g *Graph) Components() []Component { return g.comps }
 
 // ComponentOf returns the component ID of a node.
-func (g *Graph) ComponentOf(node int) int { return g.compOf[node] }
+func (g *Graph) ComponentOf(node int) int { return int(g.compOf[node]) }
 
 // Component returns the component with the given ID.
 func (g *Graph) Component(id int) Component { return g.comps[id] }
@@ -508,7 +553,7 @@ func (g *Graph) Topological() ([]int, error) {
 	n := g.N()
 	indeg := make([]int, n)
 	for i := 0; i < n; i++ {
-		indeg[i] = len(g.Pred[i])
+		indeg[i] = len(g.Pred(i))
 	}
 	// Min-heap replaced by simple ordered scan: n is small (loop bodies).
 	var order []int
@@ -526,7 +571,7 @@ func (g *Graph) Topological() ([]int, error) {
 		}
 		used[picked] = true
 		order = append(order, picked)
-		for _, w := range g.Succ[picked] {
+		for _, w := range g.Succ(picked) {
 			indeg[w]--
 		}
 	}
@@ -545,9 +590,9 @@ func (g *Graph) CriticalPathLengths(latency func(*tac.Instr) int) ([]int, error)
 	dist := make([]int, n)
 	for i := n - 1; i >= 0; i-- {
 		v := order[i]
-		lat := latency(g.Prog.Instrs[v])
+		lat := latency(&g.Prog.Instrs[v])
 		best := 0
-		for _, w := range g.Succ[v] {
+		for _, w := range g.Succ(v) {
 			if dist[w] > best {
 				best = dist[w]
 			}
@@ -561,19 +606,16 @@ func (g *Graph) CriticalPathLengths(latency func(*tac.Instr) int) ([]int, error)
 // (excluding the node itself).
 func (g *Graph) Ancestors(node int) map[int]bool {
 	out := map[int]bool{}
-	var stack []int
-	for _, p := range g.Pred[node] {
-		stack = append(stack, p)
-	}
+	stack := slices.Clone(g.Pred(node))
 	for len(stack) > 0 {
-		v := stack[len(stack)-1]
+		v := int(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
 		if out[v] {
 			continue
 		}
 		out[v] = true
-		for _, p := range g.Pred[v] {
-			if !out[p] {
+		for _, p := range g.Pred(v) {
+			if !out[int(p)] {
 				stack = append(stack, p)
 			}
 		}
@@ -593,8 +635,8 @@ func (g *Graph) Ancestors(node int) map[int]bool {
 // the priority heuristic.
 func (g *Graph) PairArcs() []Arc {
 	var out []Arc
-	for i, in := range g.Prog.Instrs {
-		if in.Op != tac.Wait {
+	for i := range g.Prog.Instrs {
+		if g.Prog.Instrs[i].Op != tac.Wait {
 			continue
 		}
 		s := g.Prog.SendOf(i)
@@ -607,7 +649,7 @@ func (g *Graph) PairArcs() []Arc {
 		waitComp := g.comps[g.compOf[i]].Kind
 		sendComp := g.comps[g.compOf[s]].Kind
 		if waitComp == Wat || sendComp == Sig {
-			out = append(out, Arc{From: s, To: i, Kind: SrcToSend})
+			out = append(out, Arc{From: int32(s), To: int32(i), Kind: SrcToSend})
 		}
 	}
 	return out

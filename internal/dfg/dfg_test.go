@@ -31,7 +31,7 @@ func buildSrc(t testing.TB, src string) *Graph {
 
 func hasArc(g *Graph, from, to int, kind ArcKind) bool {
 	for _, a := range g.Arcs {
-		if a.From == from && a.To == to && a.Kind == kind {
+		if int(a.From) == from && int(a.To) == to && a.Kind == kind {
 			return true
 		}
 	}
@@ -112,11 +112,11 @@ func TestFig3SyncPath(t *testing.T) {
 		t.Fatalf("sync paths = %d, want 1 (only the Sigwat pair)", len(paths))
 	}
 	p := paths[0]
-	if p.Distance != 2 || p.Signal != "S3" {
-		t.Errorf("path meta = d%d %s, want d2 S3", p.Distance, p.Signal)
+	if p.Distance != 2 || g.Prog.Name(p.Signal) != "S3" {
+		t.Errorf("path meta = d%d %s, want d2 S3", p.Distance, g.Prog.Name(p.Signal))
 	}
 	// Paper path (our numbering): 1,5,9,10,22,26,27,28 -> indices 0,4,8,9,21,25,26,27.
-	want := []int{0, 4, 8, 9, 21, 25, 26, 27}
+	want := []int32{0, 4, 8, 9, 21, 25, 26, 27}
 	if len(p.Nodes) != len(want) {
 		t.Fatalf("path = %v, want %v", p.Nodes, want)
 	}

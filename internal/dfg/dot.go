@@ -17,7 +17,7 @@ func (g *Graph) DOT() string {
 	for _, c := range g.Components() {
 		fmt.Fprintf(&sb, "  subgraph cluster_%d {\n    label=\"%s\";\n", c.ID, c.Kind)
 		for _, v := range c.Nodes {
-			in := g.Prog.Instrs[v]
+			in := &g.Prog.Instrs[v]
 			shape := "circle"
 			switch in.Op {
 			case tac.Wait:
@@ -26,7 +26,7 @@ func (g *Graph) DOT() string {
 				shape = "triangle"
 			}
 			fmt.Fprintf(&sb, "    n%d [label=\"%d\" shape=%s tooltip=%q];\n",
-				v, in.ID, shape, in.String())
+				v, in.ID, shape, g.Prog.Format(in))
 		}
 		sb.WriteString("  }\n")
 	}

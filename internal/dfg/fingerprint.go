@@ -37,10 +37,16 @@ func appendStrFP(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func appendOperandFP(b []byte, o tac.Operand) []byte {
+// appendOperandFP encodes an operand of p as kind, register and immediate
+// value: an immediate's register is 0, any other operand's value is 0.
+func appendOperandFP(b []byte, p *tac.Program, o tac.Operand) []byte {
 	b = appendIntFP(b, int(o.Kind))
-	b = appendIntFP(b, o.Reg)
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(o.Val))
+	reg, val := int(o.Reg), 0.0
+	if o.Kind == tac.Const {
+		reg, val = 0, p.Imm(o)
+	}
+	b = appendIntFP(b, reg)
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(val))
 }
 
 // Fingerprint hashes the graph's content: every instruction field that
@@ -54,22 +60,24 @@ func (g *Graph) Fingerprint() Fingerprint {
 	w := fpPool.Get().(*fpBuf)
 	b := w.b[:0]
 	b = appendIntFP(b, g.N())
-	for _, in := range g.Prog.Instrs {
+	p := g.Prog
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
 		b = appendIntFP(b, int(in.Op))
-		b = appendIntFP(b, in.Dst)
-		b = appendOperandFP(b, in.A)
-		b = appendOperandFP(b, in.B)
-		b = appendOperandFP(b, in.C)
+		b = appendIntFP(b, int(in.Dst))
+		b = appendOperandFP(b, p, in.A)
+		b = appendOperandFP(b, p, in.B)
+		b = appendOperandFP(b, p, in.C)
 		b = appendIntFP(b, int(in.Rel))
-		b = appendStrFP(b, in.Array)
-		b = appendStrFP(b, in.Signal)
-		b = appendIntFP(b, in.SigDist)
+		b = appendStrFP(b, p.Name(in.Array))
+		b = appendStrFP(b, p.Name(in.Signal))
+		b = appendIntFP(b, int(in.SigDist))
 		b = appendIntFP(b, int(in.Class()))
 	}
 	b = appendIntFP(b, len(g.Arcs))
 	for _, a := range g.Arcs {
-		b = appendIntFP(b, a.From)
-		b = appendIntFP(b, a.To)
+		b = appendIntFP(b, int(a.From))
+		b = appendIntFP(b, int(a.To))
 		b = appendIntFP(b, int(a.Kind))
 	}
 	out := Fingerprint(sha256.Sum256(b))

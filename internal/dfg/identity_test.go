@@ -51,13 +51,13 @@ func writeGraph(h hash.Hash, name string, g *dfg.Graph) {
 		fmt.Fprintf(h, "%d>%d:%s ", a.From, a.To, a.Kind)
 	}
 	for v := 0; v < g.N(); v++ {
-		fmt.Fprintf(h, "\n%d succ=%v pred=%v comp=%d", v, g.Succ[v], g.Pred[v], g.ComponentOf(v))
+		fmt.Fprintf(h, "\n%d succ=%v pred=%v comp=%d", v, g.Succ(v), g.Pred(v), g.ComponentOf(v))
 	}
 	for _, c := range g.Components() {
 		fmt.Fprintf(h, "\ncomp %d %s nodes=%v waits=%v sends=%v", c.ID, c.Kind, c.Nodes, c.Waits, c.Sends)
 	}
 	for _, p := range g.SyncPaths() {
-		fmt.Fprintf(h, "\npath %d>%d %v d=%d %s comp=%d", p.Wait, p.Send, p.Nodes, p.Distance, p.Signal, p.Comp)
+		fmt.Fprintf(h, "\npath %d>%d %v d=%d %s comp=%d", p.Wait, p.Send, p.Nodes, p.Distance, g.Prog.Name(p.Signal), p.Comp)
 	}
 	for _, a := range g.PairArcs() {
 		fmt.Fprintf(h, "\npair %d>%d:%s", a.From, a.To, a.Kind)

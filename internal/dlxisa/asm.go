@@ -113,7 +113,7 @@ func (a *asm) emit(v vinst) int {
 func (a *asm) asInt(o tac.Operand) (int, error) {
 	switch o.Kind {
 	case tac.Temp:
-		vr, ok := a.tempVR[o.Reg]
+		vr, ok := a.tempVR[int(o.Reg)]
 		if !ok {
 			return 0, fmt.Errorf("dlxisa: use of unassigned temp t%d", o.Reg)
 		}
@@ -126,11 +126,12 @@ func (a *asm) asInt(o tac.Operand) (int, error) {
 	case tac.IV:
 		return ivID, nil
 	case tac.Const:
-		if o.Val != math.Trunc(o.Val) || o.Val > 32000 || o.Val < -32000 {
-			return 0, fmt.Errorf("dlxisa: integer immediate %v out of range", o.Val)
+		v := a.prog.Imm(o)
+		if v != math.Trunc(v) || v > 32000 || v < -32000 {
+			return 0, fmt.Errorf("dlxisa: integer immediate %v out of range", v)
 		}
 		nv := a.newVR(intReg)
-		a.emit(vinst{op: ADDI, rd: nv.id, s1: -1, imm: int32(o.Val)}) // s1=-1 means R0
+		a.emit(vinst{op: ADDI, rd: nv.id, s1: -1, imm: int32(v)}) // s1=-1 means R0
 		return nv.id, nil
 	}
 	return 0, fmt.Errorf("dlxisa: bad operand")
@@ -140,7 +141,7 @@ func (a *asm) asInt(o tac.Operand) (int, error) {
 func (a *asm) asFP(o tac.Operand) (int, error) {
 	switch o.Kind {
 	case tac.Temp:
-		vr, ok := a.tempVR[o.Reg]
+		vr, ok := a.tempVR[int(o.Reg)]
 		if !ok {
 			return 0, fmt.Errorf("dlxisa: use of unassigned temp t%d", o.Reg)
 		}
@@ -155,9 +156,10 @@ func (a *asm) asFP(o tac.Operand) (int, error) {
 		a.emit(vinst{op: CVTI2D, rd: nv.id, s1: ivID})
 		return nv.id, nil
 	case tac.Const:
-		a.consts[o.Val] = true
+		v := a.prog.Imm(o)
+		a.consts[v] = true
 		nv := a.newVR(fpReg)
-		a.emit(vinst{op: LD, rd: nv.id, s1: -1, addr: "pool", constVal: o.Val})
+		a.emit(vinst{op: LD, rd: nv.id, s1: -1, addr: "pool", constVal: v})
 		return nv.id, nil
 	}
 	return 0, fmt.Errorf("dlxisa: bad operand")
@@ -178,21 +180,21 @@ func (a *asm) selectInstr(in *tac.Instr) error {
 		if err != nil {
 			return err
 		}
-		a.emit(vinst{op: SLLI, rd: a.defTemp(in.Dst, intReg), s1: s, imm: 2})
+		a.emit(vinst{op: SLLI, rd: a.defTemp(int(in.Dst), intReg), s1: s, imm: 2})
 	case tac.Add, tac.Sub:
 		if in.IntegerTyped {
 			// Fold a constant right operand into ADDI.
-			if in.B.Kind == tac.Const && in.B.Val == math.Trunc(in.B.Val) &&
-				in.B.Val < 32000 && in.B.Val > -32000 {
+			if b := in.B; b.Kind == tac.Const && a.prog.Imm(b) == math.Trunc(a.prog.Imm(b)) &&
+				a.prog.Imm(b) < 32000 && a.prog.Imm(b) > -32000 {
 				s, err := a.asInt(in.A)
 				if err != nil {
 					return err
 				}
-				imm := int32(in.B.Val)
+				imm := int32(a.prog.Imm(b))
 				if in.Op == tac.Sub {
 					imm = -imm
 				}
-				a.emit(vinst{op: ADDI, rd: a.defTemp(in.Dst, intReg), s1: s, imm: imm})
+				a.emit(vinst{op: ADDI, rd: a.defTemp(int(in.Dst), intReg), s1: s, imm: imm})
 				return nil
 			}
 			s1, err := a.asInt(in.A)
@@ -207,7 +209,7 @@ func (a *asm) selectInstr(in *tac.Instr) error {
 			if in.Op == tac.Sub {
 				op = SUB
 			}
-			a.emit(vinst{op: op, rd: a.defTemp(in.Dst, intReg), s1: s1, s2: s2})
+			a.emit(vinst{op: op, rd: a.defTemp(int(in.Dst), intReg), s1: s1, s2: s2})
 			return nil
 		}
 		s1, err := a.asFP(in.A)
@@ -222,7 +224,7 @@ func (a *asm) selectInstr(in *tac.Instr) error {
 		if in.Op == tac.Sub {
 			op = SUBD
 		}
-		a.emit(vinst{op: op, rd: a.defTemp(in.Dst, fpReg), s1: s1, s2: s2})
+		a.emit(vinst{op: op, rd: a.defTemp(int(in.Dst), fpReg), s1: s1, s2: s2})
 	case tac.Mul, tac.Div:
 		s1, err := a.asFP(in.A)
 		if err != nil {
@@ -236,14 +238,14 @@ func (a *asm) selectInstr(in *tac.Instr) error {
 		if in.Op == tac.Div {
 			op = DIVD
 		}
-		a.emit(vinst{op: op, rd: a.defTemp(in.Dst, fpReg), s1: s1, s2: s2})
+		a.emit(vinst{op: op, rd: a.defTemp(int(in.Dst), fpReg), s1: s1, s2: s2})
 	case tac.Move:
 		if in.IntegerTyped {
 			s, err := a.asInt(in.A)
 			if err != nil {
 				return err
 			}
-			a.emit(vinst{op: ADDI, rd: a.defTemp(in.Dst, intReg), s1: s, imm: 0})
+			a.emit(vinst{op: ADDI, rd: a.defTemp(int(in.Dst), intReg), s1: s, imm: 0})
 			return nil
 		}
 		// FP move: fd = fs + 0.0 via the pool zero.
@@ -254,13 +256,13 @@ func (a *asm) selectInstr(in *tac.Instr) error {
 		a.consts[0] = true
 		z := a.newVR(fpReg)
 		a.emit(vinst{op: LD, rd: z.id, s1: -1, addr: "pool", constVal: 0})
-		a.emit(vinst{op: ADDD, rd: a.defTemp(in.Dst, fpReg), s1: s, s2: z.id})
+		a.emit(vinst{op: ADDD, rd: a.defTemp(int(in.Dst), fpReg), s1: s, s2: z.id})
 	case tac.Load:
 		addr, err := a.asInt(in.A)
 		if err != nil {
 			return err
 		}
-		a.emit(vinst{op: LD, rd: a.defTemp(in.Dst, fpReg), s1: addr, addr: "array:" + in.Array})
+		a.emit(vinst{op: LD, rd: a.defTemp(int(in.Dst), fpReg), s1: addr, addr: "array:" + a.prog.Name(in.Array)})
 	case tac.Store:
 		addr, err := a.asInt(in.A)
 		if err != nil {
@@ -270,15 +272,15 @@ func (a *asm) selectInstr(in *tac.Instr) error {
 		if err != nil {
 			return err
 		}
-		a.emit(vinst{op: SD, s1: addr, s2: val, addr: "array:" + in.Array})
+		a.emit(vinst{op: SD, s1: addr, s2: val, addr: "array:" + a.prog.Name(in.Array)})
 	case tac.LoadS:
-		a.emit(vinst{op: LD, rd: a.defTemp(in.Dst, fpReg), s1: -1, addr: "scalar:" + in.Array})
+		a.emit(vinst{op: LD, rd: a.defTemp(int(in.Dst), fpReg), s1: -1, addr: "scalar:" + a.prog.Name(in.Array)})
 	case tac.StoreS:
 		val, err := a.asFP(in.B)
 		if err != nil {
 			return err
 		}
-		a.emit(vinst{op: SD, s1: -1, s2: val, addr: "scalar:" + in.Array})
+		a.emit(vinst{op: SD, s1: -1, s2: val, addr: "scalar:" + a.prog.Name(in.Array)})
 	case tac.Cmp:
 		s1, err := a.asFP(in.A)
 		if err != nil {
@@ -288,7 +290,7 @@ func (a *asm) selectInstr(in *tac.Instr) error {
 		if err != nil {
 			return err
 		}
-		a.emit(vinst{op: CmpOf(in.Rel), rd: a.defTemp(in.Dst, intReg), s1: s1, s2: s2})
+		a.emit(vinst{op: CmpOf(in.Rel), rd: a.defTemp(int(in.Dst), intReg), s1: s1, s2: s2})
 	case tac.Select:
 		cnd, err := a.asInt(in.C)
 		if err != nil {
@@ -302,13 +304,13 @@ func (a *asm) selectInstr(in *tac.Instr) error {
 		if err != nil {
 			return err
 		}
-		a.emit(vinst{op: CMOVD, rd: a.defTemp(in.Dst, fpReg), s1: s1, s2: s2, s3: cnd})
+		a.emit(vinst{op: CMOVD, rd: a.defTemp(int(in.Dst), fpReg), s1: s1, s2: s2, s3: cnd})
 	case tac.Send:
-		a.emit(vinst{op: SENDS, imm: int32(a.signalID(in.Signal))})
+		a.emit(vinst{op: SENDS, imm: int32(a.signalID(a.prog.Name(in.Signal)))})
 	case tac.Wait:
-		a.emit(vinst{op: WAITS, rd: a.signalID(in.Signal), imm: int32(in.SigDist)})
+		a.emit(vinst{op: WAITS, rd: a.signalID(a.prog.Name(in.Signal)), imm: int32(in.SigDist)})
 	default:
-		return fmt.Errorf("dlxisa: cannot select %v", in)
+		return fmt.Errorf("dlxisa: cannot select %s", a.prog.Format(in))
 	}
 	return nil
 }
@@ -332,8 +334,8 @@ func Assemble(p *tac.Program, minIdx, maxIdx int) (*Program, error) {
 		consts: map[float64]bool{},
 		sigID:  map[string]int{},
 	}
-	for _, in := range p.Instrs {
-		if err := a.selectInstr(in); err != nil {
+	for i := range p.Instrs {
+		if err := a.selectInstr(&p.Instrs[i]); err != nil {
 			return nil, err
 		}
 	}

@@ -173,8 +173,6 @@ type searcher struct {
 	lat     []int
 	cls     []dlx.Class
 	unit    []bool
-	succ    [][]int
-	pred    [][]int
 	order   []int // topological order of the graph
 	pathlat []int // latency-weighted longest path from v to any sink, incl. own latency
 	prio    []int // nodes in static branch order (critical path first)
@@ -231,8 +229,6 @@ func newSearcher(g *dfg.Graph, cfg dlx.Config, opt Options) (*searcher, error) {
 		lat:      make([]int, n),
 		cls:      make([]dlx.Class, n),
 		unit:     make([]bool, n),
-		succ:     g.Succ,
-		pred:     g.Pred,
 		est:      make([]int, n),
 		cycleOf:  make([]int, n),
 		remPreds: make([]int, n),
@@ -250,7 +246,7 @@ func newSearcher(g *dfg.Graph, cfg dlx.Config, opt Options) (*searcher, error) {
 	}
 	s.isWait = make([]bool, n)
 	for v := 0; v < n; v++ {
-		in := g.Prog.Instrs[v]
+		in := &g.Prog.Instrs[v]
 		s.cls[v] = in.Class()
 		s.lat[v] = cfg.Latency[s.cls[v]]
 		s.unit[v] = dlx.NeedsUnit(s.cls[v])
@@ -259,7 +255,7 @@ func newSearcher(g *dfg.Graph, cfg dlx.Config, opt Options) (*searcher, error) {
 			s.maxLat = s.lat[v]
 		}
 		s.cycleOf[v] = -1
-		s.remPreds[v] = len(g.Pred[v])
+		s.remPreds[v] = len(g.Pred(v))
 	}
 	// Latency-weighted longest path to a sink, over the base graph (the
 	// exact constraints are the graph arcs themselves — the sync conditions
@@ -273,7 +269,7 @@ func newSearcher(g *dfg.Graph, cfg dlx.Config, opt Options) (*searcher, error) {
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
 		best := 0
-		for _, w := range s.succ[v] {
+		for _, w := range s.g.Succ(v) {
 			if s.pathlat[w] > best {
 				best = s.pathlat[w]
 			}
@@ -300,7 +296,8 @@ func newSearcher(g *dfg.Graph, cfg dlx.Config, opt Options) (*searcher, error) {
 		return s.pathlat[va] > s.pathlat[vb]
 	})
 	dist := make([]int, n) // scratch for per-pair longest-path DP
-	for v, in := range g.Prog.Instrs {
+	for v := range g.Prog.Instrs {
+		in := &g.Prog.Instrs[v]
 		if in.Op != tac.Wait || in.SigDist <= 0 {
 			continue
 		}
@@ -320,7 +317,7 @@ func newSearcher(g *dfg.Graph, cfg dlx.Config, opt Options) (*searcher, error) {
 			if dist[u] == unreached {
 				continue
 			}
-			for _, w := range s.succ[u] {
+			for _, w := range s.g.Succ(u) {
 				if d := dist[u] + s.lat[u]; d > dist[w] {
 					dist[w] = d
 				}
@@ -331,8 +328,8 @@ func newSearcher(g *dfg.Graph, cfg dlx.Config, opt Options) (*searcher, error) {
 			minsep = -1 // convertible: can go LFD, no forced penalty
 		}
 		s.pairs = append(s.pairs, pair{
-			wait: v, send: send, dist: in.SigDist,
-			links:  (s.nTrip - 1) / in.SigDist,
+			wait: v, send: send, dist: int(in.SigDist),
+			links:  (s.nTrip - 1) / int(in.SigDist),
 			minsep: minsep,
 		})
 	}
@@ -582,7 +579,7 @@ func (s *searcher) place(v int) {
 		}
 		s.occ[s.cls[v]] = occ
 	}
-	for _, w := range s.succ[v] {
+	for _, w := range s.g.Succ(v) {
 		s.remPreds[w]--
 		undo = append(undo, s.readyAt[w])
 		if fin > s.readyAt[w] {
@@ -598,7 +595,7 @@ func (s *searcher) unplace(v int) {
 	s.scheduled--
 	s.maxFinish = s.undoFinish[s.scheduled]
 	undo := s.undoReady[s.scheduled]
-	for i, w := range s.succ[v] {
+	for i, w := range s.g.Succ(v) {
 		s.remPreds[w]++
 		s.readyAt[w] = undo[i]
 	}
@@ -648,7 +645,7 @@ func (s *searcher) bound(slotsLeft int) int {
 			if s.readyAt[v] > est {
 				est = s.readyAt[v]
 			}
-			for _, u := range s.pred[v] {
+			for _, u := range s.g.Pred(v) {
 				if s.cycleOf[u] < 0 && s.est[u]+s.lat[u] > est {
 					est = s.est[u] + s.lat[u]
 				}

@@ -90,7 +90,7 @@ type Binary struct {
 }
 
 // RelOp identifies a relational operator in an IF guard.
-type RelOp int
+type RelOp uint8
 
 // Relational operators.
 const (

@@ -226,7 +226,7 @@ func (codegenPass) Run(ctx *Context) error {
 	return nil
 }
 
-func (codegenPass) Artifact(ctx *Context) string { return tac.Listing(ctx.Code.Instrs) }
+func (codegenPass) Artifact(ctx *Context) string { return ctx.Code.Listing() }
 
 // graphPass builds the synchronization-augmented data-flow graph and its
 // Sig/Wat/Sigwat partition (the Fig. 3 view).
@@ -266,7 +266,7 @@ func (verifyPass) Run(ctx *Context) error {
 	ctx.VerifyEdges = len(edges)
 	present := make(map[[2]int]bool, len(ctx.Graph.Arcs))
 	for _, a := range ctx.Graph.Arcs {
-		present[[2]int{a.From, a.To}] = true
+		present[[2]int{int(a.From), int(a.To)}] = true
 	}
 	for _, e := range edges {
 		if !present[[2]int{e.From, e.To}] {

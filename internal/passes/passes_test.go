@@ -75,7 +75,7 @@ func TestMatchesHardWiredSequence(t *testing.T) {
 	if got, want := ctx.Sync.String(), sl.String(); got != want {
 		t.Errorf("sync form diverges:\n%s\nvs\n%s", got, want)
 	}
-	if got, want := tac.Listing(ctx.Code.Instrs), tac.Listing(code.Instrs); got != want {
+	if got, want := ctx.Code.Listing(), code.Listing(); got != want {
 		t.Errorf("TAC diverges:\n%s\nvs\n%s", got, want)
 	}
 	if got, want := ctx.Graph.SyncInfo(), g.SyncInfo(); got != want {

@@ -76,6 +76,14 @@ import (
 // with n², far from integer overflow.
 const MaxTrip = 1 << 24
 
+// MaxTracedTrip is the largest trip count a request may ask for when its
+// simulations are traced (Options.Utilization, scheduld -machine-obs). A
+// traced run walks every iteration and keeps a row of issue cycles and the
+// stall spans of each, so its memory grows with n: fig1 at n = 2^20
+// allocates 580 MiB traced against 0.1 MiB untraced. At this bound a traced
+// request keeps its trace to tens of MiB.
+const MaxTracedTrip = 1 << 16
+
 // Request is one loop to schedule. Exactly one of Source and Loop must be
 // set; Loop wins when both are.
 type Request struct {
@@ -86,7 +94,8 @@ type Request struct {
 	// Loop is an already parsed loop.
 	Loop *lang.Loop
 	// N overrides Options.N for this request (0 = use the batch default).
-	// Requests above MaxTrip are rejected.
+	// Requests above MaxTrip, or above MaxTracedTrip when simulations are
+	// traced, are rejected before any stage runs.
 	N int
 	// ID is an optional correlation ID (e.g. the daemon's X-Request-Id). It
 	// is attached to the request's observer span so service logs, span
@@ -262,19 +271,37 @@ func (o Options) compileSalt() string {
 		strings.Join(o.Compile.Dump, ","))
 }
 
+// maxTrip returns the largest trip count a request is admitted with:
+// MaxTracedTrip when simulations are traced, MaxTrip otherwise.
+func (o Options) maxTrip() int {
+	if o.Utilization {
+		return MaxTracedTrip
+	}
+	return MaxTrip
+}
+
+// tripLimit describes maxTrip in an error message.
+func (o Options) tripLimit() string {
+	if o.Utilization {
+		return fmt.Sprintf("the limit %d of traced simulations", MaxTracedTrip)
+	}
+	return fmt.Sprintf("the limit %d", MaxTrip)
+}
+
 // Validate checks what every request of a batch depends on: each machine
-// is a valid configuration, the default trip count is at most MaxTrip (it
-// is bounded like every request's), and the backend name is known.
-// RunContext and NewService fail with its error before any work, and
-// server.New refuses the daemon's defaults with it at startup.
+// is a valid configuration, the default trip count is at most MaxTrip, or
+// MaxTracedTrip when simulations are traced (it is bounded like every
+// request's), and the backend name is known. RunContext and NewService
+// fail with its error before any work, and server.New refuses the daemon's
+// defaults with it at startup.
 func (o Options) Validate() error {
 	for _, m := range o.machines() {
 		if err := m.Validate(); err != nil {
 			return fmt.Errorf("pipeline: machine %q: %w", m.Name, err)
 		}
 	}
-	if o.N > MaxTrip {
-		return fmt.Errorf("pipeline: trip count N=%d exceeds the limit %d", o.N, MaxTrip)
+	if o.N > o.maxTrip() {
+		return fmt.Errorf("pipeline: trip count N=%d exceeds %s", o.N, o.tripLimit())
 	}
 	if _, err := o.backendScheduler(o.n()); err != nil {
 		return fmt.Errorf("pipeline: %w", err)
@@ -388,7 +415,7 @@ type LoopResult struct {
 func (r *LoopResult) DoacrossSource() string { return r.SyncLoop.String() }
 
 // Listing renders the compiled three-address code.
-func (r *LoopResult) Listing() string { return tac.Listing(r.Prog.Instrs) }
+func (r *LoopResult) Listing() string { return r.Prog.Listing() }
 
 // GraphInfo summarizes the data-flow graph partition.
 func (r *LoopResult) GraphInfo() string { return r.Graph.SyncInfo() }
@@ -709,8 +736,9 @@ func fallbackSchedule(g *dfg.Graph, cfg dlx.Config) (*core.Schedule, error) {
 }
 
 // validate rejects malformed requests before they reach the parser or the
-// simulator, with a positioned diagnostic.
-func (r Request) validate(idx int) *diag.Diagnostic {
+// simulator, with a positioned diagnostic. The trip count is bounded by
+// opt's maxTrip.
+func (r Request) validate(idx int, opt Options) *diag.Diagnostic {
 	pos := diag.Pos{}
 	if r.Loop != nil {
 		pos = r.Loop.Pos()
@@ -721,8 +749,8 @@ func (r Request) validate(idx int) *diag.Diagnostic {
 	if r.N < 0 {
 		return diag.Errorf("pipeline", pos, "request %s: negative trip count N=%d", r.name(idx), r.N)
 	}
-	if r.N > MaxTrip {
-		return diag.Errorf("pipeline", pos, "request %s: trip count N=%d exceeds the limit %d", r.name(idx), r.N, MaxTrip)
+	if r.N > opt.maxTrip() {
+		return diag.Errorf("pipeline", pos, "request %s: trip count N=%d exceeds %s", r.name(idx), r.N, opt.tripLimit())
 	}
 	return nil
 }
@@ -754,7 +782,7 @@ func (r *runner) run(ctx context.Context, req Request) (err error) {
 		}
 	}()
 	res := &r.res
-	if d := req.validate(res.Index); d != nil {
+	if d := req.validate(res.Index, r.opt); d != nil {
 		return d
 	}
 	if res.N == 0 {

@@ -367,3 +367,52 @@ func TestInvalidMachine(t *testing.T) {
 		t.Errorf("Options.N=MaxTrip rejected: %v", err)
 	}
 }
+
+// TestTracedMaxTrip: with traced simulations (Options.Utilization) a
+// request above MaxTracedTrip fails with a positioned diagnostic before any
+// stage runs, and a default N above it is refused at validation; at the
+// bound a traced request is served with its utilization reports, and an
+// untraced batch keeps admitting up to MaxTrip.
+func TestTracedMaxTrip(t *testing.T) {
+	loop := lang.MustParse(fig1)
+	var probes []string
+	traced := Options{Utilization: true, FaultHook: func(stage, name string) error {
+		probes = append(probes, stage+"/"+name)
+		return nil
+	}}
+	b, err := Run([]Request{
+		{Name: "over", Source: fig1, N: MaxTracedTrip + 1},
+		{Name: "overloop", Loop: loop, N: MaxTrip},
+	}, traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, lr := range b.Loops {
+		d, ok := diag.As(lr.Err)
+		if !ok || d.Stage != "pipeline" || !strings.Contains(d.Msg, "exceeds the limit 65536 of traced simulations") {
+			t.Fatalf("request %d: error %v, want the traced trip-count limit", i, lr.Err)
+		}
+	}
+	if d, _ := diag.As(b.Loops[1].Err); d.Pos != loop.Pos() {
+		t.Errorf("parsed request's diagnostic at %v, want the loop's position %v", d.Pos, loop.Pos())
+	}
+	if len(probes) != 0 {
+		t.Errorf("rejected traced requests reached stages %v", probes)
+	}
+
+	at := run(t, []string{fig1}, Options{Utilization: true, N: MaxTracedTrip})
+	if m := at.Loops[0].Machines[0]; m.SyncUtil == nil || at.Loops[0].N != MaxTracedTrip {
+		t.Errorf("traced request at the bound: n=%d, utilization %v", at.Loops[0].N, m.SyncUtil)
+	}
+
+	if err := (Options{Utilization: true, N: MaxTracedTrip + 1}).Validate(); err == nil || !strings.Contains(err.Error(), "traced") {
+		t.Errorf("traced default N above MaxTracedTrip: Validate = %v", err)
+	}
+	if err := (Options{N: MaxTracedTrip + 1}).Validate(); err != nil {
+		t.Errorf("untraced default N above MaxTracedTrip refused: %v", err)
+	}
+	untraced := run(t, []string{fig1}, Options{N: MaxTracedTrip + 1})
+	if untraced.Loops[0].N != MaxTracedTrip+1 {
+		t.Errorf("untraced request above MaxTracedTrip served at n=%d", untraced.Loops[0].N)
+	}
+}

@@ -725,3 +725,29 @@ func TestAdminSurface(t *testing.T) {
 		t.Errorf("/healthz with an Observer = %v, want span occupancy next to the daemon's fields", hz)
 	}
 }
+
+// TestTracedMaxTrip: a daemon that traces every simulation (scheduld
+// -machine-obs) answers a request above pipeline.MaxTracedTrip with a 400
+// naming the limit before any stage runs, serves one at the bound, and
+// refuses a default trip count above the bound at startup.
+func TestTracedMaxTrip(t *testing.T) {
+	s := newTestServer(t, Config{Pipeline: pipeline.Options{Utilization: true}})
+	h := s.Handler()
+	w, body := post(t, h, ScheduleRequest{Source: fig1, N: pipeline.MaxTracedTrip + 1}, nil)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("n above the traced bound: status %d, want 400 (%s)", w.Code, body)
+	}
+	if er := decodeErr(t, body); !strings.Contains(er.Error, "traced simulations") {
+		t.Errorf("400 does not name the traced limit: %q", er.Error)
+	}
+	if st := s.Metrics().Stats(); len(st.Stages) != 0 {
+		t.Errorf("rejected request ran stages %v", st.Stages)
+	}
+	w, body = post(t, h, ScheduleRequest{Source: fig1, N: pipeline.MaxTracedTrip}, nil)
+	if resp := decodeOK(t, w, body); resp.N != pipeline.MaxTracedTrip || resp.Machines[0].Utilization == nil {
+		t.Errorf("traced request at the bound: n=%d, utilization %v", resp.N, resp.Machines[0].Utilization)
+	}
+	if _, err := New(Config{Pipeline: pipeline.Options{Utilization: true, N: pipeline.MaxTracedTrip + 1}}); err == nil {
+		t.Error("a traced daemon accepted a default trip count above MaxTracedTrip")
+	}
+}

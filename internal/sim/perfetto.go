@@ -88,7 +88,7 @@ func (tr *Tracer) Events(pid uint64) []obs.Event {
 			})
 		}
 		for v := range s.Cycle {
-			in := s.Prog.Instrs[v]
+			in := &s.Prog.Instrs[v]
 			cls := in.Class()
 			tid := uint64(it.Proc)*trackStride + 2 + uint64(cls)
 			threadName(tid, fmt.Sprintf("P%d %s", it.Proc, cls))
@@ -97,7 +97,7 @@ func (tr *Tracer) Events(pid uint64) []obs.Event {
 				lat = 1
 			}
 			evs = append(evs, obs.Event{
-				Name: fmt.Sprintf("#%d %s", in.ID, in.String()),
+				Name: fmt.Sprintf("#%d %s", in.ID, s.Prog.Format(in)),
 				Cat:  "instr", Ph: "X", PID: pid, TID: tid,
 				TS: float64(it.Rows[s.Cycle[v]]), Dur: float64(lat),
 				Args: map[string]any{"iteration": tr.Lo + it.Index, "row": s.Cycle[v]},

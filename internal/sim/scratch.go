@@ -21,7 +21,7 @@ import (
 // so the state is pooled and every buffer grows once to the largest schedule
 // seen.
 type timeScratch struct {
-	sigID   map[string]int
+	sigID   []int32 // tac.Sym -> signal id, -1: none yet
 	sigName []string
 	// Event rows (ascending) and per-event CSRs of waits (signal, distance)
 	// and sends (signal).
@@ -65,7 +65,7 @@ const maxPeriod = 4096
 
 const segEmpty = -1 << 30
 
-var timePool = sync.Pool{New: func() any { return &timeScratch{sigID: map[string]int{}} }}
+var timePool = sync.Pool{New: func() any { return &timeScratch{} }}
 
 func growIntBuf(buf *[]int, n int) []int {
 	b := *buf
@@ -85,21 +85,22 @@ func growInt32Buf(buf *[]int32, n int) []int32 {
 	return b[:n]
 }
 
-func (sc *timeScratch) intern(sig string) int {
-	if id, ok := sc.sigID[sig]; ok {
-		return id
+// intern numbers the program's signals in order of first use.
+func (sc *timeScratch) intern(p *tac.Program, sig tac.Sym) {
+	if sc.sigID[sig] < 0 {
+		sc.sigID[sig] = int32(len(sc.sigName))
+		sc.sigName = append(sc.sigName, p.Name(sig))
 	}
-	id := len(sc.sigName)
-	sc.sigID[sig] = id
-	sc.sigName = append(sc.sigName, sig)
-	return id
 }
 
 // build lowers the schedule's synchronization structure into the scratch
 // form (the allocation-free analogue of newRowMeta).
 func (sc *timeScratch) build(s *core.Schedule) error {
 	L := s.Length()
-	clear(sc.sigID)
+	sc.sigID = growInt32Buf(&sc.sigID, max(len(s.Prog.Names), 1))
+	for i := range sc.sigID {
+		sc.sigID[i] = -1
+	}
 	sc.sigName = sc.sigName[:0]
 	sc.evRow = sc.evRow[:0]
 	sc.maxDist = 1
@@ -110,23 +111,21 @@ func (sc *timeScratch) build(s *core.Schedule) error {
 		rowLat[r] = 0
 		sync := false
 		for _, v := range row {
-			in := s.Prog.Instrs[v]
+			in := &s.Prog.Instrs[v]
 			if lat := s.Cfg.Latency[in.Class()]; lat > rowLat[r] {
 				rowLat[r] = lat
 			}
 			switch in.Op {
 			case tac.Wait:
-				sc.intern(in.Signal)
-				if in.SigDist > sc.maxDist {
-					sc.maxDist = in.SigDist
-				}
+				sc.intern(s.Prog, in.Signal)
+				sc.maxDist = max(sc.maxDist, int(in.SigDist))
 				if in.SigDist < 1 {
 					sc.selfWait = true
 				}
 				nw++
 				sync = true
 			case tac.Send:
-				sc.intern(in.Signal)
+				sc.intern(s.Prog, in.Signal)
 				ns++
 				sync = true
 			}
@@ -156,17 +155,17 @@ func (sc *timeScratch) build(s *core.Schedule) error {
 	nw, ns = 0, 0
 	for e, r32 := range sc.evRow {
 		for _, v := range s.Rows[r32] {
-			in := s.Prog.Instrs[v]
+			in := &s.Prog.Instrs[v]
 			switch in.Op {
 			case tac.Wait:
 				id := sc.sigID[in.Signal]
-				waitSig[nw] = int32(id)
-				waitDist[nw] = in.SigDist
+				waitSig[nw] = id
+				waitDist[nw] = int(in.SigDist)
 				consCnt[id+1]++
 				nw++
 			case tac.Send:
 				id := sc.sigID[in.Signal]
-				sendSig[ns] = int32(id)
+				sendSig[ns] = id
 				sendRow[id] = r32
 				sendEv[id] = int32(e)
 				ns++

@@ -130,28 +130,27 @@ func newRowMeta(s *core.Schedule) (*rowMeta, error) {
 	}
 	for r, row := range s.Rows {
 		for _, v := range row {
-			in := s.Prog.Instrs[v]
+			in := &s.Prog.Instrs[v]
 			lat := s.Cfg.Latency[in.Class()]
 			if lat > m.rowLat[r] {
 				m.rowLat[r] = lat
 			}
+			sig := s.Prog.Name(in.Signal)
 			switch in.Op {
 			case tac.Wait:
 				m.waits[r] = append(m.waits[r], in)
-				m.consume[in.Signal] = append(m.consume[in.Signal], consumer{row: r, dist: in.SigDist})
-				if in.SigDist > m.maxDist {
-					m.maxDist = in.SigDist
-				}
+				m.consume[sig] = append(m.consume[sig], consumer{row: r, dist: int(in.SigDist)})
+				m.maxDist = max(m.maxDist, int(in.SigDist))
 			case tac.Send:
-				m.sendRow[in.Signal] = r
-				m.sends[r] = append(m.sends[r], in.Signal)
+				m.sendRow[sig] = r
+				m.sends[r] = append(m.sends[r], sig)
 			}
 		}
 	}
 	for r := range m.waits {
 		for _, w := range m.waits[r] {
-			if _, ok := m.sendRow[w.Signal]; !ok {
-				return nil, fmt.Errorf("sim: wait on signal %s with no send in schedule", w.Signal)
+			if _, ok := m.sendRow[s.Prog.Name(w.Signal)]; !ok {
+				return nil, fmt.Errorf("sim: wait on signal %s with no send in schedule", s.Prog.Name(w.Signal))
 			}
 		}
 	}
@@ -303,11 +302,11 @@ func Run(s *core.Schedule, st *lang.Store, opt Options) (Timing, error) {
 			ok := true
 			for _, w := range m.waits[p.row] {
 				iter := opt.Lo + p.idx
-				if iter-w.SigDist < opt.Lo {
+				if iter-int(w.SigDist) < opt.Lo {
 					continue
 				}
-				srcIdx := p.idx - w.SigDist
-				sendT := signals[w.Signal][srcIdx]
+				srcIdx := p.idx - int(w.SigDist)
+				sendT := signals[s.Prog.Name(w.Signal)][srcIdx]
 				if sendT == -1 || cycle < sendT+1 {
 					ok = false
 					break
@@ -350,13 +349,13 @@ func Run(s *core.Schedule, st *lang.Store, opt Options) (Timing, error) {
 			}
 			// Issue the row: execute its instructions against shared memory.
 			for _, v := range m.rows[p.row] {
-				in := s.Prog.Instrs[v]
+				in := &s.Prog.Instrs[v]
 				if in.Op == tac.Send {
-					signals[in.Signal][p.idx] = cycle
+					signals[s.Prog.Name(in.Signal)][p.idx] = cycle
 					t.SignalsSent++
 					continue
 				}
-				if err := tac.Exec(in, p.frame, st); err != nil {
+				if err := s.Prog.Exec(in, p.frame, st); err != nil {
 					return Timing{}, fmt.Errorf("sim: iteration %d instr %d: %w", opt.Lo+p.idx, in.ID, err)
 				}
 			}
@@ -412,11 +411,12 @@ func Run(s *core.Schedule, st *lang.Store, opt Options) (Timing, error) {
 func (m *rowMeta) attributeStalls(it *IterTrace, idx, row, lower, issue int, opt Options, signals map[string][]int, rowTime [][]int) {
 	syncTo := lower
 	var bind *tac.Instr
+	prog := m.schedule.Prog
 	for _, w := range m.waits[row] {
-		if idx-w.SigDist < 0 {
+		if idx-int(w.SigDist) < 0 {
 			continue
 		}
-		if sendT := signals[w.Signal][idx-w.SigDist]; sendT+1 > syncTo {
+		if sendT := signals[prog.Name(w.Signal)][idx-int(w.SigDist)]; sendT+1 > syncTo {
 			syncTo = sendT + 1
 			bind = w
 		}
@@ -427,8 +427,8 @@ func (m *rowMeta) attributeStalls(it *IterTrace, idx, row, lower, issue int, opt
 	if bind != nil && syncTo > lower {
 		it.Stalls = append(it.Stalls, Stall{
 			Row: row, From: lower, To: syncTo, Cause: CauseSyncWait,
-			Signal: bind.Signal, Dist: bind.SigDist, SrcIter: idx - bind.SigDist,
-			SendCycle: syncTo - 1, LBD: m.sendRow[bind.Signal] >= row,
+			Signal: prog.Name(bind.Signal), Dist: int(bind.SigDist), SrcIter: idx - int(bind.SigDist),
+			SendCycle: syncTo - 1, LBD: m.sendRow[prog.Name(bind.Signal)] >= row,
 		})
 	}
 	if issue > syncTo {

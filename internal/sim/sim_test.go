@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -330,15 +331,12 @@ func TestUnsynchronizedScheduleCorrupts(t *testing.T) {
 	hacked := *s
 	// Deep-copy instructions so the shared program is untouched.
 	prog := *s.Prog
-	instrs := make([]*tac.Instr, len(prog.Instrs))
-	for i, in := range prog.Instrs {
-		cp := *in
-		if cp.Op == tac.Wait {
-			cp.SigDist = 1000
+	prog.Instrs = slices.Clone(prog.Instrs)
+	for i := range prog.Instrs {
+		if prog.Instrs[i].Op == tac.Wait {
+			prog.Instrs[i].SigDist = 1000
 		}
-		instrs[i] = &cp
 	}
-	prog.Instrs = instrs
 	hacked.Prog = &prog
 	if _, err := Run(&hacked, got, Options{Lo: 1, Hi: n}); err != nil {
 		t.Fatal(err)

@@ -91,7 +91,7 @@ func steadySchedules(t testing.TB, g *dfg.Graph, cfg dlx.Config) []*core.Schedul
 // simulator. It returns the untraced run's steady state.
 func checkSteady(t *testing.T, label string, l steadyLoop, s *core.Schedule, opt Options, tr *Tracer) steady {
 	t.Helper()
-	sc := &timeScratch{sigID: map[string]int{}}
+	sc := &timeScratch{}
 	got, st, err := sc.run(s, opt)
 	ropt := opt
 	ropt.Tracer = tr
@@ -173,7 +173,7 @@ func TestSteadyStateKernelsExtrapolate(t *testing.T) {
 	const n = 40000
 	for _, l := range steadyKernels(t) {
 		for _, s := range steadySchedules(t, l.g, dlx.Standard(4, 1)) {
-			sc := &timeScratch{sigID: map[string]int{}}
+			sc := &timeScratch{}
 			_, st, err := sc.run(s, Options{Lo: 1, Hi: n})
 			if err != nil {
 				t.Fatal(err)

@@ -229,14 +229,14 @@ func (tr *Tracer) buildSlots() {
 func (tr *Tracer) classifySlot(occ map[dlx.Class][]int, v, r int) slotAttr {
 	s := tr.sched
 	if s.Graph != nil {
-		blocker, worst := -1, r
-		for _, u := range s.Graph.Pred[v] {
+		blocker, worst := int32(-1), r
+		for _, u := range s.Graph.Pred(v) {
 			if fin := s.Cycle[u] + s.Cfg.Latency[s.Prog.Instrs[u].Class()]; fin > worst {
 				worst, blocker = fin, u
 			}
 		}
 		if blocker >= 0 {
-			return slotAttr{cause: CauseRAW, cand: int32(v), blocker: int32(blocker)}
+			return slotAttr{cause: CauseRAW, cand: int32(v), blocker: blocker}
 		}
 	}
 	cls := s.Prog.Instrs[v].Class()

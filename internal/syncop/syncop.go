@@ -58,12 +58,17 @@ type Loop struct {
 	Base *lang.Loop
 	// Analysis is the dependence analysis the insertion was driven by.
 	Analysis *dep.Analysis
-	// Synced lists the dependences that received synchronization.
-	Synced []dep.Dependence
+	// Synced lists the dependences that received synchronization, in
+	// analysis order, as indexes into Analysis.Deps; SyncedDep reads one.
+	Synced []int32
 	// Pre[k] are the waits immediately before statement k; Post[k] the sends
 	// immediately after it.
 	Pre, Post [][]Op
 }
+
+// SyncedDep returns the k-th synchronized dependence (0 <= k <
+// len(Synced)), which the analysis holds.
+func (l *Loop) SyncedDep(k int) *dep.Dependence { return &l.Analysis.Deps[l.Synced[k]] }
 
 // Options controls which dependences are synchronized.
 type Options struct {
@@ -86,28 +91,29 @@ func Insert(a *dep.Analysis, opts Options) *Loop {
 		Pre:      prePost[:len(loop.Body)],
 		Post:     prePost[len(loop.Body):],
 	}
-	synced := func(d dep.Dependence) bool {
+	synced := func(d *dep.Dependence) bool {
 		return d.Carried() && (!opts.FlowOnly || d.Kind == dep.Flow)
 	}
 	n := 0
-	for _, d := range a.Deps {
-		if synced(d) {
+	for i := range a.Deps {
+		if synced(&a.Deps[i]) {
 			n++
 		}
 	}
 	if n > 0 {
-		out.Synced = make([]dep.Dependence, 0, n)
+		out.Synced = make([]int32, 0, n)
 	}
 	sentFrom := make([]bool, len(loop.Body)) // source statement index -> send inserted
 	type waitKey struct {
 		snk, src, d int
 	}
 	var waited map[waitKey]bool
-	for _, d := range a.Deps {
+	for i := range a.Deps {
+		d := &a.Deps[i]
 		if !synced(d) {
 			continue
 		}
-		out.Synced = append(out.Synced, d)
+		out.Synced = append(out.Synced, int32(i))
 		srcStmt := d.Src.Stmt
 		srcLabel := loop.Body[srcStmt].Label
 		if !sentFrom[srcStmt] {

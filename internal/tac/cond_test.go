@@ -22,10 +22,10 @@ func TestConditionalLowering(t *testing.T) {
 	}
 	mergeLoads = len(p.MergeLoad)
 	if hasCmp != 1 || hasSelect != 1 || mergeLoads != 1 {
-		t.Errorf("cmp=%d select=%d merge=%d, want 1/1/1\n%s", hasCmp, hasSelect, mergeLoads, Listing(p.Instrs))
+		t.Errorf("cmp=%d select=%d merge=%d, want 1/1/1\n%s", hasCmp, hasSelect, mergeLoads, p.Listing())
 	}
 	// The store must be unconditional and consume the select result.
-	ls := Listing(p.Instrs)
+	ls := p.Listing()
 	if !strings.Contains(ls, "?") {
 		t.Errorf("listing missing select:\n%s", ls)
 	}
@@ -54,7 +54,7 @@ func TestConditionalSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d := ref.Diff(st); d != "" {
-		t.Errorf("conditional TAC diverges: %s\n%s", d, Listing(p.Instrs))
+		t.Errorf("conditional TAC diverges: %s\n%s", d, p.Listing())
 	}
 }
 
@@ -116,24 +116,25 @@ func TestConditionalSyncArcs(t *testing.T) {
 }
 
 func TestCmpSelectExec(t *testing.T) {
+	p := &Program{}
 	f := NewFrame(4, 1)
 	st := lang.NewStore()
-	if err := Exec(&Instr{Op: Cmp, Dst: 1, A: ConstOp(3), B: ConstOp(2), Rel: lang.RelGT}, f, st); err != nil {
+	if err := p.Exec(&Instr{Op: Cmp, Dst: 1, A: p.ConstOp(3), B: p.ConstOp(2), Rel: lang.RelGT}, f, st); err != nil {
 		t.Fatal(err)
 	}
 	if f.Temps[1] != 1 {
 		t.Errorf("3 > 2 = %v, want 1", f.Temps[1])
 	}
-	if err := Exec(&Instr{Op: Select, Dst: 2, A: ConstOp(10), B: ConstOp(20), C: TempOp(1)}, f, st); err != nil {
+	if err := p.Exec(&Instr{Op: Select, Dst: 2, A: p.ConstOp(10), B: p.ConstOp(20), C: TempOp(1)}, f, st); err != nil {
 		t.Fatal(err)
 	}
 	if f.Temps[2] != 10 {
 		t.Errorf("select true = %v, want 10", f.Temps[2])
 	}
-	if err := Exec(&Instr{Op: Cmp, Dst: 3, A: ConstOp(3), B: ConstOp(3), Rel: lang.RelNE}, f, st); err != nil {
+	if err := p.Exec(&Instr{Op: Cmp, Dst: 3, A: p.ConstOp(3), B: p.ConstOp(3), Rel: lang.RelNE}, f, st); err != nil {
 		t.Fatal(err)
 	}
-	if err := Exec(&Instr{Op: Select, Dst: 4, A: ConstOp(10), B: ConstOp(20), C: TempOp(3)}, f, st); err != nil {
+	if err := p.Exec(&Instr{Op: Select, Dst: 4, A: p.ConstOp(10), B: p.ConstOp(20), C: TempOp(3)}, f, st); err != nil {
 		t.Fatal(err)
 	}
 	if f.Temps[4] != 20 {

@@ -23,11 +23,11 @@ func NewFrame(numTemps, iv int) *Frame {
 	return &Frame{IV: iv, Temps: make([]float64, numTemps+1), written: make([]bool, numTemps+1)}
 }
 
-// operand evaluates a source operand.
-func (f *Frame) operand(o Operand) (float64, error) {
+// operand evaluates a source operand of an instruction of p.
+func (f *Frame) operand(p *Program, o Operand) (float64, error) {
 	switch o.Kind {
 	case Temp:
-		if o.Reg <= 0 || o.Reg >= len(f.Temps) {
+		if o.Reg <= 0 || int(o.Reg) >= len(f.Temps) {
 			return 0, fmt.Errorf("tac: temp t%d out of range", o.Reg)
 		}
 		if !f.written[o.Reg] {
@@ -37,13 +37,16 @@ func (f *Frame) operand(o Operand) (float64, error) {
 	case IV:
 		return float64(f.IV), nil
 	case Const:
-		return o.Val, nil
+		if o.Reg < 0 || int(o.Reg) >= len(p.Consts) {
+			return 0, fmt.Errorf("tac: immediate #%d out of range", o.Reg)
+		}
+		return p.Imm(o), nil
 	}
 	return 0, fmt.Errorf("tac: invalid operand kind %d", o.Kind)
 }
 
-func (f *Frame) setTemp(r int, v float64) error {
-	if r <= 0 || r >= len(f.Temps) {
+func (f *Frame) setTemp(r int32, v float64) error {
+	if r <= 0 || int(r) >= len(f.Temps) {
 		return fmt.Errorf("tac: destination temp t%d out of range", r)
 	}
 	f.Temps[r] = v
@@ -51,15 +54,15 @@ func (f *Frame) setTemp(r int, v float64) error {
 	return nil
 }
 
-// Exec executes a single instruction against the frame and store.
-// Synchronization instructions are no-ops here; the parallel simulator
-// interprets them against the shared signal vector.
-func Exec(in *Instr, f *Frame, st *lang.Store) error {
+// Exec executes a single instruction of the program against the frame and
+// store. Synchronization instructions are no-ops here; the parallel
+// simulator interprets them against the shared signal vector.
+func (p *Program) Exec(in *Instr, f *Frame, st *lang.Store) error {
 	switch in.Op {
 	case Send, Wait:
 		return nil
 	case Load:
-		addr, err := f.operand(in.A)
+		addr, err := f.operand(p, in.A)
 		if err != nil {
 			return err
 		}
@@ -67,9 +70,9 @@ func Exec(in *Instr, f *Frame, st *lang.Store) error {
 		if err != nil {
 			return err
 		}
-		return f.setTemp(in.Dst, st.Elem(in.Array, idx))
+		return f.setTemp(in.Dst, st.Elem(p.Name(in.Array), idx))
 	case Store:
-		addr, err := f.operand(in.A)
+		addr, err := f.operand(p, in.A)
 		if err != nil {
 			return err
 		}
@@ -77,29 +80,29 @@ func Exec(in *Instr, f *Frame, st *lang.Store) error {
 		if err != nil {
 			return err
 		}
-		v, err := f.operand(in.B)
+		v, err := f.operand(p, in.B)
 		if err != nil {
 			return err
 		}
-		st.SetElem(in.Array, idx, v)
+		st.SetElem(p.Name(in.Array), idx, v)
 		return nil
 	case LoadS:
-		return f.setTemp(in.Dst, st.Scalar(in.Array))
+		return f.setTemp(in.Dst, st.Scalar(p.Name(in.Array)))
 	case StoreS:
-		v, err := f.operand(in.B)
+		v, err := f.operand(p, in.B)
 		if err != nil {
 			return err
 		}
-		st.SetScalar(in.Array, v)
+		st.SetScalar(p.Name(in.Array), v)
 		return nil
 	case Move:
-		v, err := f.operand(in.A)
+		v, err := f.operand(p, in.A)
 		if err != nil {
 			return err
 		}
 		return f.setTemp(in.Dst, v)
 	case Shl:
-		v, err := f.operand(in.A)
+		v, err := f.operand(p, in.A)
 		if err != nil {
 			return err
 		}
@@ -110,11 +113,11 @@ func Exec(in *Instr, f *Frame, st *lang.Store) error {
 		// reference interpreter's FORTRAN-style integer subscripting.
 		return f.setTemp(in.Dst, 4*math.Trunc(v))
 	case Cmp:
-		a, err := f.operand(in.A)
+		a, err := f.operand(p, in.A)
 		if err != nil {
 			return err
 		}
-		b, err := f.operand(in.B)
+		b, err := f.operand(p, in.B)
 		if err != nil {
 			return err
 		}
@@ -141,15 +144,15 @@ func Exec(in *Instr, f *Frame, st *lang.Store) error {
 		}
 		return f.setTemp(in.Dst, v)
 	case Select:
-		c, err := f.operand(in.C)
+		c, err := f.operand(p, in.C)
 		if err != nil {
 			return err
 		}
-		a, err := f.operand(in.A)
+		a, err := f.operand(p, in.A)
 		if err != nil {
 			return err
 		}
-		b, err := f.operand(in.B)
+		b, err := f.operand(p, in.B)
 		if err != nil {
 			return err
 		}
@@ -158,11 +161,11 @@ func Exec(in *Instr, f *Frame, st *lang.Store) error {
 		}
 		return f.setTemp(in.Dst, b)
 	case Add, Sub, Mul, Div:
-		a, err := f.operand(in.A)
+		a, err := f.operand(p, in.A)
 		if err != nil {
 			return err
 		}
-		b, err := f.operand(in.B)
+		b, err := f.operand(p, in.B)
 		if err != nil {
 			return err
 		}
@@ -179,7 +182,7 @@ func Exec(in *Instr, f *Frame, st *lang.Store) error {
 		}
 		return f.setTemp(in.Dst, v)
 	}
-	return fmt.Errorf("tac: cannot execute %v", in)
+	return fmt.Errorf("tac: cannot execute %s", p.Format(in))
 }
 
 func byteToIndex(addr float64) (int, error) {
@@ -193,15 +196,30 @@ func byteToIndex(addr float64) (int, error) {
 	return i / 4, nil
 }
 
-// ExecIteration executes the whole instruction sequence for iteration iv.
-// The sequence need not be the program order — any order that respects data
-// dependences produces the same result, which is exactly what the scheduler
+// ExecIteration executes every instruction once for iteration iv, in the
+// given order of instruction indexes (nil = program order). The order need
+// not be the program order — any order that respects data dependences
+// produces the same result, which is exactly what the scheduler
 // differential tests verify.
-func ExecIteration(instrs []*Instr, numTemps, iv int, st *lang.Store) error {
-	f := NewFrame(numTemps, iv)
-	for _, in := range instrs {
-		if err := Exec(in, f, st); err != nil {
-			return fmt.Errorf("instr %d (%v): %w", in.ID, in, err)
+func (p *Program) ExecIteration(order []int, iv int, st *lang.Store) error {
+	f := NewFrame(p.NumTemps, iv)
+	run := func(in *Instr) error {
+		if err := p.Exec(in, f, st); err != nil {
+			return fmt.Errorf("instr %d (%s): %w", in.ID, p.Format(in), err)
+		}
+		return nil
+	}
+	if order == nil {
+		for i := range p.Instrs {
+			if err := run(&p.Instrs[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, v := range order {
+		if err := run(&p.Instrs[v]); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -215,7 +233,7 @@ func (p *Program) Run(st *lang.Store) error {
 		return err
 	}
 	for i := lo; i <= hi; i++ {
-		if err := ExecIteration(p.Instrs, p.NumTemps, i, st); err != nil {
+		if err := p.ExecIteration(nil, i, st); err != nil {
 			return fmt.Errorf("tac: iteration %d: %w", i, err)
 		}
 	}

@@ -3,6 +3,7 @@ package tac
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -26,20 +27,28 @@ type Program struct {
 	// Sync is the synchronized source loop.
 	Sync *syncop.Loop
 	// Instrs is the instruction sequence in program order.
-	Instrs []*Instr
+	Instrs []Instr
 	// NumTemps is the highest temp number used.
 	NumTemps int
-	// ArrayInstr maps each array reference node of the AST to the load or
-	// store instruction generated for it (used to attach synchronization
-	// dependence arcs).
-	ArrayInstr map[*lang.ArrayRef]*Instr
-	// ScalarInstr maps scalar access sites to their load/store instruction.
-	// Scalar loads are CSE'd per statement, so several reads of X in one
-	// statement share an entry.
-	ScalarInstr map[ScalarKey]*Instr
+	// Names is the name table the instructions' Syms index: every array,
+	// scalar and signal name once, in order of first use, after the empty
+	// name at Sym 0.
+	Names []string
+	// Consts is the table of immediates that Const operands index, each
+	// value once, in order of first use.
+	Consts []float64
+	// ArrayInstr maps each array reference node of the AST to the index of
+	// the load or store instruction generated for it (used to attach
+	// synchronization dependence arcs).
+	ArrayInstr map[*lang.ArrayRef]int32
+	// ScalarInstr maps scalar access sites to the index of their load/store
+	// instruction. Scalar loads are CSE'd per statement, so several reads of
+	// X in one statement share an entry.
+	ScalarInstr map[ScalarKey]int32
 	// MergeLoad maps the LHS array reference of a conditional assignment to
-	// the merge load of the old element value emitted by if-conversion.
-	MergeLoad map[*lang.ArrayRef]*Instr
+	// the index of the merge load of the old element value emitted by
+	// if-conversion.
+	MergeLoad map[*lang.ArrayRef]int32
 
 	// The synchronization lookups, built once by Generate: sendOf[v] is the
 	// index of wait v's send (-1 for no send, and for every other
@@ -51,49 +60,31 @@ type Program struct {
 	sendOf, sends, waits []int32
 }
 
-// instrArena hands out pointer-stable Instr storage in fixed-capacity chunks
-// while a program is generated: the *Instr pointers threaded through the
-// generator's maps stay valid while the stream grows. publish copies the
-// stream into one exactly sized block, so an arena's chunks serve one
-// Generate call after another through arenaPool.
-type instrArena struct {
-	chunks [][]Instr
-	n      int
+// genScratch is Generate's working storage, pooled across calls: the
+// instruction stream and the name and constant tables as they grow, and the
+// indexes that intern names and constants. publish copies each table into
+// an exactly sized block of the program, so the scratch serves one Generate
+// call after another.
+type genScratch struct {
+	instrs []Instr
+	names  []string
+	consts []float64
+	symOf  map[string]Sym
+	constOf map[uint64]int32
 }
 
-const instrArenaChunk = 64
+var genPool = sync.Pool{New: func() any {
+	return &genScratch{symOf: map[string]Sym{}, constOf: map[uint64]int32{}}
+}}
 
-var arenaPool = sync.Pool{New: func() any { return new(instrArena) }}
-
-func (a *instrArena) alloc() *Instr {
-	k, i := a.n/instrArenaChunk, a.n%instrArenaChunk
-	if k == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]Instr, instrArenaChunk))
-	}
-	a.n++
-	return &a.chunks[k][i]
-}
-
-// publish copies the generated instructions into one block of exactly their
-// number and returns them in program order.
-func (a *instrArena) publish() []*Instr {
-	block := make([]Instr, a.n)
-	instrs := make([]*Instr, a.n)
-	for i := range block {
-		block[i] = a.chunks[i/instrArenaChunk][i%instrArenaChunk]
-		instrs[i] = &block[i]
-	}
-	return instrs
-}
-
-// release clears the chunks used, so a pooled arena keeps no names alive,
-// and returns the arena to arenaPool.
-func (a *instrArena) release() {
-	for k := 0; k*instrArenaChunk < a.n; k++ {
-		clear(a.chunks[k])
-	}
-	a.n = 0
-	arenaPool.Put(a)
+// release clears the scratch, so a pooled one keeps no names alive, and
+// returns it to genPool.
+func (sc *genScratch) release() {
+	clear(sc.names)
+	sc.instrs, sc.names, sc.consts = sc.instrs[:0], sc.names[:0], sc.consts[:0]
+	clear(sc.symOf)
+	clear(sc.constOf)
+	genPool.Put(sc)
 }
 
 // affineKey is the CSE key of a pure subscript: AffineIndex proves the
@@ -122,7 +113,7 @@ func binOpcode(op lang.BinOp) Opcode {
 // generator lowers one loop.
 type generator struct {
 	prog     *Program
-	arena    *instrArena
+	sc       *genScratch
 	iv       string
 	nextTemp int
 	// addrCSE caches scaled-address temps of pure subscripts within the
@@ -139,16 +130,17 @@ func Generate(sl *syncop.Loop) (*Program, error) {
 	// loops without conditionals or scalars never pay for the ones they
 	// don't use.
 	g := &generator{
-		prog:  &Program{Sync: sl},
-		arena: arenaPool.Get().(*instrArena),
-		iv:    sl.Base.Var,
-		stmt:  -1,
+		prog: &Program{Sync: sl},
+		sc:   genPool.Get().(*genScratch),
+		iv:   sl.Base.Var,
+		stmt: -1,
 	}
-	defer g.arena.release()
+	defer g.sc.release()
+	g.sc.names = append(g.sc.names, "")
 	for k, st := range sl.Base.Body {
 		g.stmt = k
 		for _, op := range sl.Pre[k] {
-			g.emit(Instr{Op: Wait, Signal: op.Src, SigDist: op.Distance})
+			g.emit(Instr{Op: Wait, Signal: g.sym(op.Src), SigDist: int32(op.Distance)})
 		}
 		if err := g.genAssign(st); err != nil {
 			// Attribute the failure to the statement's source position; the
@@ -159,22 +151,13 @@ func Generate(sl *syncop.Loop) (*Program, error) {
 			return nil, diag.Errorf("tac", st.Pos(), "%v", err).WithStmt(st.Label)
 		}
 		for _, op := range sl.Post[k] {
-			g.emit(Instr{Op: Send, Signal: op.Src})
+			g.emit(Instr{Op: Send, Signal: g.sym(op.Src)})
 		}
 	}
 	p := g.prog
-	p.Instrs = g.arena.publish()
-	// The maps were filled with arena addresses: repoint them at the
-	// published instructions, found by ID.
-	for k, in := range p.ArrayInstr {
-		p.ArrayInstr[k] = p.Instrs[in.ID-1]
-	}
-	for k, in := range p.ScalarInstr {
-		p.ScalarInstr[k] = p.Instrs[in.ID-1]
-	}
-	for k, in := range p.MergeLoad {
-		p.MergeLoad[k] = p.Instrs[in.ID-1]
-	}
+	p.Instrs = append(make([]Instr, 0, len(g.sc.instrs)), g.sc.instrs...)
+	p.Names = append(make([]string, 0, len(g.sc.names)), g.sc.names...)
+	p.Consts = append(make([]float64, 0, len(g.sc.consts)), g.sc.consts...)
 	p.NumTemps = g.nextTemp
 	p.index()
 	return p, nil
@@ -189,28 +172,53 @@ func MustGenerate(sl *syncop.Loop) *Program {
 	return p
 }
 
-func (g *generator) emit(in Instr) *Instr {
-	p := g.arena.alloc()
-	*p = in
-	p.ID = g.arena.n
-	p.Stmt = g.stmt
-	return p
+// emit appends an instruction of the current statement and returns its
+// index.
+func (g *generator) emit(in Instr) int32 {
+	v := int32(len(g.sc.instrs))
+	in.ID = v + 1
+	in.Stmt = int32(g.stmt)
+	g.sc.instrs = append(g.sc.instrs, in)
+	return v
 }
 
-func (g *generator) setArrayInstr(ref *lang.ArrayRef, in *Instr) {
+// sym interns a name in the program's table.
+func (g *generator) sym(name string) Sym {
+	s, ok := g.sc.symOf[name]
+	if !ok {
+		s = Sym(len(g.sc.names))
+		g.sc.names = append(g.sc.names, name)
+		g.sc.symOf[name] = s
+	}
+	return s
+}
+
+// constOp interns an immediate in the program's table.
+func (g *generator) constOp(v float64) Operand {
+	bits := math.Float64bits(v)
+	k, ok := g.sc.constOf[bits]
+	if !ok {
+		k = int32(len(g.sc.consts))
+		g.sc.consts = append(g.sc.consts, v)
+		g.sc.constOf[bits] = k
+	}
+	return Operand{Kind: Const, Reg: k}
+}
+
+func (g *generator) setArrayInstr(ref *lang.ArrayRef, v int32) {
 	if g.prog.ArrayInstr == nil {
 		// Sized for the common loop body up front — incremental map growth
 		// costs several allocations on the compile hot path.
-		g.prog.ArrayInstr = make(map[*lang.ArrayRef]*Instr, 16)
+		g.prog.ArrayInstr = make(map[*lang.ArrayRef]int32, 16)
 	}
-	g.prog.ArrayInstr[ref] = in
+	g.prog.ArrayInstr[ref] = v
 }
 
-func (g *generator) setScalarInstr(key ScalarKey, in *Instr) {
+func (g *generator) setScalarInstr(key ScalarKey, v int32) {
 	if g.prog.ScalarInstr == nil {
-		g.prog.ScalarInstr = map[ScalarKey]*Instr{}
+		g.prog.ScalarInstr = map[ScalarKey]int32{}
 	}
-	g.prog.ScalarInstr[key] = in
+	g.prog.ScalarInstr[key] = v
 }
 
 func (g *generator) temp() int {
@@ -232,11 +240,11 @@ func (g *generator) genAssign(st *lang.Assign) error {
 		var oldv Operand
 		if st.Cond != nil {
 			t := g.temp()
-			in := g.emit(Instr{Op: Load, Dst: t, Array: lhs.Name, A: TempOp(addr)})
+			v := g.emit(Instr{Op: Load, Dst: int32(t), Array: g.sym(lhs.Name), A: TempOp(addr)})
 			if g.prog.MergeLoad == nil {
-				g.prog.MergeLoad = map[*lang.ArrayRef]*Instr{}
+				g.prog.MergeLoad = map[*lang.ArrayRef]int32{}
 			}
-			g.prog.MergeLoad[lhs] = in
+			g.prog.MergeLoad[lhs] = v
 			oldv = TempOp(t)
 		}
 		val, err := g.genValue(st.RHS)
@@ -249,8 +257,7 @@ func (g *generator) genAssign(st *lang.Assign) error {
 				return err
 			}
 		}
-		in := g.emit(Instr{Op: Store, Array: lhs.Name, A: TempOp(addr), B: val})
-		g.setArrayInstr(lhs, in)
+		g.setArrayInstr(lhs, g.emit(Instr{Op: Store, Array: g.sym(lhs.Name), A: TempOp(addr), B: val}))
 		return nil
 	case *lang.Scalar:
 		var oldv Operand
@@ -268,8 +275,8 @@ func (g *generator) genAssign(st *lang.Assign) error {
 				return err
 			}
 		}
-		in := g.emit(Instr{Op: StoreS, Array: lhs.Name, B: val})
-		g.setScalarInstr(ScalarKey{Stmt: g.stmt, Name: lhs.Name, Write: true}, in)
+		v := g.emit(Instr{Op: StoreS, Array: g.sym(lhs.Name), B: val})
+		g.setScalarInstr(ScalarKey{Stmt: g.stmt, Name: lhs.Name, Write: true}, v)
 		return nil
 	}
 	return fmt.Errorf("unsupported assignment target %T", st.LHS)
@@ -286,9 +293,9 @@ func (g *generator) genSelect(c *lang.Cond, newv, oldv Operand) (Operand, error)
 		return Operand{}, err
 	}
 	ct := g.temp()
-	g.emit(Instr{Op: Cmp, Dst: ct, A: l, B: r, Rel: c.Op})
+	g.emit(Instr{Op: Cmp, Dst: int32(ct), A: l, B: r, Rel: c.Op})
 	st := g.temp()
-	g.emit(Instr{Op: Select, Dst: st, A: newv, B: oldv, C: TempOp(ct)})
+	g.emit(Instr{Op: Select, Dst: int32(st), A: newv, B: oldv, C: TempOp(ct)})
 	return TempOp(st), nil
 }
 
@@ -310,7 +317,7 @@ func (g *generator) genAddress(idx lang.Expr) (int, error) {
 		return 0, err
 	}
 	t := g.temp()
-	g.emit(Instr{Op: Shl, Dst: t, A: it, IntegerTyped: true})
+	g.emit(Instr{Op: Shl, Dst: int32(t), A: it, IntegerTyped: true})
 	if pure {
 		if g.addrCSE == nil {
 			g.addrCSE = map[affineKey]int{}
@@ -325,7 +332,7 @@ func (g *generator) genAddress(idx lang.Expr) (int, error) {
 func (g *generator) genIndex(e lang.Expr) (Operand, error) {
 	switch v := e.(type) {
 	case *lang.Const:
-		return ConstOp(v.Value), nil
+		return g.constOp(v.Value), nil
 	case *lang.Scalar:
 		if v.Name == g.iv {
 			return IVOp(), nil
@@ -339,7 +346,7 @@ func (g *generator) genIndex(e lang.Expr) (Operand, error) {
 			return Operand{}, err
 		}
 		t := g.temp()
-		g.emit(Instr{Op: Sub, Dst: t, A: ConstOp(0), B: x, IntegerTyped: true})
+		g.emit(Instr{Op: Sub, Dst: int32(t), A: g.constOp(0), B: x, IntegerTyped: true})
 		return TempOp(t), nil
 	case *lang.ArrayRef:
 		// Indirect subscript (A[X[I]]): load the index element.
@@ -348,8 +355,7 @@ func (g *generator) genIndex(e lang.Expr) (Operand, error) {
 			return Operand{}, err
 		}
 		t := g.temp()
-		in := g.emit(Instr{Op: Load, Dst: t, Array: v.Name, A: TempOp(addr)})
-		g.setArrayInstr(v, in)
+		g.setArrayInstr(v, g.emit(Instr{Op: Load, Dst: int32(t), Array: g.sym(v.Name), A: TempOp(addr)}))
 		return TempOp(t), nil
 	case *lang.Binary:
 		coef, off, pure := lang.AffineIndex(e, g.iv)
@@ -369,7 +375,7 @@ func (g *generator) genIndex(e lang.Expr) (Operand, error) {
 		}
 		t := g.temp()
 		op := binOpcode(v.Op)
-		g.emit(Instr{Op: op, Dst: t, A: a, B: b, IntegerTyped: op == Add || op == Sub})
+		g.emit(Instr{Op: op, Dst: int32(t), A: a, B: b, IntegerTyped: op == Add || op == Sub})
 		if pure {
 			if g.idxCSE == nil {
 				g.idxCSE = map[affineKey]int{}
@@ -385,7 +391,7 @@ func (g *generator) genIndex(e lang.Expr) (Operand, error) {
 func (g *generator) genValue(e lang.Expr) (Operand, error) {
 	switch v := e.(type) {
 	case *lang.Const:
-		return ConstOp(v.Value), nil
+		return g.constOp(v.Value), nil
 	case *lang.Scalar:
 		if v.Name == g.iv {
 			return IVOp(), nil
@@ -397,8 +403,7 @@ func (g *generator) genValue(e lang.Expr) (Operand, error) {
 			return Operand{}, err
 		}
 		t := g.temp()
-		in := g.emit(Instr{Op: Load, Dst: t, Array: v.Name, A: TempOp(addr)})
-		g.setArrayInstr(v, in)
+		g.setArrayInstr(v, g.emit(Instr{Op: Load, Dst: int32(t), Array: g.sym(v.Name), A: TempOp(addr)}))
 		return TempOp(t), nil
 	case *lang.Neg:
 		x, err := g.genValue(v.X)
@@ -406,7 +411,7 @@ func (g *generator) genValue(e lang.Expr) (Operand, error) {
 			return Operand{}, err
 		}
 		t := g.temp()
-		g.emit(Instr{Op: Sub, Dst: t, A: ConstOp(0), B: x})
+		g.emit(Instr{Op: Sub, Dst: int32(t), A: g.constOp(0), B: x})
 		return TempOp(t), nil
 	case *lang.Binary:
 		a, err := g.genValue(v.L)
@@ -419,7 +424,7 @@ func (g *generator) genValue(e lang.Expr) (Operand, error) {
 		}
 		t := g.temp()
 		op := binOpcode(v.Op)
-		g.emit(Instr{Op: op, Dst: t, A: a, B: b})
+		g.emit(Instr{Op: op, Dst: int32(t), A: a, B: b})
 		return TempOp(t), nil
 	}
 	return Operand{}, fmt.Errorf("unsupported expression %T", e)
@@ -431,43 +436,20 @@ func (g *generator) genValue(e lang.Expr) (Operand, error) {
 // distance-0 arcs then order the accesses correctly).
 func (g *generator) scalarLoad(name string) int {
 	key := ScalarKey{Stmt: g.stmt, Name: name, Write: false}
-	if in, ok := g.prog.ScalarInstr[key]; ok {
-		return in.Dst
+	if v, ok := g.prog.ScalarInstr[key]; ok {
+		return int(g.sc.instrs[v].Dst)
 	}
 	t := g.temp()
-	in := g.emit(Instr{Op: LoadS, Dst: t, Array: name})
-	g.setScalarInstr(key, in)
+	g.setScalarInstr(key, g.emit(Instr{Op: LoadS, Dst: int32(t), Array: g.sym(name)}))
 	return t
-}
-
-// Waits returns the wait instructions in program order.
-func (p *Program) Waits() []*Instr {
-	var out []*Instr
-	for _, in := range p.Instrs {
-		if in.Op == Wait {
-			out = append(out, in)
-		}
-	}
-	return out
-}
-
-// Sends returns the send instructions in program order.
-func (p *Program) Sends() []*Instr {
-	var out []*Instr
-	for _, in := range p.Instrs {
-		if in.Op == Send {
-			out = append(out, in)
-		}
-	}
-	return out
 }
 
 // index builds the synchronization lookups of a freshly generated program
 // in one allocation.
 func (p *Program) index() {
 	n, sends, waits := len(p.Instrs), 0, 0
-	for _, in := range p.Instrs {
-		switch in.Op {
+	for i := range p.Instrs {
+		switch p.Instrs[i].Op {
 		case Send:
 			sends++
 		case Wait:
@@ -476,8 +458,8 @@ func (p *Program) index() {
 	}
 	tab := make([]int32, n+sends+waits)
 	p.sendOf, p.sends, p.waits = tab[:n:n], tab[n:n:n+sends], tab[n+sends:n+sends]
-	for i, in := range p.Instrs {
-		switch in.Op {
+	for i := range p.Instrs {
+		switch p.Instrs[i].Op {
 		case Send:
 			p.sends = append(p.sends, int32(i))
 		case Wait:
@@ -485,65 +467,56 @@ func (p *Program) index() {
 		}
 	}
 	slices.SortFunc(p.sends, func(a, b int32) int {
-		if c := strings.Compare(p.Instrs[a].Signal, p.Instrs[b].Signal); c != 0 {
+		if c := strings.Compare(p.Name(p.Instrs[a].Signal), p.Name(p.Instrs[b].Signal)); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
 	slices.SortFunc(p.waits, func(a, b int32) int {
-		y := p.Instrs[b]
-		if c := compareWait(p.Instrs[a], y.Stmt, y.Signal, y.SigDist); c != 0 {
+		y := &p.Instrs[b]
+		if c := p.compareWait(&p.Instrs[a], int(y.Stmt), p.Name(y.Signal), int(y.SigDist)); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
-	for v, in := range p.Instrs {
+	for v := range p.Instrs {
 		p.sendOf[v] = -1
-		if in.Op == Wait {
-			p.sendOf[v] = int32(p.sendIndex(in.Signal))
+		if in := &p.Instrs[v]; in.Op == Wait {
+			p.sendOf[v] = int32(p.SendFor(p.Name(in.Signal)))
 		}
 	}
 }
 
 // compareWait orders a wait against the key (stmt, signal, dist).
-func compareWait(in *Instr, stmt int, signal string, dist int) int {
-	if c := cmp.Compare(in.Stmt, stmt); c != 0 {
+func (p *Program) compareWait(in *Instr, stmt int, signal string, dist int) int {
+	if c := cmp.Compare(int(in.Stmt), stmt); c != 0 {
 		return c
 	}
-	if c := strings.Compare(in.Signal, signal); c != 0 {
+	if c := strings.Compare(p.Name(in.Signal), signal); c != 0 {
 		return c
 	}
-	return cmp.Compare(in.SigDist, dist)
+	return cmp.Compare(int(in.SigDist), dist)
 }
 
 // indexed reports whether the program carries Generate's lookups.
 func (p *Program) indexed() bool { return p.sendOf != nil && len(p.sendOf) == len(p.Instrs) }
 
-// sendIndex returns the index of the first send of signal in program order,
-// or -1.
-func (p *Program) sendIndex(signal string) int {
+// SendFor returns the index of the send instruction for the given signal
+// name — the first in program order — or -1.
+func (p *Program) SendFor(signal string) int {
 	if !p.indexed() {
-		for i, in := range p.Instrs {
-			if in.Op == Send && in.Signal == signal {
+		for i := range p.Instrs {
+			if in := &p.Instrs[i]; in.Op == Send && p.Name(in.Signal) == signal {
 				return i
 			}
 		}
 		return -1
 	}
-	k := sort.Search(len(p.sends), func(k int) bool { return p.Instrs[p.sends[k]].Signal >= signal })
-	if k == len(p.sends) || p.Instrs[p.sends[k]].Signal != signal {
+	k := sort.Search(len(p.sends), func(k int) bool { return p.Name(p.Instrs[p.sends[k]].Signal) >= signal })
+	if k == len(p.sends) || p.Name(p.Instrs[p.sends[k]].Signal) != signal {
 		return -1
 	}
 	return int(p.sends[k])
-}
-
-// SendFor returns the send instruction for the given signal name — the
-// first in program order — or nil.
-func (p *Program) SendFor(signal string) *Instr {
-	if i := p.sendIndex(signal); i >= 0 {
-		return p.Instrs[i]
-	}
-	return nil
 }
 
 // SendOf returns the index of the send that wait v pairs with — the first
@@ -556,22 +529,22 @@ func (p *Program) SendOf(v int) int {
 	if p.Instrs[v].Op != Wait {
 		return -1
 	}
-	return p.sendIndex(p.Instrs[v].Signal)
+	return p.SendFor(p.Name(p.Instrs[v].Signal))
 }
 
 // WaitFor returns the index of the first wait of statement stmt for
 // (signal, dist) in program order, or -1.
 func (p *Program) WaitFor(stmt int, signal string, dist int) int {
 	if !p.indexed() {
-		for i, in := range p.Instrs {
-			if in.Op == Wait && compareWait(in, stmt, signal, dist) == 0 {
+		for i := range p.Instrs {
+			if in := &p.Instrs[i]; in.Op == Wait && p.compareWait(in, stmt, signal, dist) == 0 {
 				return i
 			}
 		}
 		return -1
 	}
-	k := sort.Search(len(p.waits), func(k int) bool { return compareWait(p.Instrs[p.waits[k]], stmt, signal, dist) >= 0 })
-	if k == len(p.waits) || compareWait(p.Instrs[p.waits[k]], stmt, signal, dist) != 0 {
+	k := sort.Search(len(p.waits), func(k int) bool { return p.compareWait(&p.Instrs[p.waits[k]], stmt, signal, dist) >= 0 })
+	if k == len(p.waits) || p.compareWait(&p.Instrs[p.waits[k]], stmt, signal, dist) != 0 {
 		return -1
 	}
 	return int(p.waits[k])

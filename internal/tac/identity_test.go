@@ -45,16 +45,18 @@ func identityCorpus(t *testing.T) (parts []string, cases [][]scheditest.Case) {
 }
 
 func writeListing(h hash.Hash, name string, p *tac.Program) {
-	fmt.Fprintf(h, "%s temps=%d\n%s", name, p.NumTemps, tac.Listing(p.Instrs))
+	fmt.Fprintf(h, "%s temps=%d\n%s", name, p.NumTemps, p.Listing())
 }
 
 // TestGenerateIdentity holds Generate's published programs to what the
-// lowering produced before its storage was resized: over the wide corpus
-// and the size sweep, the listings match their recorded digests, Instrs is
-// exactly as long as its capacity, and every value of ArrayInstr,
-// ScalarInstr and MergeLoad is the published instruction of its ID.
-// Generating another program, which reuses the pooled chunks, leaves an
-// earlier program unchanged, also when goroutines generate at once.
+// lowering produced before its storage was resized and its instructions
+// compacted: over the wide corpus and the size sweep, the listings match
+// their recorded digests, Instrs and the name and constant tables are
+// exactly as long as their capacities and hold each name and constant
+// once, and every value of ArrayInstr, ScalarInstr and MergeLoad indexes
+// the memory instruction of its ID. Generating another program, which
+// reuses the pooled scratch, leaves an earlier program unchanged, also
+// when goroutines generate at once.
 func TestGenerateIdentity(t *testing.T) {
 	parts, cases := identityCorpus(t)
 	for i, part := range parts {
@@ -62,9 +64,11 @@ func TestGenerateIdentity(t *testing.T) {
 		for _, c := range cases[i] {
 			p := c.Graph.Prog
 			writeListing(h, c.Name, p)
-			if len(p.Instrs) != cap(p.Instrs) {
-				t.Errorf("%s: %d instructions with capacity %d", c.Name, len(p.Instrs), cap(p.Instrs))
+			if len(p.Instrs) != cap(p.Instrs) || len(p.Names) != cap(p.Names) || len(p.Consts) != cap(p.Consts) {
+				t.Errorf("%s: %d instructions, %d names and %d constants with capacities %d, %d and %d", c.Name,
+					len(p.Instrs), len(p.Names), len(p.Consts), cap(p.Instrs), cap(p.Names), cap(p.Consts))
 			}
+			checkTables(t, c.Name, p)
 			checkMapped(t, c.Name, p)
 		}
 		got := hex.EncodeToString(h.Sum(nil))
@@ -80,7 +84,7 @@ func TestGenerateIdentity(t *testing.T) {
 	all := append(append([]scheditest.Case(nil), cases[0]...), cases[1]...)
 	want := make([]string, len(all))
 	for i, c := range all {
-		want[i] = tac.Listing(c.Graph.Prog.Instrs)
+		want[i] = c.Graph.Prog.Listing()
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -95,14 +99,14 @@ func TestGenerateIdentity(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if got := tac.Listing(p.Instrs); got != want[k] {
+				if got := p.Listing(); got != want[k] {
 					t.Errorf("worker %d, %s: listing\n%s want\n%s", w, all[k].Name, got, want[k])
 					return
 				}
 				progs[k] = p
 			}
 			for k, p := range progs {
-				if got := tac.Listing(p.Instrs); got != want[k] {
+				if got := p.Listing(); got != want[k] {
 					t.Errorf("worker %d, %s: listing changed by later programs\n%s want\n%s", w, all[k].Name, got, want[k])
 					return
 				}
@@ -112,23 +116,46 @@ func TestGenerateIdentity(t *testing.T) {
 	wg.Wait()
 }
 
-// checkMapped checks that every instruction the lookup maps name is the
-// published instruction of its ID.
+// checkTables checks that the name table starts with the empty name and
+// holds every other name once, and the constant table every value once.
+func checkTables(t *testing.T, name string, p *tac.Program) {
+	t.Helper()
+	if len(p.Names) == 0 || p.Names[0] != "" {
+		t.Errorf("%s: name table %q does not start with the empty name", name, p.Names)
+	}
+	names := map[string]bool{}
+	for _, n := range p.Names[1:] {
+		if n == "" || names[n] {
+			t.Errorf("%s: name table %q holds %q twice or empty", name, p.Names, n)
+		}
+		names[n] = true
+	}
+	consts := map[float64]bool{}
+	for _, c := range p.Consts {
+		if consts[c] {
+			t.Errorf("%s: constant table %v holds %v twice", name, p.Consts, c)
+		}
+		consts[c] = true
+	}
+}
+
+// checkMapped checks that every instruction the lookup maps name is a
+// memory instruction of the program whose ID is its index plus one.
 func checkMapped(t *testing.T, name string, p *tac.Program) {
 	t.Helper()
-	check := func(m string, in *tac.Instr) {
-		if in.ID < 1 || in.ID > len(p.Instrs) || p.Instrs[in.ID-1] != in {
-			t.Errorf("%s: %s maps to instruction %d (%s), not the published one", name, m, in.ID, in)
+	check := func(m string, v int32) {
+		if v < 0 || int(v) >= len(p.Instrs) || !p.Instrs[v].IsMem() || p.Instrs[v].ID != v+1 {
+			t.Errorf("%s: %s maps to instruction index %d, not a published memory instruction", name, m, v)
 		}
 	}
-	for _, in := range p.ArrayInstr {
-		check("ArrayInstr", in)
+	for _, v := range p.ArrayInstr {
+		check("ArrayInstr", v)
 	}
-	for _, in := range p.ScalarInstr {
-		check("ScalarInstr", in)
+	for _, v := range p.ScalarInstr {
+		check("ScalarInstr", v)
 	}
-	for _, in := range p.MergeLoad {
-		check("MergeLoad", in)
+	for _, v := range p.MergeLoad {
+		check("MergeLoad", v)
 	}
 }
 
@@ -137,7 +164,7 @@ func checkMapped(t *testing.T, name string, p *tac.Program) {
 func TestGenerateAfterFailure(t *testing.T) {
 	loop := lang.MustParse("DO I = 1, N\nS1: A[I] = A[I-1] + B[I]\nS2: C[I] = A[I-2] * 2\nENDDO")
 	sl := syncop.Insert(dep.Analyze(loop), syncop.Options{})
-	want := tac.Listing(tac.MustGenerate(sl).Instrs)
+	want := tac.MustGenerate(sl).Listing()
 	// A constant is no assignment target: the lowering fails at S2, after
 	// S1's instructions were emitted.
 	bad := *loop
@@ -147,7 +174,7 @@ func TestGenerateAfterFailure(t *testing.T) {
 	if _, err := tac.Generate(&badSync); err == nil {
 		t.Fatal("lowering a constant assignment target succeeded")
 	}
-	if got := tac.Listing(tac.MustGenerate(sl).Instrs); got != want {
+	if got := tac.MustGenerate(sl).Listing(); got != want {
 		t.Errorf("after a failed lowering:\n%s want\n%s", got, want)
 	}
 }

@@ -10,19 +10,19 @@ import (
 
 // refSendFor is the linear send lookup the program's index replaced, kept
 // as the reference its lookups are held to.
-func refSendFor(p *tac.Program, signal string) *tac.Instr {
-	for _, in := range p.Instrs {
-		if in.Op == tac.Send && in.Signal == signal {
-			return in
+func refSendFor(p *tac.Program, signal string) int {
+	for i, in := range p.Instrs {
+		if in.Op == tac.Send && p.Name(in.Signal) == signal {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // refWaitFor is the linear wait lookup the program's index replaced.
 func refWaitFor(p *tac.Program, stmt int, signal string, dist int) int {
 	for i, in := range p.Instrs {
-		if in.Op == tac.Wait && in.Stmt == stmt && in.Signal == signal && in.SigDist == dist {
+		if in.Op == tac.Wait && int(in.Stmt) == stmt && p.Name(in.Signal) == signal && int(in.SigDist) == dist {
 			return i
 		}
 	}
@@ -43,7 +43,7 @@ func TestLookupEquivalence(t *testing.T) {
 	cases := scheditest.WideCorpus(t, filepath.Join("..", "..", "testdata", "kernels"), 120)
 	for _, c := range append(cases, scheditest.SweepCorpus(t, sweep)...) {
 		p := c.Graph.Prog
-		bare := &tac.Program{Sync: p.Sync, Instrs: p.Instrs, NumTemps: p.NumTemps}
+		bare := &tac.Program{Sync: p.Sync, Instrs: p.Instrs, NumTemps: p.NumTemps, Names: p.Names, Consts: p.Consts}
 		for _, q := range []*tac.Program{p, bare} {
 			for _, st := range p.Sync.Base.Body {
 				if got, want := q.SendFor(st.Label), refSendFor(p, st.Label); got != want {
@@ -51,20 +51,23 @@ func TestLookupEquivalence(t *testing.T) {
 				}
 			}
 			for v, in := range p.Instrs {
+				sig := p.Name(in.Signal)
 				want := -1
-				if s := refSendFor(p, in.Signal); in.Op == tac.Wait && s != nil {
-					want = s.ID - 1
+				if in.Op == tac.Wait {
+					want = refSendFor(p, sig)
 				}
 				if got := q.SendOf(v); got != want {
 					t.Fatalf("%s: SendOf(%d) = %d, reference %d", c.Name, v, got, want)
 				}
 				if in.Op == tac.Wait {
-					if got, want := q.WaitFor(in.Stmt, in.Signal, in.SigDist), refWaitFor(p, in.Stmt, in.Signal, in.SigDist); got != want {
-						t.Fatalf("%s: WaitFor(%d, %s, %d) = %d, reference %d", c.Name, in.Stmt, in.Signal, in.SigDist, got, want)
+					stmt, dist := int(in.Stmt), int(in.SigDist)
+					if got, want := q.WaitFor(stmt, sig, dist), refWaitFor(p, stmt, sig, dist); got != want {
+						t.Fatalf("%s: WaitFor(%d, %s, %d) = %d, reference %d", c.Name, stmt, sig, dist, got, want)
 					}
 				}
 			}
-			for _, d := range p.Sync.Synced {
+			for k := range p.Sync.Synced {
+				d := p.Sync.SyncedDep(k)
 				label := p.Sync.Base.Body[d.Src.Stmt].Label
 				if got, want := q.WaitFor(d.Snk.Stmt, label, d.Distance), refWaitFor(p, d.Snk.Stmt, label, d.Distance); got != want {
 					t.Fatalf("%s: WaitFor(%d, %s, %d) = %d, reference %d", c.Name, d.Snk.Stmt, label, d.Distance, got, want)

@@ -17,14 +17,15 @@ package tac
 
 import (
 	"fmt"
-	"strings"
+	"math"
+	"strconv"
 
 	"doacross/internal/dlx"
 	"doacross/internal/lang"
 )
 
 // Opcode is a three-address-code operation.
-type Opcode int
+type Opcode uint8
 
 // Opcodes.
 const (
@@ -80,7 +81,7 @@ func (op Opcode) String() string {
 }
 
 // OperandKind classifies an instruction operand.
-type OperandKind int
+type OperandKind uint8
 
 // Operand kinds.
 const (
@@ -93,62 +94,47 @@ const (
 // Operand is one source operand.
 type Operand struct {
 	Kind OperandKind
-	// Reg is the temp number for Kind==Temp.
-	Reg int
-	// Val is the immediate for Kind==Const.
-	Val float64
+	// Reg is the temp number for Kind==Temp, and for Kind==Const the index
+	// of the immediate in its program's constant table (Program.Consts).
+	Reg int32
 }
 
 // TempOp returns a temp operand.
-func TempOp(r int) Operand { return Operand{Kind: Temp, Reg: r} }
+func TempOp(r int) Operand { return Operand{Kind: Temp, Reg: int32(r)} }
 
 // IVOp returns the induction-variable operand.
 func IVOp() Operand { return Operand{Kind: IV} }
 
-// ConstOp returns an immediate operand.
-func ConstOp(v float64) Operand { return Operand{Kind: Const, Val: v} }
+// Sym names an array, a scalar or a signal of one program: an index into
+// its name table (Program.Names). Sym 0 is the empty name.
+type Sym int32
 
-// String renders the operand.
-func (o Operand) String() string {
-	switch o.Kind {
-	case None:
-		return "_"
-	case Temp:
-		return fmt.Sprintf("t%d", o.Reg)
-	case IV:
-		return "I"
-	case Const:
-		if o.Val == float64(int64(o.Val)) {
-			return fmt.Sprintf("%d", int64(o.Val))
-		}
-		return fmt.Sprintf("%g", o.Val)
-	}
-	return "?"
-}
-
-// Instr is one three-address instruction.
+// Instr is one three-address instruction. Every field is at most 32 bits
+// wide, and names and immediates are indices into the tables of the
+// program that holds the instruction, so an instruction is rendered,
+// executed and fingerprinted through its Program.
 type Instr struct {
 	// ID is the 1-based position in the generated sequence (the paper's
 	// instruction numbering in Fig. 2/3/4).
-	ID int
-	Op Opcode
+	ID int32
 	// Dst is the destination temp (0 = none).
-	Dst int
+	Dst int32
 	// A, B are the source operands. For Load, A is the address temp; for
 	// Store, A is the address and B the stored value. C is the guard operand
 	// of Select (Dst <- C != 0 ? A : B).
 	A, B, C Operand
-	// Rel is the relation computed by Cmp.
-	Rel lang.RelOp
 	// Array is the array (or scalar, for LoadS/StoreS) name.
-	Array string
+	Array Sym
 	// Signal and SigDist describe Send/Wait operations: the signal name
 	// (source statement label) and the wait distance d.
-	Signal  string
-	SigDist int
+	Signal  Sym
+	SigDist int32
 	// Stmt is the 0-based index of the originating source statement; -1 for
 	// none.
-	Stmt int
+	Stmt int32
+	Op   Opcode
+	// Rel is the relation computed by Cmp.
+	Rel lang.RelOp
 	// IntegerTyped marks address/index arithmetic, which runs on the integer
 	// unit; data arithmetic runs on the float unit.
 	IntegerTyped bool
@@ -189,13 +175,13 @@ func (in *Instr) Uses() []int {
 // ever appended) it does not allocate — the hot-path form of Uses.
 func (in *Instr) AppendUses(dst []int) []int {
 	if in.A.Kind == Temp {
-		dst = append(dst, in.A.Reg)
+		dst = append(dst, int(in.A.Reg))
 	}
 	if in.B.Kind == Temp {
-		dst = append(dst, in.B.Reg)
+		dst = append(dst, int(in.B.Reg))
 	}
 	if in.C.Kind == Temp {
-		dst = append(dst, in.C.Reg)
+		dst = append(dst, int(in.C.Reg))
 	}
 	return dst
 }
@@ -212,49 +198,131 @@ func (in *Instr) IsMem() bool {
 	return false
 }
 
-// String renders the instruction in the paper's Fig. 2 style.
-func (in *Instr) String() string {
-	switch in.Op {
-	case Load:
-		return fmt.Sprintf("t%d <- %s[%s]", in.Dst, in.Array, in.A)
-	case Store:
-		return fmt.Sprintf("%s[%s] <- %s", in.Array, in.A, in.B)
-	case LoadS:
-		return fmt.Sprintf("t%d <- %s", in.Dst, in.Array)
-	case StoreS:
-		return fmt.Sprintf("%s <- %s", in.Array, in.B)
-	case Add:
-		return fmt.Sprintf("t%d <- %s + %s", in.Dst, in.A, in.B)
-	case Sub:
-		return fmt.Sprintf("t%d <- %s - %s", in.Dst, in.A, in.B)
-	case Mul:
-		return fmt.Sprintf("t%d <- %s * %s", in.Dst, in.A, in.B)
-	case Div:
-		return fmt.Sprintf("t%d <- %s / %s", in.Dst, in.A, in.B)
-	case Shl:
-		return fmt.Sprintf("t%d <- 4 * %s", in.Dst, in.A)
-	case Move:
-		return fmt.Sprintf("t%d <- %s", in.Dst, in.A)
-	case Cmp:
-		return fmt.Sprintf("t%d <- %s %s %s", in.Dst, in.A, in.Rel, in.B)
-	case Select:
-		return fmt.Sprintf("t%d <- %s ? %s : %s", in.Dst, in.C, in.A, in.B)
-	case Send:
-		return fmt.Sprintf("Send_Signal(%s)", in.Signal)
-	case Wait:
-		if in.SigDist == 0 {
-			return fmt.Sprintf("Wait_Signal(%s, I)", in.Signal)
-		}
-		return fmt.Sprintf("Wait_Signal(%s, I-%d)", in.Signal, in.SigDist)
+// Name returns the name s stands for in the program.
+func (p *Program) Name(s Sym) string {
+	if s == 0 {
+		return ""
 	}
-	return fmt.Sprintf("op%d", int(in.Op))
+	return p.Names[s]
 }
 
-// Listing renders a numbered instruction listing like the paper's Fig. 2.
-func Listing(instrs []*Instr) string {
-	var sb strings.Builder
-	for _, in := range instrs {
-		fmt.Fprintf(&sb, "%3d: %s\n", in.ID, in)
+// Intern returns the Sym of name, adding it to the name table if it is new.
+// Generate fills a program's table as it lowers; Intern is for programs
+// assembled by hand.
+func (p *Program) Intern(name string) Sym {
+	if name == "" {
+		return 0
 	}
-	return sb.String()
+	if len(p.Names) == 0 {
+		p.Names = append(p.Names, "")
+	}
+	for i, n := range p.Names[1:] {
+		if n == name {
+			return Sym(i + 1)
+		}
+	}
+	p.Names = append(p.Names, name)
+	return Sym(len(p.Names) - 1)
+}
+
+// ConstOp returns an immediate operand of value v, adding v to the
+// constant table if it is new. Generate fills a program's table as it
+// lowers; ConstOp is for programs assembled by hand.
+func (p *Program) ConstOp(v float64) Operand {
+	bits := math.Float64bits(v)
+	for i, c := range p.Consts {
+		if math.Float64bits(c) == bits {
+			return Operand{Kind: Const, Reg: int32(i)}
+		}
+	}
+	p.Consts = append(p.Consts, v)
+	return Operand{Kind: Const, Reg: int32(len(p.Consts) - 1)}
+}
+
+// Imm returns the value of an immediate operand.
+func (p *Program) Imm(o Operand) float64 { return p.Consts[o.Reg] }
+
+// appendOperand renders an operand.
+func (p *Program) appendOperand(b []byte, o Operand) []byte {
+	switch o.Kind {
+	case None:
+		return append(b, '_')
+	case Temp:
+		return strconv.AppendInt(append(b, 't'), int64(o.Reg), 10)
+	case IV:
+		return append(b, 'I')
+	case Const:
+		v := p.Imm(o)
+		if v == float64(int64(v)) {
+			return strconv.AppendInt(b, int64(v), 10)
+		}
+		return strconv.AppendFloat(b, v, 'g', -1, 64)
+	}
+	return append(b, '?')
+}
+
+// Format renders an instruction of the program in the paper's Fig. 2
+// style.
+func (p *Program) Format(in *Instr) string { return string(p.appendInstr(nil, in)) }
+
+// appendInstr appends Format's rendering of in to b.
+func (p *Program) appendInstr(b []byte, in *Instr) []byte {
+	dst := func(b []byte) []byte {
+		return append(strconv.AppendInt(append(b, 't'), int64(in.Dst), 10), " <- "...)
+	}
+	bin := func(b []byte, op string) []byte {
+		b = p.appendOperand(dst(b), in.A)
+		return p.appendOperand(append(b, op...), in.B)
+	}
+	switch in.Op {
+	case Load:
+		b = append(dst(b), p.Name(in.Array)...)
+		return append(p.appendOperand(append(b, '['), in.A), ']')
+	case Store:
+		b = p.appendOperand(append(append(b, p.Name(in.Array)...), '['), in.A)
+		return p.appendOperand(append(b, "] <- "...), in.B)
+	case LoadS:
+		return append(dst(b), p.Name(in.Array)...)
+	case StoreS:
+		return p.appendOperand(append(append(b, p.Name(in.Array)...), " <- "...), in.B)
+	case Add:
+		return bin(b, " + ")
+	case Sub:
+		return bin(b, " - ")
+	case Mul:
+		return bin(b, " * ")
+	case Div:
+		return bin(b, " / ")
+	case Shl:
+		return p.appendOperand(append(dst(b), "4 * "...), in.A)
+	case Move:
+		return p.appendOperand(dst(b), in.A)
+	case Cmp:
+		return bin(b, " "+in.Rel.String()+" ")
+	case Select:
+		b = p.appendOperand(dst(b), in.C)
+		b = p.appendOperand(append(b, " ? "...), in.A)
+		return p.appendOperand(append(b, " : "...), in.B)
+	case Send:
+		return append(append(append(b, "Send_Signal("...), p.Name(in.Signal)...), ')')
+	case Wait:
+		b = append(append(b, "Wait_Signal("...), p.Name(in.Signal)...)
+		if in.SigDist == 0 {
+			return append(b, ", I)"...)
+		}
+		return append(strconv.AppendInt(append(b, ", I-"...), int64(in.SigDist), 10), ')')
+	}
+	return strconv.AppendInt(append(b, "op"...), int64(in.Op), 10)
+}
+
+// Listing renders the numbered instruction listing of the program, like
+// the paper's Fig. 2.
+func (p *Program) Listing() string {
+	var b []byte
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		b = fmt.Appendf(b, "%3d: ", in.ID)
+		b = append(p.appendInstr(b, in), '\n')
+	}
+	return string(b)
 }

@@ -38,7 +38,7 @@ func compile(t testing.TB, src string) *Program {
 func TestFig2Shape(t *testing.T) {
 	p := compile(t, fig1Source)
 	if len(p.Instrs) != 28 {
-		t.Fatalf("got %d instructions, want 28:\n%s", len(p.Instrs), Listing(p.Instrs))
+		t.Fatalf("got %d instructions, want 28:\n%s", len(p.Instrs), p.Listing())
 	}
 	checks := map[int]string{
 		1:  "Wait_Signal(S3, I-2)",
@@ -57,8 +57,8 @@ func TestFig2Shape(t *testing.T) {
 		28: "Send_Signal(S3)",
 	}
 	for id, want := range checks {
-		if got := p.Instrs[id-1].String(); got != want {
-			t.Errorf("instr %d = %q, want %q\n%s", id, got, want, Listing(p.Instrs))
+		if got := p.Format(&p.Instrs[id-1]); got != want {
+			t.Errorf("instr %d = %q, want %q\n%s", id, got, want, p.Listing())
 		}
 	}
 }
@@ -83,7 +83,7 @@ func TestNoCSEAcrossMutableScalars(t *testing.T) {
 	p := compile(t, "DO I = 1, N\nB[I] = A[J]\nJ = J + 1\nC[I] = A[J]\nENDDO")
 	loads := 0
 	for _, in := range p.Instrs {
-		if in.Op == LoadS && in.Array == "J" {
+		if in.Op == LoadS && p.Name(in.Array) == "J" {
 			loads++
 		}
 	}
@@ -94,7 +94,7 @@ func TestNoCSEAcrossMutableScalars(t *testing.T) {
 
 func TestClassMapping(t *testing.T) {
 	p := compile(t, fig1Source)
-	byID := func(id int) *Instr { return p.Instrs[id-1] }
+	byID := func(id int) *Instr { return &p.Instrs[id-1] }
 	cases := []struct {
 		id   int
 		want dlx.Class
@@ -138,14 +138,14 @@ func TestArrayInstrMapping(t *testing.T) {
 	// Every array reference in the AST must map to a load or store.
 	for _, st := range loop.Body {
 		for _, r := range lang.ArrayRefs(st.LHS) {
-			in, ok := p.ArrayInstr[r]
-			if !ok || in.Op != Store {
+			v, ok := p.ArrayInstr[r]
+			if !ok || p.Instrs[v].Op != Store {
 				t.Errorf("LHS ref %s has no store mapping", r)
 			}
 		}
 		for _, r := range lang.ArrayRefs(st.RHS) {
-			in, ok := p.ArrayInstr[r]
-			if !ok || in.Op != Load {
+			v, ok := p.ArrayInstr[r]
+			if !ok || p.Instrs[v].Op != Load {
 				t.Errorf("RHS ref %s has no load mapping", r)
 			}
 		}
@@ -260,7 +260,7 @@ func TestQuickTACMatchesInterpreter(t *testing.T) {
 			return false
 		}
 		if d := ref.Diff(got); d != "" {
-			t.Logf("seed %d: diff: %s\n%s\n%s", seed, d, loop, Listing(p.Instrs))
+			t.Logf("seed %d: diff: %s\n%s\n%s", seed, d, loop, p.Listing())
 			return false
 		}
 		return true
@@ -271,43 +271,45 @@ func TestQuickTACMatchesInterpreter(t *testing.T) {
 }
 
 func TestExecUndefinedTemp(t *testing.T) {
+	p := &Program{}
 	f := NewFrame(3, 1)
-	in := &Instr{Op: Add, Dst: 2, A: TempOp(1), B: ConstOp(1)}
-	if err := Exec(in, f, lang.NewStore()); err == nil {
+	in := &Instr{Op: Add, Dst: 2, A: TempOp(1), B: p.ConstOp(1)}
+	if err := p.Exec(in, f, lang.NewStore()); err == nil {
 		t.Error("expected use-of-undefined-temp error")
 	}
 }
 
 func TestExecSyncNoops(t *testing.T) {
+	p := &Program{}
 	f := NewFrame(1, 1)
 	st := lang.NewStore()
-	if err := Exec(&Instr{Op: Send, Signal: "S1"}, f, st); err != nil {
+	if err := p.Exec(&Instr{Op: Send, Signal: p.Intern("S1")}, f, st); err != nil {
 		t.Error(err)
 	}
-	if err := Exec(&Instr{Op: Wait, Signal: "S1", SigDist: 1}, f, st); err != nil {
+	if err := p.Exec(&Instr{Op: Wait, Signal: p.Intern("S1"), SigDist: 1}, f, st); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestWaitsSendsHelpers(t *testing.T) {
+func TestSendForWaitFor(t *testing.T) {
 	p := compile(t, fig1Source)
-	if len(p.Waits()) != 2 {
-		t.Errorf("waits = %d, want 2", len(p.Waits()))
+	if v := p.SendFor("S3"); v != 27 {
+		t.Errorf("SendFor(S3) = %d, want 27", v)
 	}
-	if len(p.Sends()) != 1 {
-		t.Errorf("sends = %d, want 1", len(p.Sends()))
+	if v := p.SendFor("S1"); v != -1 {
+		t.Errorf("SendFor(S1) = %d, want -1", v)
 	}
-	if p.SendFor("S3") == nil {
-		t.Error("SendFor(S3) = nil")
+	if v := p.WaitFor(1, "S3", 1); v != 10 {
+		t.Errorf("WaitFor(1, S3, 1) = %d, want 10", v)
 	}
-	if p.SendFor("S1") != nil {
-		t.Error("SendFor(S1) should be nil")
+	if v := p.WaitFor(0, "S3", 1); v != -1 {
+		t.Errorf("WaitFor(0, S3, 1) = %d, want -1", v)
 	}
 }
 
 func TestListingFormat(t *testing.T) {
 	p := compile(t, fig1Source)
-	ls := Listing(p.Instrs)
+	ls := p.Listing()
 	for _, want := range []string{"1: Wait_Signal(S3, I-2)", "28: Send_Signal(S3)"} {
 		if !strings.Contains(ls, want) {
 			t.Errorf("listing missing %q:\n%s", want, ls)
@@ -321,7 +323,7 @@ func TestInstrUses(t *testing.T) {
 	if len(u) != 2 || u[0] != 1 || u[1] != 2 {
 		t.Errorf("Uses = %v", u)
 	}
-	in2 := &Instr{Op: Add, Dst: 3, A: IVOp(), B: ConstOp(1)}
+	in2 := &Instr{Op: Add, Dst: 3, A: IVOp(), B: (&Program{}).ConstOp(1)}
 	if len(in2.Uses()) != 0 {
 		t.Errorf("Uses of IV+const = %v, want none", in2.Uses())
 	}
@@ -330,15 +332,16 @@ func TestInstrUses(t *testing.T) {
 func TestExecMove(t *testing.T) {
 	// Move is part of the IR surface (used by hand-built programs and the
 	// ISA backend) even though the loop lowering never emits it.
+	p := &Program{}
 	f := NewFrame(2, 1)
 	st := lang.NewStore()
-	if err := Exec(&Instr{Op: Move, Dst: 1, A: ConstOp(7)}, f, st); err != nil {
+	if err := p.Exec(&Instr{Op: Move, Dst: 1, A: p.ConstOp(7)}, f, st); err != nil {
 		t.Fatal(err)
 	}
 	if f.Temps[1] != 7 {
 		t.Errorf("move const = %v", f.Temps[1])
 	}
-	if err := Exec(&Instr{Op: Move, Dst: 2, A: TempOp(1)}, f, st); err != nil {
+	if err := p.Exec(&Instr{Op: Move, Dst: 2, A: TempOp(1)}, f, st); err != nil {
 		t.Fatal(err)
 	}
 	if f.Temps[2] != 7 {
@@ -387,37 +390,39 @@ func TestInstrPredicates(t *testing.T) {
 }
 
 func TestInstrStringsAllForms(t *testing.T) {
+	p := &Program{}
+	x, s2 := p.Intern("X"), p.Intern("S2")
 	cases := map[string]Instr{
-		"t1 <- X":            {Op: LoadS, Dst: 1, Array: "X"},
-		"X <- t2":            {Op: StoreS, Array: "X", B: TempOp(2)},
+		"t1 <- X":            {Op: LoadS, Dst: 1, Array: x},
+		"X <- t2":            {Op: StoreS, Array: x, B: TempOp(2)},
 		"t3 <- t1 - t2":      {Op: Sub, Dst: 3, A: TempOp(1), B: TempOp(2)},
 		"t3 <- t1 / t2":      {Op: Div, Dst: 3, A: TempOp(1), B: TempOp(2)},
 		"t3 <- t1":           {Op: Move, Dst: 3, A: TempOp(1)},
 		"t3 <- t1 < t2":      {Op: Cmp, Dst: 3, A: TempOp(1), B: TempOp(2), Rel: lang.RelLT},
 		"t4 <- t3 ? t1 : t2": {Op: Select, Dst: 4, A: TempOp(1), B: TempOp(2), C: TempOp(3)},
-		"Wait_Signal(S2, I)": {Op: Wait, Signal: "S2", SigDist: 0},
+		"Wait_Signal(S2, I)": {Op: Wait, Signal: s2, SigDist: 0},
+		"t3 <- _ + 2.5":      {Op: Add, Dst: 3, B: p.ConstOp(2.5)},
+		"t3 <- 1e+100 * 7":   {Op: Mul, Dst: 3, A: p.ConstOp(1e100), B: p.ConstOp(7)},
 	}
 	for want, in := range cases {
-		if got := in.String(); got != want {
-			t.Errorf("String() = %q, want %q", got, want)
+		if got := p.Format(&in); got != want {
+			t.Errorf("Format = %q, want %q", got, want)
 		}
 	}
-	if (Operand{Kind: None}).String() != "_" {
-		t.Error("None operand rendering")
-	}
-	if ConstOp(2.5).String() != "2.5" {
-		t.Errorf("float const rendering = %q", ConstOp(2.5).String())
+	if p.Intern("X") != x || len(p.Names) != 3 || len(p.Consts) != 3 {
+		t.Errorf("tables %q %v: a name or an immediate interned twice", p.Names, p.Consts)
 	}
 }
 
 func TestExecFaults(t *testing.T) {
+	p := &Program{}
 	st := lang.NewStore()
 	// Misaligned address: addr temp holding a non-multiple of 4.
 	f := NewFrame(2, 1)
 	if err := f.setTemp(1, 6); err != nil {
 		t.Fatal(err)
 	}
-	if err := Exec(&Instr{Op: Load, Dst: 2, Array: "A", A: TempOp(1)}, f, st); err == nil {
+	if err := p.Exec(&Instr{Op: Load, Dst: 2, Array: p.Intern("A"), A: TempOp(1)}, f, st); err == nil {
 		t.Error("misaligned load should fault")
 	}
 	// Non-finite subscript through Shl.
@@ -425,11 +430,11 @@ func TestExecFaults(t *testing.T) {
 	if err := f2.setTemp(1, math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := Exec(&Instr{Op: Shl, Dst: 2, A: TempOp(1)}, f2, st); err == nil {
+	if err := p.Exec(&Instr{Op: Shl, Dst: 2, A: TempOp(1)}, f2, st); err == nil {
 		t.Error("non-finite shift input should fault")
 	}
 	// Out-of-range destination register.
-	if err := Exec(&Instr{Op: Add, Dst: 99, A: ConstOp(1), B: ConstOp(2)}, NewFrame(2, 1), st); err == nil {
+	if err := p.Exec(&Instr{Op: Add, Dst: 99, A: p.ConstOp(1), B: p.ConstOp(2)}, NewFrame(2, 1), st); err == nil {
 		t.Error("out-of-range destination should fault")
 	}
 }
@@ -455,7 +460,7 @@ func TestGenNegationAndIndirectIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d := ref.Diff(st); d != "" {
-		t.Errorf("negation/indirect mismatch: %s\n%s", d, Listing(p.Instrs))
+		t.Errorf("negation/indirect mismatch: %s\n%s", d, p.Listing())
 	}
 }
 

@@ -124,8 +124,8 @@ func TestTraceAttributionWindow(t *testing.T) {
 			// dependence distance (equality on an LFD pair is rejected).
 			maxDist := 1
 			for _, in := range s.Prog.Instrs {
-				if in.Op == tac.Wait && in.SigDist > maxDist {
-					maxDist = in.SigDist
+				if in.Op == tac.Wait && int(in.SigDist) > maxDist {
+					maxDist = int(in.SigDist)
 				}
 			}
 			opt := SimOptions{Lo: 1, Hi: n, Procs: 4, Window: maxDist + 1}
