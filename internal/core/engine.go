@@ -61,7 +61,6 @@ func (sc *Scratch) engine(g *dfg.Graph, cfg dlx.Config, extra []dfg.Arc, ord *or
 	}
 	n := g.N()
 	lat := sc.lat
-	succOff, succ := g.SuccCSR()
 	// Past this cycle the engine gives up. A node that could issue only
 	// later never enters the ring, so a ring longer than the limit is never
 	// needed.
@@ -82,9 +81,8 @@ func (sc *Scratch) engine(g *dfg.Graph, cfg dlx.Config, extra []dfg.Arc, ord *or
 	rem, next, xhead, head := links[:n], links[n:2*n], links[2*n:3*n], links[3*n:]
 	clear(head)
 	if len(extra) == 0 {
-		predOff, _ := g.PredCSR()
 		for v := range rem {
-			rem[v] = predOff[v+1] - predOff[v]
+			rem[v] = int32(len(g.Pred(v)))
 		}
 		clear(xhead)
 	} else {
@@ -119,7 +117,7 @@ func (sc *Scratch) engine(g *dfg.Graph, cfg dlx.Config, extra []dfg.Arc, ord *or
 				sc.occupy(cls, from, t+l)
 			}
 			ra := t + max(l, 1)
-			for _, s := range succ[succOff[v]:succOff[v+1]] {
+			for _, s := range g.Succ(v) {
 				readyAt[s] = max(readyAt[s], ra)
 				rem[s]--
 			}
@@ -198,7 +196,7 @@ func (sc *Scratch) engine(g *dfg.Graph, cfg dlx.Config, extra []dfg.Arc, ord *or
 						pending++
 					}
 				}
-				for _, s := range succ[succOff[v]:succOff[v+1]] {
+				for _, s := range g.Succ(v) {
 					release(s)
 				}
 				for e := xhead[v]; e != 0; e = xnext[e-1] {

@@ -360,9 +360,8 @@ func (sc *Scratch) baseArcs(g *dfg.Graph, opt SyncOptions) arcAdder {
 	// The engine starts every call on these arcs from their in-degrees and
 	// successor lists.
 	base := ad.arcs()
-	predOff, _ := g.PredCSR()
 	for v := range sc.baseRem {
-		sc.baseRem[v] = predOff[v+1] - predOff[v]
+		sc.baseRem[v] = int32(len(g.Pred(v)))
 	}
 	clear(sc.baseXhead)
 	sc.xnext = sc.xnext[:0]

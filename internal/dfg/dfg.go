@@ -309,14 +309,6 @@ func (g *Graph) Succ(v int) []int32 { return g.succ[g.succOff[v]:g.succOff[v+1]]
 // graph's own storage: callers read it and must not modify it.
 func (g *Graph) Pred(v int) []int32 { return g.pred[g.predOff[v]:g.predOff[v+1]] }
 
-// SuccCSR returns the successor adjacency in compressed sparse row form:
-// node v's successors are succ[off[v]:off[v+1]]. Both slices are the
-// graph's own storage, for hot loops that index them directly.
-func (g *Graph) SuccCSR() (off, succ []int32) { return g.succOff, g.succ }
-
-// PredCSR is SuccCSR for predecessors.
-func (g *Graph) PredCSR() (off, pred []int32) { return g.predOff, g.pred }
-
 // N returns the number of nodes.
 func (g *Graph) N() int { return len(g.succOff) - 1 }
 
@@ -441,7 +433,7 @@ func (g *Graph) computePaths(sc *buildScratch) {
 					continue
 				}
 				start := len(sc.nodes)
-				if g.shortestPathInto(sc, w, s) {
+				if g.shortestPath(sc, w, s) {
 					// Only the length of Nodes counts until the nodes are
 					// published: sc.nodes may move as it grows.
 					sc.found = append(sc.found, SyncPath{
@@ -483,29 +475,18 @@ func (s pathsByWeight) Less(i, j int) bool {
 	return s[i].Wait < s[j].Wait
 }
 
-// shortestPath returns the node sequence of a shortest directed path from
-// src to dst, or nil if none exists.
-func (g *Graph) shortestPath(src, dst int32) []int32 {
-	sc := &buildScratch{prev: make([]int32, g.N())}
-	if !g.shortestPathInto(sc, src, dst) {
-		return nil
-	}
-	return sc.nodes
-}
-
-// shortestPathInto appends the node sequence of a shortest directed path
-// from src to dst to sc.nodes and reports whether one exists. It searches
+// shortestPath appends the node sequence of a shortest directed path from
+// src to dst to sc.nodes and reports whether one exists. It searches
 // breadth first with sc's queue and predecessor table (of length N).
-func (g *Graph) shortestPathInto(sc *buildScratch, src, dst int32) bool {
+func (g *Graph) shortestPath(sc *buildScratch, src, dst int32) bool {
 	prev := sc.prev
 	for i := range prev {
 		prev[i] = -1
 	}
 	prev[src] = src
-	queue := append(sc.queue[:0], src)
-	defer func() { sc.queue = queue }()
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
+	sc.queue = append(sc.queue[:0], src)
+	for head := 0; head < len(sc.queue); head++ {
+		v := sc.queue[head]
 		if v == dst {
 			hops := 1
 			for x := dst; x != src; x = prev[x] {
@@ -525,7 +506,7 @@ func (g *Graph) shortestPathInto(sc *buildScratch, src, dst int32) bool {
 		for _, w := range g.Succ(int(v)) {
 			if prev[w] == -1 {
 				prev[w] = v
-				queue = append(queue, w)
+				sc.queue = append(sc.queue, w)
 			}
 		}
 	}

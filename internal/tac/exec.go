@@ -203,23 +203,18 @@ func byteToIndex(addr float64) (int, error) {
 // differential tests verify.
 func (p *Program) ExecIteration(order []int, iv int, st *lang.Store) error {
 	f := NewFrame(p.NumTemps, iv)
-	run := func(in *Instr) error {
+	n := len(p.Instrs)
+	if order != nil {
+		n = len(order)
+	}
+	for k := 0; k < n; k++ {
+		v := k
+		if order != nil {
+			v = order[k]
+		}
+		in := &p.Instrs[v]
 		if err := p.Exec(in, f, st); err != nil {
 			return fmt.Errorf("instr %d (%s): %w", in.ID, p.Format(in), err)
-		}
-		return nil
-	}
-	if order == nil {
-		for i := range p.Instrs {
-			if err := run(&p.Instrs[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, v := range order {
-		if err := run(&p.Instrs[v]); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -3,7 +3,6 @@ package tac
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -60,32 +59,11 @@ type Program struct {
 	sendOf, sends, waits []int32
 }
 
-// genScratch is Generate's working storage, pooled across calls: the
-// instruction stream and the name and constant tables as they grow, and the
-// indexes that intern names and constants. publish copies each table into
-// an exactly sized block of the program, so the scratch serves one Generate
-// call after another.
-type genScratch struct {
-	instrs []Instr
-	names  []string
-	consts []float64
-	symOf  map[string]Sym
-	constOf map[uint64]int32
-}
-
-var genPool = sync.Pool{New: func() any {
-	return &genScratch{symOf: map[string]Sym{}, constOf: map[uint64]int32{}}
-}}
-
-// release clears the scratch, so a pooled one keeps no names alive, and
-// returns it to genPool.
-func (sc *genScratch) release() {
-	clear(sc.names)
-	sc.instrs, sc.names, sc.consts = sc.instrs[:0], sc.names[:0], sc.consts[:0]
-	clear(sc.symOf)
-	clear(sc.constOf)
-	genPool.Put(sc)
-}
+// builderPool recycles Generate's working program: the instruction stream
+// and the name and constant tables grow in its storage, and Generate
+// publishes copies of exactly their lengths, so one working program serves
+// one Generate call after another.
+var builderPool = sync.Pool{New: func() any { return new(Program) }}
 
 // affineKey is the CSE key of a pure subscript: AffineIndex proves the
 // subscript evaluates to coef*I + off, so the coefficient pair identifies its
@@ -112,8 +90,9 @@ func binOpcode(op lang.BinOp) Opcode {
 
 // generator lowers one loop.
 type generator struct {
-	prog     *Program
-	sc       *genScratch
+	prog *Program
+	// b is the working program the instructions and tables grow in.
+	b        *Program
 	iv       string
 	nextTemp int
 	// addrCSE caches scaled-address temps of pure subscripts within the
@@ -131,16 +110,15 @@ func Generate(sl *syncop.Loop) (*Program, error) {
 	// don't use.
 	g := &generator{
 		prog: &Program{Sync: sl},
-		sc:   genPool.Get().(*genScratch),
+		b:    builderPool.Get().(*Program),
 		iv:   sl.Base.Var,
 		stmt: -1,
 	}
-	defer g.sc.release()
-	g.sc.names = append(g.sc.names, "")
+	defer g.release()
 	for k, st := range sl.Base.Body {
 		g.stmt = k
 		for _, op := range sl.Pre[k] {
-			g.emit(Instr{Op: Wait, Signal: g.sym(op.Src), SigDist: int32(op.Distance)})
+			g.emit(Instr{Op: Wait, Signal: g.b.Intern(op.Src), SigDist: int32(op.Distance)})
 		}
 		if err := g.genAssign(st); err != nil {
 			// Attribute the failure to the statement's source position; the
@@ -151,13 +129,13 @@ func Generate(sl *syncop.Loop) (*Program, error) {
 			return nil, diag.Errorf("tac", st.Pos(), "%v", err).WithStmt(st.Label)
 		}
 		for _, op := range sl.Post[k] {
-			g.emit(Instr{Op: Send, Signal: g.sym(op.Src)})
+			g.emit(Instr{Op: Send, Signal: g.b.Intern(op.Src)})
 		}
 	}
 	p := g.prog
-	p.Instrs = append(make([]Instr, 0, len(g.sc.instrs)), g.sc.instrs...)
-	p.Names = append(make([]string, 0, len(g.sc.names)), g.sc.names...)
-	p.Consts = append(make([]float64, 0, len(g.sc.consts)), g.sc.consts...)
+	p.Instrs = append(make([]Instr, 0, len(g.b.Instrs)), g.b.Instrs...)
+	p.Names = append(make([]string, 0, len(g.b.Names)), g.b.Names...)
+	p.Consts = append(make([]float64, 0, len(g.b.Consts)), g.b.Consts...)
 	p.NumTemps = g.nextTemp
 	p.index()
 	return p, nil
@@ -172,37 +150,23 @@ func MustGenerate(sl *syncop.Loop) *Program {
 	return p
 }
 
+// release empties the working program, so a pooled one keeps no names
+// alive, and returns it to builderPool.
+func (g *generator) release() {
+	b := g.b
+	clear(b.Names)
+	b.Instrs, b.Names, b.Consts = b.Instrs[:0], b.Names[:0], b.Consts[:0]
+	builderPool.Put(b)
+}
+
 // emit appends an instruction of the current statement and returns its
 // index.
 func (g *generator) emit(in Instr) int32 {
-	v := int32(len(g.sc.instrs))
+	v := int32(len(g.b.Instrs))
 	in.ID = v + 1
 	in.Stmt = int32(g.stmt)
-	g.sc.instrs = append(g.sc.instrs, in)
+	g.b.Instrs = append(g.b.Instrs, in)
 	return v
-}
-
-// sym interns a name in the program's table.
-func (g *generator) sym(name string) Sym {
-	s, ok := g.sc.symOf[name]
-	if !ok {
-		s = Sym(len(g.sc.names))
-		g.sc.names = append(g.sc.names, name)
-		g.sc.symOf[name] = s
-	}
-	return s
-}
-
-// constOp interns an immediate in the program's table.
-func (g *generator) constOp(v float64) Operand {
-	bits := math.Float64bits(v)
-	k, ok := g.sc.constOf[bits]
-	if !ok {
-		k = int32(len(g.sc.consts))
-		g.sc.consts = append(g.sc.consts, v)
-		g.sc.constOf[bits] = k
-	}
-	return Operand{Kind: Const, Reg: k}
 }
 
 func (g *generator) setArrayInstr(ref *lang.ArrayRef, v int32) {
@@ -240,7 +204,7 @@ func (g *generator) genAssign(st *lang.Assign) error {
 		var oldv Operand
 		if st.Cond != nil {
 			t := g.temp()
-			v := g.emit(Instr{Op: Load, Dst: int32(t), Array: g.sym(lhs.Name), A: TempOp(addr)})
+			v := g.emit(Instr{Op: Load, Dst: int32(t), Array: g.b.Intern(lhs.Name), A: TempOp(addr)})
 			if g.prog.MergeLoad == nil {
 				g.prog.MergeLoad = map[*lang.ArrayRef]int32{}
 			}
@@ -257,7 +221,7 @@ func (g *generator) genAssign(st *lang.Assign) error {
 				return err
 			}
 		}
-		g.setArrayInstr(lhs, g.emit(Instr{Op: Store, Array: g.sym(lhs.Name), A: TempOp(addr), B: val}))
+		g.setArrayInstr(lhs, g.emit(Instr{Op: Store, Array: g.b.Intern(lhs.Name), A: TempOp(addr), B: val}))
 		return nil
 	case *lang.Scalar:
 		var oldv Operand
@@ -275,7 +239,7 @@ func (g *generator) genAssign(st *lang.Assign) error {
 				return err
 			}
 		}
-		v := g.emit(Instr{Op: StoreS, Array: g.sym(lhs.Name), B: val})
+		v := g.emit(Instr{Op: StoreS, Array: g.b.Intern(lhs.Name), B: val})
 		g.setScalarInstr(ScalarKey{Stmt: g.stmt, Name: lhs.Name, Write: true}, v)
 		return nil
 	}
@@ -332,7 +296,7 @@ func (g *generator) genAddress(idx lang.Expr) (int, error) {
 func (g *generator) genIndex(e lang.Expr) (Operand, error) {
 	switch v := e.(type) {
 	case *lang.Const:
-		return g.constOp(v.Value), nil
+		return g.b.ConstOp(v.Value), nil
 	case *lang.Scalar:
 		if v.Name == g.iv {
 			return IVOp(), nil
@@ -346,7 +310,7 @@ func (g *generator) genIndex(e lang.Expr) (Operand, error) {
 			return Operand{}, err
 		}
 		t := g.temp()
-		g.emit(Instr{Op: Sub, Dst: int32(t), A: g.constOp(0), B: x, IntegerTyped: true})
+		g.emit(Instr{Op: Sub, Dst: int32(t), A: g.b.ConstOp(0), B: x, IntegerTyped: true})
 		return TempOp(t), nil
 	case *lang.ArrayRef:
 		// Indirect subscript (A[X[I]]): load the index element.
@@ -355,7 +319,7 @@ func (g *generator) genIndex(e lang.Expr) (Operand, error) {
 			return Operand{}, err
 		}
 		t := g.temp()
-		g.setArrayInstr(v, g.emit(Instr{Op: Load, Dst: int32(t), Array: g.sym(v.Name), A: TempOp(addr)}))
+		g.setArrayInstr(v, g.emit(Instr{Op: Load, Dst: int32(t), Array: g.b.Intern(v.Name), A: TempOp(addr)}))
 		return TempOp(t), nil
 	case *lang.Binary:
 		coef, off, pure := lang.AffineIndex(e, g.iv)
@@ -391,7 +355,7 @@ func (g *generator) genIndex(e lang.Expr) (Operand, error) {
 func (g *generator) genValue(e lang.Expr) (Operand, error) {
 	switch v := e.(type) {
 	case *lang.Const:
-		return g.constOp(v.Value), nil
+		return g.b.ConstOp(v.Value), nil
 	case *lang.Scalar:
 		if v.Name == g.iv {
 			return IVOp(), nil
@@ -403,7 +367,7 @@ func (g *generator) genValue(e lang.Expr) (Operand, error) {
 			return Operand{}, err
 		}
 		t := g.temp()
-		g.setArrayInstr(v, g.emit(Instr{Op: Load, Dst: int32(t), Array: g.sym(v.Name), A: TempOp(addr)}))
+		g.setArrayInstr(v, g.emit(Instr{Op: Load, Dst: int32(t), Array: g.b.Intern(v.Name), A: TempOp(addr)}))
 		return TempOp(t), nil
 	case *lang.Neg:
 		x, err := g.genValue(v.X)
@@ -411,7 +375,7 @@ func (g *generator) genValue(e lang.Expr) (Operand, error) {
 			return Operand{}, err
 		}
 		t := g.temp()
-		g.emit(Instr{Op: Sub, Dst: int32(t), A: g.constOp(0), B: x})
+		g.emit(Instr{Op: Sub, Dst: int32(t), A: g.b.ConstOp(0), B: x})
 		return TempOp(t), nil
 	case *lang.Binary:
 		a, err := g.genValue(v.L)
@@ -437,10 +401,10 @@ func (g *generator) genValue(e lang.Expr) (Operand, error) {
 func (g *generator) scalarLoad(name string) int {
 	key := ScalarKey{Stmt: g.stmt, Name: name, Write: false}
 	if v, ok := g.prog.ScalarInstr[key]; ok {
-		return int(g.sc.instrs[v].Dst)
+		return int(g.b.Instrs[v].Dst)
 	}
 	t := g.temp()
-	g.setScalarInstr(key, g.emit(Instr{Op: LoadS, Dst: int32(t), Array: g.sym(name)}))
+	g.setScalarInstr(key, g.emit(Instr{Op: LoadS, Dst: int32(t), Array: g.b.Intern(name)}))
 	return t
 }
 

@@ -18,7 +18,7 @@ package tac
 import (
 	"fmt"
 	"math"
-	"strconv"
+	"strings"
 
 	"doacross/internal/dlx"
 	"doacross/internal/lang"
@@ -242,87 +242,71 @@ func (p *Program) ConstOp(v float64) Operand {
 // Imm returns the value of an immediate operand.
 func (p *Program) Imm(o Operand) float64 { return p.Consts[o.Reg] }
 
-// appendOperand renders an operand.
-func (p *Program) appendOperand(b []byte, o Operand) []byte {
+// operand renders an operand of the program.
+func (p *Program) operand(o Operand) string {
 	switch o.Kind {
 	case None:
-		return append(b, '_')
+		return "_"
 	case Temp:
-		return strconv.AppendInt(append(b, 't'), int64(o.Reg), 10)
+		return fmt.Sprintf("t%d", o.Reg)
 	case IV:
-		return append(b, 'I')
+		return "I"
 	case Const:
 		v := p.Imm(o)
 		if v == float64(int64(v)) {
-			return strconv.AppendInt(b, int64(v), 10)
+			return fmt.Sprintf("%d", int64(v))
 		}
-		return strconv.AppendFloat(b, v, 'g', -1, 64)
+		return fmt.Sprintf("%g", v)
 	}
-	return append(b, '?')
+	return "?"
 }
 
 // Format renders an instruction of the program in the paper's Fig. 2
 // style.
-func (p *Program) Format(in *Instr) string { return string(p.appendInstr(nil, in)) }
-
-// appendInstr appends Format's rendering of in to b.
-func (p *Program) appendInstr(b []byte, in *Instr) []byte {
-	dst := func(b []byte) []byte {
-		return append(strconv.AppendInt(append(b, 't'), int64(in.Dst), 10), " <- "...)
-	}
-	bin := func(b []byte, op string) []byte {
-		b = p.appendOperand(dst(b), in.A)
-		return p.appendOperand(append(b, op...), in.B)
-	}
+func (p *Program) Format(in *Instr) string {
+	a, b := p.operand(in.A), p.operand(in.B)
 	switch in.Op {
 	case Load:
-		b = append(dst(b), p.Name(in.Array)...)
-		return append(p.appendOperand(append(b, '['), in.A), ']')
+		return fmt.Sprintf("t%d <- %s[%s]", in.Dst, p.Name(in.Array), a)
 	case Store:
-		b = p.appendOperand(append(append(b, p.Name(in.Array)...), '['), in.A)
-		return p.appendOperand(append(b, "] <- "...), in.B)
+		return fmt.Sprintf("%s[%s] <- %s", p.Name(in.Array), a, b)
 	case LoadS:
-		return append(dst(b), p.Name(in.Array)...)
+		return fmt.Sprintf("t%d <- %s", in.Dst, p.Name(in.Array))
 	case StoreS:
-		return p.appendOperand(append(append(b, p.Name(in.Array)...), " <- "...), in.B)
+		return fmt.Sprintf("%s <- %s", p.Name(in.Array), b)
 	case Add:
-		return bin(b, " + ")
+		return fmt.Sprintf("t%d <- %s + %s", in.Dst, a, b)
 	case Sub:
-		return bin(b, " - ")
+		return fmt.Sprintf("t%d <- %s - %s", in.Dst, a, b)
 	case Mul:
-		return bin(b, " * ")
+		return fmt.Sprintf("t%d <- %s * %s", in.Dst, a, b)
 	case Div:
-		return bin(b, " / ")
+		return fmt.Sprintf("t%d <- %s / %s", in.Dst, a, b)
 	case Shl:
-		return p.appendOperand(append(dst(b), "4 * "...), in.A)
+		return fmt.Sprintf("t%d <- 4 * %s", in.Dst, a)
 	case Move:
-		return p.appendOperand(dst(b), in.A)
+		return fmt.Sprintf("t%d <- %s", in.Dst, a)
 	case Cmp:
-		return bin(b, " "+in.Rel.String()+" ")
+		return fmt.Sprintf("t%d <- %s %s %s", in.Dst, a, in.Rel, b)
 	case Select:
-		b = p.appendOperand(dst(b), in.C)
-		b = p.appendOperand(append(b, " ? "...), in.A)
-		return p.appendOperand(append(b, " : "...), in.B)
+		return fmt.Sprintf("t%d <- %s ? %s : %s", in.Dst, p.operand(in.C), a, b)
 	case Send:
-		return append(append(append(b, "Send_Signal("...), p.Name(in.Signal)...), ')')
+		return fmt.Sprintf("Send_Signal(%s)", p.Name(in.Signal))
 	case Wait:
-		b = append(append(b, "Wait_Signal("...), p.Name(in.Signal)...)
 		if in.SigDist == 0 {
-			return append(b, ", I)"...)
+			return fmt.Sprintf("Wait_Signal(%s, I)", p.Name(in.Signal))
 		}
-		return append(strconv.AppendInt(append(b, ", I-"...), int64(in.SigDist), 10), ')')
+		return fmt.Sprintf("Wait_Signal(%s, I-%d)", p.Name(in.Signal), in.SigDist)
 	}
-	return strconv.AppendInt(append(b, "op"...), int64(in.Op), 10)
+	return fmt.Sprintf("op%d", int(in.Op))
 }
 
 // Listing renders the numbered instruction listing of the program, like
 // the paper's Fig. 2.
 func (p *Program) Listing() string {
-	var b []byte
+	var sb strings.Builder
 	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		b = fmt.Appendf(b, "%3d: ", in.ID)
-		b = append(p.appendInstr(b, in), '\n')
+		fmt.Fprintf(&sb, "%3d: %s\n", p.Instrs[i].ID, p.Format(&p.Instrs[i]))
 	}
-	return string(b)
+	return sb.String()
 }
