@@ -59,11 +59,11 @@ type Program struct {
 	sendOf, sends, waits []int32
 }
 
-// builderPool recycles Generate's working program: the instruction stream
+// workPool recycles Generate's working program: the instruction stream
 // and the name and constant tables grow in its storage, and Generate
 // publishes copies of exactly their lengths, so one working program serves
 // one Generate call after another.
-var builderPool = sync.Pool{New: func() any { return new(Program) }}
+var workPool = sync.Pool{New: func() any { return new(Program) }}
 
 // affineKey is the CSE key of a pure subscript: AffineIndex proves the
 // subscript evaluates to coef*I + off, so the coefficient pair identifies its
@@ -110,7 +110,7 @@ func Generate(sl *syncop.Loop) (*Program, error) {
 	// don't use.
 	g := &generator{
 		prog: &Program{Sync: sl},
-		b:    builderPool.Get().(*Program),
+		b:    workPool.Get().(*Program),
 		iv:   sl.Base.Var,
 		stmt: -1,
 	}
@@ -151,12 +151,12 @@ func MustGenerate(sl *syncop.Loop) *Program {
 }
 
 // release empties the working program, so a pooled one keeps no names
-// alive, and returns it to builderPool.
+// alive, and returns it to workPool.
 func (g *generator) release() {
 	b := g.b
 	clear(b.Names)
 	b.Instrs, b.Names, b.Consts = b.Instrs[:0], b.Names[:0], b.Consts[:0]
-	builderPool.Put(b)
+	workPool.Put(b)
 }
 
 // emit appends an instruction of the current statement and returns its

@@ -291,8 +291,20 @@ func TestExecSyncNoops(t *testing.T) {
 	}
 }
 
-func TestSendForWaitFor(t *testing.T) {
+func TestWaitsSendsHelpers(t *testing.T) {
 	p := compile(t, fig1Source)
+	waits, sends := 0, 0
+	for _, in := range p.Instrs {
+		switch in.Op {
+		case Wait:
+			waits++
+		case Send:
+			sends++
+		}
+	}
+	if waits != 2 || sends != 1 {
+		t.Errorf("waits, sends = %d, %d, want 2, 1", waits, sends)
+	}
 	if v := p.SendFor("S3"); v != 27 {
 		t.Errorf("SendFor(S3) = %d, want 27", v)
 	}
