@@ -449,6 +449,10 @@ func TestExecFaults(t *testing.T) {
 	if err := p.Exec(&Instr{Op: Add, Dst: 99, A: p.ConstOp(1), B: p.ConstOp(2)}, NewFrame(2, 1), st); err == nil {
 		t.Error("out-of-range destination should fault")
 	}
+	// An immediate outside the program's constant table.
+	if err := p.Exec(&Instr{Op: Move, Dst: 1, A: Operand{Kind: Const, Reg: int32(len(p.Consts))}}, NewFrame(2, 1), st); err == nil {
+		t.Error("out-of-range immediate should fault")
+	}
 }
 
 func TestGenNegationAndIndirectIndex(t *testing.T) {
