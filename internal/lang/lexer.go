@@ -265,17 +265,28 @@ func isLoopEnd(ident string) bool {
 	return strings.EqualFold(ident, "ENDDO") || strings.EqualFold(ident, "END_DOACROSS")
 }
 
-// keywords are the canonical spellings keywordOf matches.
-var keywords = [...]string{"DO", "DOACROSS", "ENDDO", "END_DOACROSS", "IF"}
-
 // keywordOf reports the canonical keyword for an identifier, or "". It
 // compares case-insensitively in place, so an identifier in any case costs
-// no allocation.
+// no allocation, and only against the keywords of the identifier's length.
 func keywordOf(ident string) string {
-	for _, kw := range keywords {
-		if strings.EqualFold(ident, kw) {
-			return kw
+	var kw string
+	switch len(ident) {
+	case 2:
+		if strings.EqualFold(ident, "DO") {
+			return "DO"
 		}
+		kw = "IF"
+	case 5:
+		kw = "ENDDO"
+	case 8:
+		kw = "DOACROSS"
+	case 12:
+		kw = "END_DOACROSS"
+	default:
+		return ""
+	}
+	if strings.EqualFold(ident, kw) {
+		return kw
 	}
 	return ""
 }
