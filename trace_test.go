@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"doacross/internal/sim"
 	"doacross/internal/tac"
 )
 
@@ -60,30 +61,7 @@ func TestTraceAttribution(t *testing.T) {
 				t.Fatalf("engines disagree: detailed %+v vs recurrence %+v", rm, tm)
 			}
 
-			// Trace-level bit-identity across engines.
-			if len(ttr.Iters) != len(rtr.Iters) {
-				t.Fatalf("trace covers %d vs %d iterations", len(ttr.Iters), len(rtr.Iters))
-			}
-			for k := range ttr.Iters {
-				a, b := &ttr.Iters[k], &rtr.Iters[k]
-				if a.Proc != b.Proc || a.Start != b.Start || a.Done != b.Done {
-					t.Fatalf("iteration %d: recurrence proc=%d start=%d done=%d, detailed proc=%d start=%d done=%d",
-						k, a.Proc, a.Start, a.Done, b.Proc, b.Start, b.Done)
-				}
-				for r := range a.Rows {
-					if a.Rows[r] != b.Rows[r] {
-						t.Fatalf("iteration %d row %d issued at %d vs %d", k, r, a.Rows[r], b.Rows[r])
-					}
-				}
-				if len(a.Stalls) != len(b.Stalls) {
-					t.Fatalf("iteration %d: %d vs %d stall spans:\n%v\n%v", k, len(a.Stalls), len(b.Stalls), a.Stalls, b.Stalls)
-				}
-				for j := range a.Stalls {
-					if a.Stalls[j] != b.Stalls[j] {
-						t.Fatalf("iteration %d stall %d: %+v vs %+v", k, j, a.Stalls[j], b.Stalls[j])
-					}
-				}
-			}
+			sameTraces(t, ttr, rtr)
 
 			// The derived utilization must balance to the cycle.
 			u := ttr.Utilization()
@@ -103,12 +81,55 @@ func TestTraceAttribution(t *testing.T) {
 	}
 }
 
+// sameTraces fails unless the recurrence engine's trace rec and the detailed
+// engine's trace det are identical: the same processor assignment, start
+// and completion, issue cycle of every row, and stall spans. It returns the
+// number of window-wait spans, so callers can show the window path ran.
+func sameTraces(t *testing.T, rec, det *SimTracer) (windowSpans int) {
+	t.Helper()
+	if len(rec.Iters) != len(det.Iters) {
+		t.Fatalf("trace covers %d vs %d iterations", len(rec.Iters), len(det.Iters))
+	}
+	for k := range rec.Iters {
+		a, b := &rec.Iters[k], &det.Iters[k]
+		if a.Proc != b.Proc || a.Start != b.Start || a.Done != b.Done {
+			t.Fatalf("iteration %d: recurrence proc=%d start=%d done=%d, detailed proc=%d start=%d done=%d",
+				k, a.Proc, a.Start, a.Done, b.Proc, b.Start, b.Done)
+		}
+		for r := range a.Rows {
+			if a.Rows[r] != b.Rows[r] {
+				t.Fatalf("iteration %d row %d issued at %d vs %d", k, r, a.Rows[r], b.Rows[r])
+			}
+		}
+		if len(a.Stalls) != len(b.Stalls) {
+			t.Fatalf("iteration %d: %d vs %d stall spans:\n%v\n%v", k, len(a.Stalls), len(b.Stalls), a.Stalls, b.Stalls)
+		}
+		for j := range a.Stalls {
+			if a.Stalls[j] != b.Stalls[j] {
+				t.Fatalf("iteration %d stall %d: %+v vs %+v", k, j, a.Stalls[j], b.Stalls[j])
+			}
+			if a.Stalls[j].Cause == sim.CauseWindowWait {
+				windowSpans++
+			}
+		}
+	}
+	return windowSpans
+}
+
 // TestTraceAttributionWindow exercises the bounded-signal-window stall path
-// (CauseWindowWait) explicitly: the same corpus under a tight window must
-// still attribute every cycle on both engines.
+// (CauseWindowWait) explicitly: under the two tightest valid windows, with
+// one processor per iteration and with two and four processors, both
+// engines must attribute every cycle and produce identical traces, span by
+// span.
 func TestTraceAttributionWindow(t *testing.T) {
-	loops := differentialCorpus(t, 40)
+	count := 200
+	if testing.Short() {
+		count = 50
+	}
+	loops := differentialCorpus(t, count)
+	machines := []Machine{NewMachine(2, 1), NewMachine(4, 1)}
 	const n = 10
+	windowSpans := 0
 	for i, gl := range loops {
 		gl := gl
 		t.Run(fmt.Sprintf("%03d-%s", i, gl.Template), func(t *testing.T) {
@@ -116,36 +137,47 @@ func TestTraceAttributionWindow(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			s, err := p.ScheduleSync(NewMachine(2, 1))
-			if err != nil {
-				t.Fatalf("schedule: %v", err)
-			}
-			// The tightest always-valid window: one past the largest
-			// dependence distance (equality on an LFD pair is rejected).
-			maxDist := 1
-			for _, in := range s.Prog.Instrs {
-				if in.Op == tac.Wait && int(in.SigDist) > maxDist {
-					maxDist = int(in.SigDist)
+			for _, m := range machines {
+				s, err := p.ScheduleSync(m)
+				if err != nil {
+					t.Fatalf("schedule on %s: %v", m.Name, err)
 				}
-			}
-			opt := SimOptions{Lo: 1, Hi: n, Procs: 4, Window: maxDist + 1}
-			tm, _, err := SimulateTraced(s, opt)
-			if err != nil {
-				t.Fatalf("traced recurrence sim (window %d): %v", opt.Window, err)
-			}
-			rtr := &SimTracer{}
-			ropt := opt
-			ropt.Tracer = rtr
-			rm, err := Execute(s, p.SeedStore(n, uint64(i)+99), ropt)
-			if err != nil {
-				t.Fatalf("traced detailed sim (window %d): %v", opt.Window, err)
-			}
-			if err := rtr.Check(rm); err != nil {
-				t.Errorf("detailed-engine attribution: %v", err)
-			}
-			if rm.Total != tm.Total || rm.StallCycles != tm.StallCycles {
-				t.Fatalf("engines disagree under window: %+v vs %+v", rm, tm)
+				// The tightest always-valid window is one past the largest
+				// dependence distance (equality on an LFD pair is rejected).
+				maxDist := 1
+				for _, in := range s.Prog.Instrs {
+					if in.Op == tac.Wait && int(in.SigDist) > maxDist {
+						maxDist = int(in.SigDist)
+					}
+				}
+				for _, procs := range []int{0, 2, 4} {
+					for _, w := range []int{maxDist + 1, maxDist + 2} {
+						opt := SimOptions{Lo: 1, Hi: n, Procs: procs, Window: w}
+						tm, ttr, err := SimulateTraced(s, opt)
+						if err != nil {
+							t.Fatalf("%s procs %d: traced recurrence sim (window %d): %v", m.Name, procs, w, err)
+						}
+						rtr := &SimTracer{}
+						ropt := opt
+						ropt.Tracer = rtr
+						rm, err := Execute(s, p.SeedStore(n, uint64(i)+99), ropt)
+						if err != nil {
+							t.Fatalf("%s procs %d: traced detailed sim (window %d): %v", m.Name, procs, w, err)
+						}
+						if err := rtr.Check(rm); err != nil {
+							t.Errorf("%s procs %d window %d: detailed-engine attribution: %v", m.Name, procs, w, err)
+						}
+						if rm != tm {
+							t.Fatalf("%s procs %d window %d: engines disagree: %+v vs %+v", m.Name, procs, w, rm, tm)
+						}
+						windowSpans += sameTraces(t, ttr, rtr)
+					}
+				}
 			}
 		})
 	}
+	if windowSpans == 0 {
+		t.Error("no window-wait span in the corpus: the window path went unexercised")
+	}
+	t.Logf("%d window-wait spans identical on both engines", windowSpans)
 }
