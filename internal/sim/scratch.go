@@ -8,10 +8,12 @@ import (
 	"doacross/internal/tac"
 )
 
-// timeScratch is the pooled working state of the recurrence engine: the
-// schedule's row/signal structure lowered to interned-signal CSR form
-// (struct-of-arrays, no per-row slices or per-signal maps in the iteration
-// loop) plus the ring of recent iterations' issue times.
+// timeScratch is the pooled working state of both engines: the schedule's
+// row/signal structure lowered to interned-signal CSR form (struct-of-arrays,
+// no per-row slices or per-signal maps in the iteration loop), plus the
+// recurrence engine's ring of recent iterations' issue times. Run reads the
+// same lowering, window check and stall attribution, over its own table of
+// issue times.
 //
 // The iteration loop walks EVENT rows only — rows containing a Wait or Send.
 // Between events the issue recurrence is a straight run (issue[r] =
@@ -49,9 +51,6 @@ type timeScratch struct {
 	maxDist int
 	nwaits  int
 	nsends  int
-	// selfWait marks a wait at distance < 1, which reads the current ring
-	// row; such schedules are always walked in full.
-	selfWait bool
 	// Steady-state detector state (see observe): the checkpoint window and
 	// the per-iteration stall and completion since the checkpoint.
 	chk      []int
@@ -94,7 +93,8 @@ func (sc *timeScratch) intern(p *tac.Program, sig tac.Sym) {
 }
 
 // build lowers the schedule's synchronization structure into the scratch
-// form (the allocation-free analogue of newRowMeta).
+// form. It refuses a wait at distance below 1 (it would wait on its own or a
+// later iteration, which neither engine models) and a wait with no send.
 func (sc *timeScratch) build(s *core.Schedule) error {
 	L := s.Length()
 	sc.sigID = growInt32Buf(&sc.sigID, max(len(s.Prog.Names), 1))
@@ -104,7 +104,6 @@ func (sc *timeScratch) build(s *core.Schedule) error {
 	sc.sigName = sc.sigName[:0]
 	sc.evRow = sc.evRow[:0]
 	sc.maxDist = 1
-	sc.selfWait = false
 	rowLat := growIntBuf(&sc.rowLat, L)
 	nw, ns := 0, 0
 	for r, row := range s.Rows {
@@ -117,11 +116,11 @@ func (sc *timeScratch) build(s *core.Schedule) error {
 			}
 			switch in.Op {
 			case tac.Wait:
+				if in.SigDist < 1 {
+					return fmt.Errorf("sim: wait on signal %s at distance %d (must be at least 1)", s.Prog.Name(in.Signal), in.SigDist)
+				}
 				sc.intern(s.Prog, in.Signal)
 				sc.maxDist = max(sc.maxDist, int(in.SigDist))
-				if in.SigDist < 1 {
-					sc.selfWait = true
-				}
 				nw++
 				sync = true
 			case tac.Send:
@@ -197,7 +196,8 @@ func (sc *timeScratch) build(s *core.Schedule) error {
 		consCnt[i] = consCnt[i-1]
 	}
 	consCnt[0] = 0
-	// Every wait needs a send, reported in row order like newRowMeta.
+	// Every wait needs a send; the first without one, in row order, is
+	// reported.
 	for e := 0; e < E; e++ {
 		for k := waitOff[e]; k < waitOff[e+1]; k++ {
 			if sendRow[waitSig[k]] == -1 {
@@ -233,7 +233,10 @@ func (sc *timeScratch) build(s *core.Schedule) error {
 	return nil
 }
 
-// checkWindow is rowMeta.checkWindow over the interned form.
+// checkWindow validates a bounded signal window against the schedule: it
+// must cover the largest dependence distance, and must not equal the
+// distance of an LFD pair (whose send would wait for its own iteration's
+// wait).
 func (sc *timeScratch) checkWindow(window int) error {
 	if window <= 0 {
 		return nil
@@ -251,6 +254,22 @@ func (sc *timeScratch) checkWindow(window int) error {
 	return nil
 }
 
+// prepare is the prologue of both engines: it lowers s, checks the window
+// and resets the tracer. empty reports a run with nothing to issue (no
+// iteration or an empty schedule), whose zero Timing is already final.
+func (sc *timeScratch) prepare(s *core.Schedule, opt Options) (empty bool, err error) {
+	if err := sc.build(s); err != nil {
+		return false, err
+	}
+	if err := sc.checkWindow(opt.Window); err != nil {
+		return false, err
+	}
+	if opt.Tracer != nil {
+		opt.Tracer.reset(s, opt)
+	}
+	return opt.N() == 0 || s.Length() == 0, nil
+}
+
 // steady describes where an untraced run left the walk for the closed form:
 // iterations 0..K-1 were walked, and from then on every iteration repeats
 // the one P earlier shifted by Delta cycles. P == 0 means every iteration
@@ -262,25 +281,11 @@ type steady struct{ K, P, Delta int }
 // stop walking once the machine reaches a steady state (see observe) and
 // finish in closed form; traced runs walk every iteration.
 func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, steady, error) {
-	if err := sc.build(s); err != nil {
+	if empty, err := sc.prepare(s, opt); err != nil || empty {
 		return Timing{}, steady{}, err
 	}
-	if err := sc.checkWindow(opt.Window); err != nil {
-		return Timing{}, steady{}, err
-	}
-	L := s.Length()
-	n := opt.N()
-	tr := opt.Tracer
-	if tr != nil {
-		tr.reset(s, opt)
-	}
+	L, n, tr := s.Length(), opt.N(), opt.Tracer
 	var t Timing
-	if n == 0 || L == 0 {
-		if tr != nil {
-			tr.Timing = t
-		}
-		return t, steady{}, nil
-	}
 	t.SignalsSent = n * sc.nsends
 	procs := opt.procs()
 	// Only the issue times of the last few iterations matter: back to the
@@ -306,7 +311,7 @@ func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, steady, error
 	ringSize := (depth + 1) * stride
 	ring := growIntBuf(&sc.ring, ringSize)
 	base := 0
-	det := detector{off: tr != nil || sc.selfWait}
+	det := detector{off: tr != nil}
 	for idx := 0; idx < n; idx++ {
 		start := 0
 		if idx >= procs {
@@ -456,7 +461,7 @@ func (sc *timeScratch) run(s *core.Schedule, opt Options) (Timing, steady, error
 // detector is the Brent cycle-detection state of one run: the current
 // power-of-two search window, the iterations walked since the checkpoint,
 // whether any of them had event 0 set by its constant term, and whether the
-// run is not searching (traced, a wait at distance < 1, or gave up).
+// run is not searching (traced, or gave up).
 type detector struct {
 	power, lam    int
 	sawConst, off bool
@@ -569,12 +574,14 @@ func (sc *timeScratch) extrapolate(stalls, total, n, m, p, delta int, growing bo
 	return stalls, total
 }
 
-// attributeStalls is the recurrence engine's twin of rowMeta.attributeStalls:
-// at an event row that stalled (earliest > unconstrained), re-scan the same
-// constraints in the same order to split [unconstrained, earliest) into the
-// binding synchronization wait and the bounded-window gate. The scans mirror
-// the issue-time computation exactly, so both engines attribute bit-identical
-// spans.
+// attributeStalls serves both engines: at an event row that stalled
+// (earliest > unconstrained), re-scan the same constraints in the same order
+// to split [unconstrained, earliest) into the binding synchronization wait
+// and the bounded-window gate. ring holds one row of stride slots per
+// iteration, iteration idx's at base: Time's wrapping ring of size ringSize,
+// or Run's n-row table, which never wraps. The constraints are monotone —
+// once satisfiable they stay satisfiable — so the issue cycle is exactly
+// their maximum and the spans partition the gap.
 func (sc *timeScratch) attributeStalls(it *IterTrace, idx, e, row, unconstrained, earliest int, opt Options, ring []int, base, stride, ringSize int) {
 	syncTo := unconstrained
 	bind := int32(-1)

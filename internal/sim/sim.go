@@ -16,12 +16,19 @@
 //     Traced runs (Options.Tracer set) still walk every iteration, which
 //     makes them the built-in full-walk reference.
 //   - Run: a detailed cycle-stepped simulator that additionally *executes*
-//     the instructions against a shared memory store, setting and testing
-//     real signals. Its final memory is compared against sequential
-//     execution by the differential tests, which is the strongest evidence
-//     that scheduling plus synchronization preserved the loop's meaning. Its
-//     timing is bit-identical to Time's by construction, which the tests
-//     also verify.
+//     the instructions against a shared memory store. Its final memory is
+//     compared against sequential execution by the differential tests, which
+//     is the strongest evidence that scheduling plus synchronization
+//     preserved the loop's meaning.
+//
+// Both engines read one lowering of the schedule's Send/Wait structure
+// (timeScratch.build), one signal-window check and one stall attribution.
+// They differ in how time advances: Time solves the issue recurrence an
+// iteration at a time, while Run steps cycle by cycle over its own
+// processors, frames and executed memory, under a cycle budget that reports
+// a deadlock. Their timings and traces are bit-identical, which the tests
+// verify; Tracer.Check's books and the differential tests against the
+// sequential interpreter stay independent of the shared lowering.
 //
 // Both engines support fewer processors than iterations (blocked cyclic
 // assignment: processor p runs iterations p, p+P, ...), defaulting to the
@@ -97,84 +104,6 @@ type Timing struct {
 	SignalsSent int
 }
 
-// consumer is one wait instruction's placement: the row it issues in and its
-// dependence distance.
-type consumer struct {
-	row, dist int
-}
-
-// rowMeta precomputes per-row wait constraints and the per-signal send row.
-type rowMeta struct {
-	length   int
-	rows     [][]int
-	waits    [][]*tac.Instr // waits issued in each row
-	sendRow  map[string]int // signal -> row of its send
-	sends    [][]string     // signals sent in each row
-	consume  map[string][]consumer
-	rowLat   []int // max completion offset of a row's instructions
-	maxDist  int
-	schedule *core.Schedule
-}
-
-func newRowMeta(s *core.Schedule) (*rowMeta, error) {
-	m := &rowMeta{
-		length:   s.Length(),
-		rows:     s.Rows,
-		waits:    make([][]*tac.Instr, s.Length()),
-		sendRow:  map[string]int{},
-		sends:    make([][]string, s.Length()),
-		consume:  map[string][]consumer{},
-		rowLat:   make([]int, s.Length()),
-		maxDist:  1,
-		schedule: s,
-	}
-	for r, row := range s.Rows {
-		for _, v := range row {
-			in := &s.Prog.Instrs[v]
-			lat := s.Cfg.Latency[in.Class()]
-			if lat > m.rowLat[r] {
-				m.rowLat[r] = lat
-			}
-			sig := s.Prog.Name(in.Signal)
-			switch in.Op {
-			case tac.Wait:
-				m.waits[r] = append(m.waits[r], in)
-				m.consume[sig] = append(m.consume[sig], consumer{row: r, dist: int(in.SigDist)})
-				m.maxDist = max(m.maxDist, int(in.SigDist))
-			case tac.Send:
-				m.sendRow[sig] = r
-				m.sends[r] = append(m.sends[r], sig)
-			}
-		}
-	}
-	for r := range m.waits {
-		for _, w := range m.waits[r] {
-			if _, ok := m.sendRow[s.Prog.Name(w.Signal)]; !ok {
-				return nil, fmt.Errorf("sim: wait on signal %s with no send in schedule", s.Prog.Name(w.Signal))
-			}
-		}
-	}
-	return m, nil
-}
-
-// checkWindow validates a bounded signal window against the schedule.
-func (m *rowMeta) checkWindow(window int) error {
-	if window <= 0 {
-		return nil
-	}
-	if window < m.maxDist {
-		return fmt.Errorf("sim: signal window %d smaller than the largest dependence distance %d (deadlock)", window, m.maxDist)
-	}
-	for sig, cs := range m.consume {
-		for _, c := range cs {
-			if c.dist == window && m.sendRow[sig] <= c.row {
-				return fmt.Errorf("sim: signal window %d equals distance %d of an LFD pair on %s (send would wait for its own iteration's wait)", window, c.dist, sig)
-			}
-		}
-	}
-	return nil
-}
-
 // Time computes the parallel execution time with the recurrence model. Its
 // working state (the schedule's synchronization structure in interned CSR
 // form plus the iteration ring) is pooled, so warm calls allocate nothing.
@@ -199,69 +128,43 @@ func MustTime(s *core.Schedule, opt Options) Timing {
 // Run executes the scheduled loop on the detailed simulator against st,
 // which must contain the loop's input data (including the bound scalar,
 // e.g. N). The store is mutated in place. The returned timing matches Time.
+//
+// Run reads the schedule through Time's lowering (a pooled timeScratch) but
+// issues rows cycle by cycle on its own processors, gating each event row on
+// the recorded issue cycles of the sends it waits for and, under a window,
+// of the consumers of the slot its sends reuse.
 func Run(s *core.Schedule, st *lang.Store, opt Options) (Timing, error) {
-	m, err := newRowMeta(s)
-	if err != nil {
+	sc := timePool.Get().(*timeScratch)
+	defer timePool.Put(sc)
+	if empty, err := sc.prepare(s, opt); err != nil || empty {
 		return Timing{}, err
 	}
-	if err := m.checkWindow(opt.Window); err != nil {
-		return Timing{}, err
-	}
-	n := opt.N()
-	tr := opt.Tracer
-	if tr != nil {
-		tr.reset(s, opt)
-	}
+	L, n, tr := s.Length(), opt.N(), opt.Tracer
 	var t Timing
-	if n == 0 || m.length == 0 {
-		if tr != nil {
-			tr.Timing = t
-		}
-		return t, nil
+	// issued[idx*E+e] is the cycle iteration idx issued event row e (-1 =
+	// not yet): Time's ring layout, one row per iteration and no wrap-around.
+	// It is Run's own allocation, so a long run leaves nothing large in the
+	// pool.
+	E := len(sc.evRow)
+	issued := make([]int, n*E)
+	for i := range issued {
+		issued[i] = -1
 	}
-	procs := opt.procs()
-	// rowTime[i][r] is the cycle iteration i issued row r (-1 = not yet) —
-	// used for bounded-window send gating.
-	var rowTime [][]int
-	if opt.Window > 0 {
-		rowTime = make([][]int, n)
-		for i := range rowTime {
-			rowTime[i] = make([]int, m.length)
-			for r := range rowTime[i] {
-				rowTime[i][r] = -1
-			}
-		}
-	}
-
 	type proc struct {
 		idx     int // iteration index currently executing (0-based), -1 done
-		row     int
+		row, ev int // next row, and the event index of the next event row
 		frame   *tac.Frame
 		prevT   int // issue time of previous row
 		maxDone int // completion horizon of issued rows
 		started bool
 	}
-	// signals[sig][iterIdx] = cycle the send issued (-1 = not yet).
-	signals := map[string][]int{}
-	for sig := range m.sendRow {
-		v := make([]int, n)
-		for i := range v {
-			v[i] = -1
-		}
-		signals[sig] = v
-	}
-	ps := make([]*proc, procs)
-	nextIter := 0
+	// A processor past the trip count would never run an iteration.
+	procs := min(opt.procs(), n)
+	ps := make([]proc, procs)
 	for p := range ps {
-		ps[p] = &proc{idx: -1}
-		if nextIter < n {
-			ps[p].idx = nextIter
-			ps[p].frame = tac.NewFrame(s.Prog.NumTemps, opt.Lo+nextIter)
-			if tr != nil {
-				tr.Iters[nextIter].Proc = p
-				tr.Iters[nextIter].Start = 0
-			}
-			nextIter++
+		ps[p] = proc{idx: p, frame: tac.NewFrame(s.Prog.NumTemps, opt.Lo+p)}
+		if tr != nil {
+			tr.Iters[p].Proc = p
 		}
 	}
 	// Hard cycle budget: explicit (Options.MaxCycles) or derived from the
@@ -271,7 +174,7 @@ func Run(s *core.Schedule, st *lang.Store, opt Options) (Timing, error) {
 	budget := opt.MaxCycles
 	derived := budget <= 0
 	if derived {
-		budget = (n+1)*(m.length+8)*4 + 1024
+		budget = (n+1)*(L+8)*4 + 1024
 	}
 	remaining := n
 	for cycle := 0; remaining > 0; cycle++ {
@@ -291,48 +194,17 @@ func Run(s *core.Schedule, st *lang.Store, opt Options) (Timing, error) {
 			return Timing{}, fmt.Errorf("sim: cycle budget %d exhausted (%d iterations unfinished; blocked iterations %v)",
 				budget, remaining, blocked)
 		}
-		for pi, p := range ps {
-			if p.idx < 0 {
+		for pi := range ps {
+			p := &ps[pi]
+			if p.idx < 0 || p.started && cycle <= p.prevT {
 				continue
 			}
-			if p.started && cycle < p.prevT+1 {
-				continue
+			// Only event rows (a Wait or Send) can stall.
+			e := -1
+			if p.ev < E && int(sc.evRow[p.ev]) == p.row {
+				e = p.ev
 			}
-			// Check wait constraints for the next row.
-			ok := true
-			for _, w := range m.waits[p.row] {
-				iter := opt.Lo + p.idx
-				if iter-int(w.SigDist) < opt.Lo {
-					continue
-				}
-				srcIdx := p.idx - int(w.SigDist)
-				sendT := signals[s.Prog.Name(w.Signal)][srcIdx]
-				if sendT == -1 || cycle < sendT+1 {
-					ok = false
-					break
-				}
-			}
-			// Bounded-window send gating: sends in this row reuse the slot of
-			// iteration idx-Window; every consumer of the old signal must
-			// have issued strictly earlier.
-			if ok && opt.Window > 0 && p.idx-opt.Window >= 0 {
-			gate:
-				for _, sig := range m.sends[p.row] {
-					for _, c := range m.consume[sig] {
-						cIdx := p.idx - opt.Window + c.dist
-						if cIdx < 0 || cIdx == p.idx {
-							// Same-iteration consumers sit in earlier rows
-							// (validated) and have necessarily issued.
-							continue
-						}
-						if ct := rowTime[cIdx][c.row]; ct == -1 || ct >= cycle {
-							ok = false
-							break gate
-						}
-					}
-				}
-			}
-			if !ok {
+			if e >= 0 && !sc.ready(issued, p.idx, e, cycle, opt.Window) {
 				t.StallCycles++
 				continue
 			}
@@ -344,14 +216,13 @@ func Run(s *core.Schedule, st *lang.Store, opt Options) (Timing, error) {
 					lower = p.prevT + 1
 				}
 				if cycle > lower {
-					m.attributeStalls(it, p.idx, p.row, lower, cycle, opt, signals, rowTime)
+					sc.attributeStalls(it, p.idx, e, p.row, lower, cycle, opt, issued, p.idx*E, E, n*E)
 				}
 			}
 			// Issue the row: execute its instructions against shared memory.
-			for _, v := range m.rows[p.row] {
+			for _, v := range s.Rows[p.row] {
 				in := &s.Prog.Instrs[v]
 				if in.Op == tac.Send {
-					signals[s.Prog.Name(in.Signal)][p.idx] = cycle
 					t.SignalsSent++
 					continue
 				}
@@ -359,16 +230,17 @@ func Run(s *core.Schedule, st *lang.Store, opt Options) (Timing, error) {
 					return Timing{}, fmt.Errorf("sim: iteration %d instr %d: %w", opt.Lo+p.idx, in.ID, err)
 				}
 			}
-			if rowTime != nil {
-				rowTime[p.idx][p.row] = cycle
+			if e >= 0 {
+				issued[p.idx*E+e] = cycle
+				p.ev++
 			}
-			if fin := cycle + m.rowLat[p.row]; fin > p.maxDone {
+			if fin := cycle + sc.rowLat[p.row]; fin > p.maxDone {
 				p.maxDone = fin
 			}
 			p.prevT = cycle
 			p.started = true
 			p.row++
-			if p.row == m.length {
+			if p.row == L {
 				done := p.maxDone
 				if tr != nil {
 					tr.Iters[p.idx].Done = done
@@ -386,7 +258,7 @@ func Run(s *core.Schedule, st *lang.Store, opt Options) (Timing, error) {
 				p.idx = -1
 				if next < n {
 					p.idx = next
-					p.row = 0
+					p.row, p.ev = 0, 0
 					p.maxDone = 0
 					p.frame = tac.NewFrame(s.Prog.NumTemps, opt.Lo+next)
 					if tr != nil {
@@ -403,51 +275,36 @@ func Run(s *core.Schedule, st *lang.Store, opt Options) (Timing, error) {
 	return t, nil
 }
 
-// attributeStalls reconstructs, at a row's issue cycle, the attributed wait
-// spans covering [lower, issue): first the binding synchronization wait
-// (the latest send the row waited on), then the bounded-window gate. The
-// constraints are monotone — once satisfiable they stay satisfiable — so the
-// issue cycle is exactly their maximum and the spans partition the gap.
-func (m *rowMeta) attributeStalls(it *IterTrace, idx, row, lower, issue int, opt Options, signals map[string][]int, rowTime [][]int) {
-	syncTo := lower
-	var bind *tac.Instr
-	prog := m.schedule.Prog
-	for _, w := range m.waits[row] {
-		if idx-int(w.SigDist) < 0 {
-			continue
+// ready reports whether iteration idx's event row e may issue at cycle, given
+// the issue cycles recorded so far: every send it waits for issued before
+// cycle, and under a window every consumer of the slot its sends reuse
+// issued before cycle. Consumers in the same iteration sit in earlier rows
+// (checkWindow) and have necessarily issued.
+func (sc *timeScratch) ready(issued []int, idx, e, cycle, window int) bool {
+	E := len(sc.evRow)
+	for k := sc.waitOff[e]; k < sc.waitOff[e+1]; k++ {
+		src := idx - sc.waitDist[k]
+		if src < 0 {
+			continue // no earlier iteration to wait for
 		}
-		if sendT := signals[prog.Name(w.Signal)][idx-int(w.SigDist)]; sendT+1 > syncTo {
-			syncTo = sendT + 1
-			bind = w
+		if sendT := issued[src*E+int(sc.sendEv[sc.waitSig[k]])]; sendT < 0 || sendT >= cycle {
+			return false
 		}
 	}
-	if syncTo > issue {
-		syncTo = issue
+	if window <= 0 || idx-window < 0 {
+		return true
 	}
-	if bind != nil && syncTo > lower {
-		it.Stalls = append(it.Stalls, Stall{
-			Row: row, From: lower, To: syncTo, Cause: CauseSyncWait,
-			Signal: prog.Name(bind.Signal), Dist: int(bind.SigDist), SrcIter: idx - int(bind.SigDist),
-			SendCycle: syncTo - 1, LBD: m.sendRow[prog.Name(bind.Signal)] >= row,
-		})
-	}
-	if issue > syncTo {
-		st := Stall{Row: row, From: syncTo, To: issue, Cause: CauseWindowWait}
-		if opt.Window > 0 && idx-opt.Window >= 0 {
-			winTo := syncTo
-			for _, sig := range m.sends[row] {
-				for _, c := range m.consume[sig] {
-					cIdx := idx - opt.Window + c.dist
-					if cIdx < 0 || cIdx == idx {
-						continue
-					}
-					if ct := rowTime[cIdx][c.row]; ct+1 > winTo {
-						winTo = ct + 1
-						st.Signal, st.Dist, st.SrcIter, st.SendCycle = sig, c.dist, cIdx, ct
-					}
-				}
+	for k := sc.sendOff[e]; k < sc.sendOff[e+1]; k++ {
+		id := sc.sendSig[k]
+		for c := sc.consOff[id]; c < sc.consOff[id+1]; c++ {
+			back := window - sc.consDist[c]
+			if back == 0 {
+				continue
+			}
+			if ct := issued[(idx-back)*E+int(sc.consEv[c])]; ct < 0 || ct >= cycle {
+				return false
 			}
 		}
-		it.Stalls = append(it.Stalls, st)
 	}
+	return true
 }
