@@ -44,12 +44,12 @@ func diffTraces(a, b *Tracer) string {
 	return ""
 }
 
-// TestWaitDistanceBelowOneRefused: a wait at distance below 1 would wait on
-// its own iteration or a later one. Both engines share one lowering, which
-// refuses it with an error naming the signal and the distance, the same on
-// every call, traced or not, and leaves the pooled scratch fit for the next
-// schedule.
-func TestWaitDistanceBelowOneRefused(t *testing.T) {
+// TestTraceEnginesRefuseWaitDistanceBelowOne: a wait at distance below 1
+// would wait on its own iteration or a later one. Both engines share one
+// lowering, which refuses it with an error naming the signal and the
+// distance, the same on every call, traced or not, and leaves the pooled
+// scratch fit for the next schedule.
+func TestTraceEnginesRefuseWaitDistanceBelowOne(t *testing.T) {
 	b := build(t, fig1Source)
 	s := mustSync(t, b, dlx.Standard(4, 1))
 	wait := -1
@@ -83,6 +83,8 @@ func TestWaitDistanceBelowOneRefused(t *testing.T) {
 		refused("traced Time", err)
 		_, err = Run(bad, b.loop.SeedStore(n, 8, 1), opt)
 		refused("Run", err)
+		_, err = Run(bad, b.loop.SeedStore(n, 8, 1), Options{Lo: 1, Hi: n, Tracer: &Tracer{}})
+		refused("traced Run", err)
 	}
 	if got := MustTime(s, opt); got != good {
 		t.Errorf("after the refused schedules Time gives %+v, before %+v", got, good)
@@ -189,16 +191,18 @@ func TestTraceEnginesConcurrent(t *testing.T) {
 		}
 		j.time, j.run, j.tTr, j.rTr = tm, rm, ttr, rtr
 	}
-	workers := 4
+	workers, rounds := 4, 3
 	if testing.Short() {
-		workers = 2
+		rounds = 1
 	}
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for k := range jobs {
+			<-start
+			for k := 0; k < rounds*len(jobs); k++ {
 				j := jobs[(k*7+w*5)%len(jobs)]
 				traced := (k+w)%2 == 0
 				tm, rm, ttr, rtr, err := run(j, traced)
@@ -222,5 +226,6 @@ func TestTraceEnginesConcurrent(t *testing.T) {
 			}
 		}(w)
 	}
+	close(start)
 	wg.Wait()
 }
