@@ -523,6 +523,21 @@ type keySet struct {
 	n, window         int
 }
 
+// problemKeys returns the content addresses of the scheduling problem of
+// the graph fp at trip count n under the Service's options.
+func (s *Service) problemKeys(fp dfg.Fingerprint, n int) keySet {
+	return keySet{fp: fp, schedSalt: s.schedSalt, exSalt: s.opt.exactSalt(n), n: n, window: s.opt.Window}
+}
+
+// sourceOf returns the text req is compiled from and keyed on: its Source,
+// or its parsed Loop rendered when a cache or disk tier keys on the text.
+func (s *Service) sourceOf(req Request) string {
+	if req.Loop != nil && (s.opt.Cache != nil || s.opt.Disk != nil) {
+		return req.Loop.String()
+	}
+	return req.Source
+}
+
 // key returns the problem's key on cfg in one key space: keySched is the
 // schedule-cache key (graph + machine + scheduler salt, plus the exact salt
 // when there is one); keyTime and keyDisk add the trip count and window,
@@ -804,8 +819,6 @@ func (r *runner) run(ctx context.Context, req Request) (err error) {
 	if err := r.compile(ctx, req); err != nil {
 		return err
 	}
-	r.keys.schedSalt, r.keys.exSalt = r.schedSalt, r.opt.exactSalt(res.N)
-	r.keys.n, r.keys.window = res.N, r.opt.Window
 	r.simOpt = sim.Options{Lo: 1, Hi: res.N, Window: r.opt.Window}
 	res.Machines = make([]MachineResult, len(r.machines))
 	for k, cfg := range r.machines {
@@ -835,8 +848,8 @@ type runner struct {
 	compileCached bool
 	// src is the source text the compile memo and the disk tier key on.
 	src string
-	// keys are the request's content addresses; compile fills in the graph
-	// fingerprint.
+	// keys are the request's content addresses, set once compile knows the
+	// graph fingerprint.
 	keys   keySet
 	simOpt sim.Options
 	// verifier holds the program's dependence edges, derived on the first
@@ -953,10 +966,7 @@ func (r *runner) endSpan(sp *obs.Span, err error, m *machineRun) {
 // rendering parsed loops) shares one immutable compilation, trace included.
 func (r *runner) compile(ctx context.Context, req Request) error {
 	res := &r.res
-	r.src = req.Source
-	if req.Loop != nil && (r.opt.Cache != nil || r.opt.Disk != nil) {
-		r.src = req.Loop.String()
-	}
+	r.src = r.sourceOf(req)
 	var key dfg.Fingerprint
 	if r.useCache {
 		key = sourceKey(r.src, r.compileSalt)
@@ -1003,7 +1013,7 @@ func (r *runner) compile(ctx context.Context, req Request) error {
 	}
 	res.Loop, res.Analysis, res.SyncLoop = ce.loop, ce.analysis, ce.syncLoop
 	res.Prog, res.Graph, res.Trace = ce.prog, ce.graph, ce.trace
-	r.keys.fp = ce.fp
+	r.keys = r.problemKeys(ce.fp, res.N)
 	res.Diags, res.Lint = ce.diags, ce.lint
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"doacross/internal/dfg"
 	"doacross/internal/dlx"
 	"doacross/internal/obs"
+	"doacross/internal/passes"
 )
 
 // Service runs requests through the pipeline under one set of options,
@@ -29,6 +30,8 @@ type Service struct {
 	// not depend on the request: the key tag with both salts, and the
 	// machines (see Key).
 	keyHead, keyMachines string
+	// maxSpans is the most spans one Run records (see MaxSpans).
+	maxSpans int
 }
 
 // NewService validates opt (see Options.Validate) and prepares a Service
@@ -45,6 +48,7 @@ func NewService(opt Options) (*Service, error) {
 		fmt.Fprintf(&b, "m=%+v\x00", m)
 	}
 	s.keyMachines = b.String()
+	s.maxSpans = 3 + len(passes.New(opt.Compile).Names()) + 3*len(s.machines)
 	return s, nil
 }
 
@@ -95,6 +99,44 @@ func (s *Service) Key(req Request) dfg.Fingerprint {
 	b = append(b, s.keyMachines...)
 	b = append(b, src...)
 	return sha256.Sum256(b)
+}
+
+// MaxSpans is the most spans one Run records: the batch, request and
+// compile spans, one span per compilation pass, and the schedule, check and
+// simulate spans of every machine. A recorder holding that many drops none
+// of a request's spans.
+func (s *Service) MaxSpans() int { return s.maxSpans }
+
+// Cached reports whether the memory cache holds req's whole result: its
+// compilation and, on every machine, its schedule set and its timing. It
+// reads the cache under the keys Run reads it under (sourceKey and
+// Service.problemKeys) and has no side effects: it counts no hit or miss,
+// probes no fault and records no span. A Cached request may still compute
+// in Run: an entry can be evicted in between, and a "cache" fault probe
+// makes Run bypass the cache.
+func (s *Service) Cached(req Request) bool {
+	c := s.opt.Cache
+	if c == nil {
+		return false
+	}
+	v, ok := c.Get(sourceKey(s.sourceOf(req), s.compileSalt))
+	if !ok {
+		return false
+	}
+	n := req.N
+	if n == 0 {
+		n = s.opt.n()
+	}
+	keys := s.problemKeys(v.(*compileEntry).fp, n)
+	for _, cfg := range s.machines {
+		if _, ok := c.Get(keys.key(keySched, cfg)); !ok {
+			return false
+		}
+		if _, ok := c.Get(keys.key(keyTime, cfg)); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // Run pushes one request through compile → schedule → check → simulate on

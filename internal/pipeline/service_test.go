@@ -315,3 +315,96 @@ func TestServiceRefusesBadOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestServiceCached: Cached holds exactly when Run then serves the
+// compilation and every machine's schedules and timing from the memory
+// cache, for source text and parsed loops, at two trip counts and under two
+// backends sharing one cache; and it has no side effects: no counter moves,
+// no fault is probed and no span is recorded.
+func TestServiceCached(t *testing.T) {
+	probes := 0
+	hook := func(stage, name string) error {
+		probes++
+		return nil
+	}
+	rec := obs.NewRecorder(0)
+	cache := NewCache()
+	machines := dlx.PaperConfigs()
+	newSvc := func(backend string) *Service {
+		svc, err := NewService(Options{Machines: machines, Cache: cache, FaultHook: hook, Observer: rec,
+			Compile: passes.Options{Backend: backend}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	heur, best := newSvc(""), newSvc("best")
+	loop := lang.MustParse(fig1)
+	steps := []struct {
+		svc  *Service
+		req  Request
+		want bool
+	}{
+		{heur, Request{Name: "src", Source: fig1}, false},
+		{heur, Request{Name: "src", Source: fig1}, true},
+		{heur, Request{Name: "src", Source: fig1, N: 1000}, false},
+		{heur, Request{Name: "src", Source: fig1, N: 1000}, true},
+		{heur, Request{Name: "loop", Loop: loop, N: 1000}, loop.String() == fig1},
+		{heur, Request{Name: "loop", Loop: loop, N: 1000}, true},
+		{best, Request{Name: "src", Source: fig1, N: 1000}, false},
+		{best, Request{Name: "src", Source: fig1, N: 1000}, true},
+		{heur, Request{Name: "src", Source: fig1}, true},
+	}
+	for i, st := range steps {
+		before, p, spans := st.svc.metrics.Stats(), probes, rec.Len()
+		got := st.svc.Cached(st.req)
+		if after := st.svc.metrics.Stats(); !reflect.DeepEqual(after, before) || probes != p || rec.Len() != spans {
+			t.Fatalf("step %d: Cached moved counters (%v), probed %d faults or recorded %d spans",
+				i, !reflect.DeepEqual(after, before), probes-p, rec.Len()-spans)
+		}
+		res := st.svc.Run(context.Background(), st.req, nil)
+		if res.Err != nil {
+			t.Fatalf("step %d: %v", i, res.Err)
+		}
+		after := st.svc.metrics.Stats()
+		full := after.CacheMisses == before.CacheMisses && after.CacheHits-before.CacheHits == int64(1+2*len(machines))
+		if got != st.want || got != full {
+			t.Errorf("step %d (%s, n=%d): Cached = %v, want %v; Run served it whole from the cache: %v",
+				i, st.req.Name, st.req.N, got, st.want, full)
+		}
+	}
+	uncached, err := NewService(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncached.Run(context.Background(), Request{Source: fig1}, nil)
+	if uncached.Cached(Request{Source: fig1}) {
+		t.Error("a Service without a cache reports a request cached")
+	}
+}
+
+// TestServiceMaxSpans: a fresh request records exactly MaxSpans spans, for
+// pass lists and machine counts of several sizes.
+func TestServiceMaxSpans(t *testing.T) {
+	for _, tc := range []struct {
+		opt  Options
+		want int
+	}{
+		{Options{}, 12},
+		{Options{Machines: dlx.PaperConfigs()}, 21},
+		{Options{Machines: dlx.PaperConfigs()[:2], Compile: passes.Options{Unroll: 2, Migrate: true, Verify: true}}, 18},
+	} {
+		svc, err := NewService(tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := obs.NewRecorder(0)
+		if res := svc.Run(context.Background(), Request{Source: fig1}, rec); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if got := svc.MaxSpans(); got != tc.want || rec.Len() != got {
+			t.Errorf("%d machines, passes %v: MaxSpans %d, want %d; a fresh Run recorded %d",
+				len(svc.machines), passes.New(tc.opt.Compile).Names(), got, tc.want, rec.Len())
+		}
+	}
+}

@@ -18,7 +18,7 @@ type serverMetrics struct {
 	clientErrors atomic.Int64 // 4xx (bad JSON, bad source, unknown backend)
 	serverErrors atomic.Int64 // 5xx other than sheds
 	timeouts     atomic.Int64 // 504s (caller's deadline expired)
-	flights      atomic.Int64 // singleflight leaders (computations started)
+	flights      atomic.Int64 // requests not coalesced: flight leaders and memory hits
 	coalesced    atomic.Int64 // followers served by another caller's flight
 	shedRate     atomic.Int64 // 429s: per-tenant token bucket empty
 	shedQueue    atomic.Int64 // 503s: admission queue full or wait cut off
