@@ -1,8 +1,9 @@
 // Package server is the scheduling daemon over the batch pipeline: a
 // long-running HTTP/JSON service that turns the library into shared
 // infrastructure. Around each request it adds what a batch run never
-// needed — request coalescing (concurrent identical requests share one
-// computation, see pipeline.Group), admission control and load shedding
+// needed — request coalescing (concurrent identical requests that miss the
+// memory cache share one computation, see pipeline.Group; a memory hit is
+// answered on its handler goroutine), admission control and load shedding
 // (per-tenant token buckets, a bounded admission queue, a per-backend
 // circuit breaker), a crash-safe persistent cache tier (pipeline.DiskStore)
 // so restarts come up warm with verified schedules, and a graceful drain on
