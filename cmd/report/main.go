@@ -213,7 +213,7 @@ func run(gapJSON, utilJSON, depJSON, kernelDir string) error {
 	fmt.Println("the solver proved its schedule minimal; `bound` means the node budget ran")
 	fmt.Println("out and only the proven lower bound is reported.")
 	fmt.Println()
-	loops, err := gapLoops(kernelDir)
+	loops, err := corpus(kernelDir)
 	if err != nil {
 		return err
 	}
@@ -245,11 +245,7 @@ func run(gapJSON, utilJSON, depJSON, kernelDir string) error {
 	fmt.Println("verifier, and the precise analysis must never be more conservative than")
 	fmt.Println("the baseline — either violation aborts the report.")
 	fmt.Println()
-	depLoops, err := collectDepLoops(kernelDir)
-	if err != nil {
-		return err
-	}
-	dp, err := tables.RunDepPrecision(depLoops, tables.DepPrecisionOptions{})
+	dp, err := tables.RunDepPrecision(loops, tables.DepPrecisionOptions{})
 	if err != nil {
 		return err
 	}
@@ -296,11 +292,10 @@ func run(gapJSON, utilJSON, depJSON, kernelDir string) error {
 	return nil
 }
 
-// collectDepLoops parses the same corpus as gapLoops — the Fig. 1 loop plus
-// every kernel in the corpus directory, in name order — keeping the parsed
-// loops so the precision audit can compile each one per analysis mode.
-func collectDepLoops(dir string) ([]tables.DepLoop, error) {
-	loops, err := tables.CollectDepLoops("fig1", fig1)
+// corpus parses the audit corpus: the Fig. 1 loop plus every kernel in the
+// corpus directory, in name order.
+func corpus(dir string) ([]tables.AuditLoop, error) {
+	loops, err := tables.ParseLoops("fig1", fig1)
 	if err != nil {
 		return nil, err
 	}
@@ -316,35 +311,7 @@ func collectDepLoops(dir string) ([]tables.DepLoop, error) {
 		if err != nil {
 			return nil, err
 		}
-		ls, err := tables.CollectDepLoops(strings.TrimSuffix(e.Name(), ".loop"), string(b))
-		if err != nil {
-			return nil, err
-		}
-		loops = append(loops, ls...)
-	}
-	return loops, nil
-}
-
-// gapLoops compiles the audit corpus: the Fig. 1 loop plus every kernel in
-// the corpus directory, in name order.
-func gapLoops(dir string) ([]tables.GapLoop, error) {
-	loops, err := tables.CompileGapLoops("fig1", fig1)
-	if err != nil {
-		return nil, err
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".loop") {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		ls, err := tables.CompileGapLoops(strings.TrimSuffix(e.Name(), ".loop"), string(b))
+		ls, err := tables.ParseLoops(strings.TrimSuffix(e.Name(), ".loop"), string(b))
 		if err != nil {
 			return nil, err
 		}

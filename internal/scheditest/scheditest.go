@@ -20,16 +20,14 @@ import (
 
 	"doacross/internal/check"
 	"doacross/internal/core"
-	"doacross/internal/dep"
 	"doacross/internal/dfg"
 	"doacross/internal/dlx"
 	"doacross/internal/lang"
 	"doacross/internal/loopgen"
 	"doacross/internal/model"
+	"doacross/internal/passes"
 	"doacross/internal/perfect"
 	"doacross/internal/sim"
-	"doacross/internal/syncop"
-	"doacross/internal/tac"
 )
 
 // Case is one conformance corpus entry.
@@ -137,19 +135,15 @@ func SweepCorpus(t testing.TB, maxStmts int) []Case {
 	return cases
 }
 
-// compileCase compiles one loop the default way into a conformance case.
+// compileCase compiles one loop through the default pass pipeline into a
+// conformance case.
 func compileCase(t testing.TB, name string, l *lang.Loop) Case {
 	t.Helper()
-	a := dep.Analyze(l)
-	prog, err := tac.Generate(syncop.Insert(a, syncop.Options{}))
+	ctx, err := passes.CompileLoop(l, passes.Options{})
 	if err != nil {
 		t.Fatalf("scheditest: %s: %v", name, err)
 	}
-	g, err := dfg.Build(prog, a)
-	if err != nil {
-		t.Fatalf("scheditest: %s: %v", name, err)
-	}
-	return Case{Name: name, Graph: g}
+	return Case{Name: name, Graph: ctx.Graph}
 }
 
 // Options tunes a conformance run.

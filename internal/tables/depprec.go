@@ -5,43 +5,13 @@ import (
 	"fmt"
 	"strings"
 
-	"doacross/internal/check"
-	"doacross/internal/core"
 	"doacross/internal/dlx"
 	"doacross/internal/exact"
 	"doacross/internal/lang"
 	"doacross/internal/model"
 	"doacross/internal/passes"
-	"doacross/internal/sim"
+	"doacross/internal/pipeline"
 )
-
-// DepLoop is one source loop entering the dependence-precision audit. Unlike
-// GapLoop it keeps the parsed loop rather than a compiled graph: the audit
-// compiles each loop twice, once per analysis mode.
-type DepLoop struct {
-	// Name labels the loop in rows and reports.
-	Name string
-	// Loop is the parsed source loop.
-	Loop *lang.Loop
-}
-
-// CollectDepLoops parses every loop of a source file into audit inputs.
-// Multi-loop files yield "<name>#k" entries.
-func CollectDepLoops(name, src string) ([]DepLoop, error) {
-	f, err := lang.ParseFile(src)
-	if err != nil {
-		return nil, fmt.Errorf("depprec: %s: %w", name, err)
-	}
-	var out []DepLoop
-	for i, l := range f.Loops {
-		label := name
-		if len(f.Loops) > 1 {
-			label = fmt.Sprintf("%s#%d", name, i+1)
-		}
-		out = append(out, DepLoop{Name: label, Loop: l})
-	}
-	return out, nil
-}
 
 // DepPrecisionOptions configures the audit.
 type DepPrecisionOptions struct {
@@ -147,29 +117,55 @@ type DepPrecisionResult struct {
 }
 
 // RunDepPrecision audits the precise dependence engine against the seed
-// analyzer's baseline over the given loops: each loop is compiled twice
-// (dep.Options.Baseline toggled through the pass pipeline), scheduled with
-// the never-degrades heuristic, priced by the model and the recurrence
-// simulator, and solved by the exact branch-and-bound backend on both
-// graphs. Every schedule — heuristic and exact, both modes — must pass the
+// analyzer's baseline over the given loops: the batch pipeline compiles each
+// loop twice (dep.Options.Baseline toggled through the pass pipeline),
+// schedules it with the never-degrades heuristic and the exact
+// branch-and-bound backend, verifies both schedules and simulates them.
+// Every schedule — heuristic and exact, both modes — must pass the
 // independent verifier (internal/check), and the precise analysis must never
 // report more conservative pairs than the baseline; either violation fails
-// the audit loudly.
-func RunDepPrecision(loops []DepLoop, opt DepPrecisionOptions) (*DepPrecisionResult, error) {
+// the audit loudly. Rows are in input order.
+func RunDepPrecision(loops []AuditLoop, opt DepPrecisionOptions) (*DepPrecisionResult, error) {
 	cfg := opt.config()
 	res := &DepPrecisionResult{N: opt.n(), Config: cfg.Name, MaxNodes: opt.MaxNodes}
 	if res.MaxNodes == 0 {
 		res.MaxNodes = exact.DefaultMaxNodes
 	}
-	for _, dl := range loops {
-		row, verified, err := depProblem(dl, cfg, opt.n(), opt.MaxNodes)
+	reqs := requests(loops)
+	for i, l := range loops {
+		reqs[i].N = tripCount(l.Loop, res.N)
+	}
+	var modes [2][]pipeline.LoopResult
+	for k, label := range []string{"baseline", "precise"} {
+		var err error
+		modes[k], err = audit(reqs, pipeline.Options{
+			Machines: []dlx.Config{cfg}, Best: true,
+			Compile: passes.Options{BaselineDeps: k == 0, Backend: "exact",
+				Exact: exact.Options{MaxNodes: opt.MaxNodes}},
+		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("depprec (%s): %w", label, err)
 		}
+	}
+	for i, l := range loops {
+		row := DepPrecisionRow{Loop: l.Name, N: reqs[i].N,
+			Baseline: modeStats(&modes[0][i]), Precise: modeStats(&modes[1][i])}
+		if row.Precise.Conservative > row.Baseline.Conservative {
+			return nil, fmt.Errorf(
+				"depprec: %s: precise analysis is more conservative than the baseline (%d > %d pairs)",
+				l.Name, row.Precise.Conservative, row.Baseline.Conservative)
+		}
+		row.Refined = row.Precise.Conservative < row.Baseline.Conservative ||
+			row.Precise.Independent > row.Baseline.Independent
+		row.ArcsReduced = row.Precise.arcs() < row.Baseline.arcs()
+		row.SimImproved = row.Precise.SimT < row.Baseline.SimT
+		row.ExactAgree = !(row.Baseline.ExactOptimal && row.Precise.ExactOptimal) ||
+			row.Precise.ExactT <= row.Baseline.ExactT
 		res.Rows = append(res.Rows, row)
 		s := &res.Summary
 		s.Loops++
-		s.Verified += verified
+		// The heuristic and the exact schedule of both modes passed.
+		s.Verified += 4
 		s.BaselineConservative += row.Baseline.Conservative
 		s.PreciseConservative += row.Precise.Conservative
 		if row.Refined {
@@ -191,77 +187,27 @@ func RunDepPrecision(loops []DepLoop, opt DepPrecisionOptions) (*DepPrecisionRes
 	return res, nil
 }
 
-// depProblem measures one loop in both analysis modes. It returns the number
-// of verifier-accepted schedules (always 4 on success — failures are errors).
-func depProblem(dl DepLoop, cfg dlx.Config, n int, maxNodes int64) (DepPrecisionRow, int, error) {
-	row := DepPrecisionRow{Loop: dl.Name, N: n}
-	if lo, ok := lang.ConstInt(dl.Loop.Lo); ok {
-		if hi, ok := lang.ConstInt(dl.Loop.Hi); ok && hi >= lo {
-			row.N = hi - lo + 1
+// tripCount is the trip count a loop is priced at: its own for a loop with
+// constant bounds, n otherwise.
+func tripCount(l *lang.Loop, n int) int {
+	if lo, ok := lang.ConstInt(l.Lo); ok {
+		if hi, ok := lang.ConstInt(l.Hi); ok && hi >= lo {
+			return hi - lo + 1
 		}
 	}
-	verified := 0
-	for _, mode := range []struct {
-		baseline bool
-		dst      *DepModeStats
-	}{
-		{true, &row.Baseline},
-		{false, &row.Precise},
-	} {
-		st, v, err := depMode(dl, cfg, row.N, maxNodes, mode.baseline)
-		if err != nil {
-			return DepPrecisionRow{}, 0, err
-		}
-		*mode.dst = st
-		verified += v
-	}
-	if row.Precise.Conservative > row.Baseline.Conservative {
-		return DepPrecisionRow{}, 0, fmt.Errorf(
-			"depprec: %s: precise analysis is more conservative than the baseline (%d > %d pairs)",
-			dl.Name, row.Precise.Conservative, row.Baseline.Conservative)
-	}
-	row.Refined = row.Precise.Conservative < row.Baseline.Conservative ||
-		row.Precise.Independent > row.Baseline.Independent
-	row.ArcsReduced = row.Precise.arcs() < row.Baseline.arcs()
-	row.SimImproved = row.Precise.SimT < row.Baseline.SimT
-	row.ExactAgree = !(row.Baseline.ExactOptimal && row.Precise.ExactOptimal) ||
-		row.Precise.ExactT <= row.Baseline.ExactT
-	return row, verified, nil
+	return n
 }
 
-// depMode compiles and measures one analysis mode.
-func depMode(dl DepLoop, cfg dlx.Config, n int, maxNodes int64, baseline bool) (DepModeStats, int, error) {
-	label := "precise"
-	if baseline {
-		label = "baseline"
-	}
-	ctx, err := passes.CompileLoop(dl.Loop, passes.Options{BaselineDeps: baseline})
-	if err != nil {
-		return DepModeStats{}, 0, fmt.Errorf("depprec: %s (%s): compile: %w", dl.Name, label, err)
-	}
+// modeStats reads one analysis mode's measurement off its audited result.
+func modeStats(lr *pipeline.LoopResult) DepModeStats {
+	mr := &lr.Machines[0]
 	var st DepModeStats
-	st.Exact, st.Independent, st.Conservative = ctx.Analysis.Counts()
-	st.Sends, st.Waits = ctx.Sync.NumOps()
-	h, err := core.Best(ctx.Graph, cfg)
-	if err != nil {
-		return DepModeStats{}, 0, fmt.Errorf("depprec: %s (%s): heuristic: %w", dl.Name, label, err)
-	}
-	if err := check.Err(check.Verify(h)); err != nil {
-		return DepModeStats{}, 0, fmt.Errorf("depprec: %s (%s): verifier rejected heuristic schedule: %w",
-			dl.Name, label, err)
-	}
-	st.PredT = model.Predict(h, n)
-	st.SimT = sim.MustTime(h, sim.Options{Lo: 1, Hi: n}).Total
-	r, err := exact.Schedule(ctx.Graph, cfg, exact.Options{N: n, MaxNodes: maxNodes})
-	if err != nil {
-		return DepModeStats{}, 0, fmt.Errorf("depprec: %s (%s): exact: %w", dl.Name, label, err)
-	}
-	if err := check.Err(check.Verify(r.Schedule)); err != nil {
-		return DepModeStats{}, 0, fmt.Errorf("depprec: %s (%s): verifier rejected exact schedule: %w",
-			dl.Name, label, err)
-	}
-	st.ExactT, st.ExactOptimal = r.T, r.Optimal
-	return st, 2, nil
+	st.Exact, st.Independent, st.Conservative = lr.Analysis.Counts()
+	st.Sends, st.Waits = lr.SyncLoop.NumOps()
+	st.PredT = model.Predict(mr.Best, lr.N)
+	st.SimT = mr.BestTime
+	st.ExactT, st.ExactOptimal = mr.PredictedT, mr.Optimal
+	return st
 }
 
 // Render formats the audit as a fixed-width table plus the corpus summary,

@@ -8,13 +8,13 @@ import (
 )
 
 // depKernel loads one named kernel from the committed corpus.
-func depKernel(t *testing.T, name string) []DepLoop {
+func depKernel(t *testing.T, name string) []AuditLoop {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "kernels", name+".loop"))
 	if err != nil {
 		t.Fatalf("read kernel %s: %v", name, err)
 	}
-	ls, err := CollectDepLoops(name, string(b))
+	ls, err := ParseLoops(name, string(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func depKernel(t *testing.T, name string) []DepLoop {
 // synchronization on the symbolic-offset and bound-separation kernels, and
 // exact-backend agreement on every row.
 func TestDepPrecisionAudit(t *testing.T) {
-	var loops []DepLoop
+	var loops []AuditLoop
 	for _, name := range []string{"symoff", "fixedcell", "boundsep", "tridiag", "hydro"} {
 		loops = append(loops, depKernel(t, name)...)
 	}

@@ -3,56 +3,14 @@ package tables
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
-	"doacross/internal/check"
-	"doacross/internal/core"
-	"doacross/internal/dep"
-	"doacross/internal/dfg"
 	"doacross/internal/dlx"
 	"doacross/internal/exact"
-	"doacross/internal/lang"
 	"doacross/internal/model"
+	"doacross/internal/passes"
 	"doacross/internal/pipeline"
-	"doacross/internal/syncop"
-	"doacross/internal/tac"
 )
-
-// GapLoop is one compiled loop entering the optimality-gap audit.
-type GapLoop struct {
-	// Name labels the loop in rows and reports.
-	Name string
-	// Graph is its synchronization-augmented data-flow graph.
-	Graph *dfg.Graph
-}
-
-// CompileGapLoops compiles every loop of a source file into audit inputs.
-// Multi-loop files yield "<name>#k" entries.
-func CompileGapLoops(name, src string) ([]GapLoop, error) {
-	f, err := lang.ParseFile(src)
-	if err != nil {
-		return nil, fmt.Errorf("gap: %s: %w", name, err)
-	}
-	var out []GapLoop
-	for i, l := range f.Loops {
-		a := dep.Analyze(l)
-		prog, err := tac.Generate(syncop.Insert(a, syncop.Options{}))
-		if err != nil {
-			return nil, fmt.Errorf("gap: %s: %w", name, err)
-		}
-		g, err := dfg.Build(prog, a)
-		if err != nil {
-			return nil, fmt.Errorf("gap: %s: %w", name, err)
-		}
-		label := name
-		if len(f.Loops) > 1 {
-			label = fmt.Sprintf("%s#%d", name, i+1)
-		}
-		out = append(out, GapLoop{Name: label, Graph: g})
-	}
-	return out, nil
-}
 
 // GapOptions configures the audit.
 type GapOptions struct {
@@ -134,29 +92,39 @@ type GapResult struct {
 // RunGap audits the heuristic's optimality gap over the given loops on the
 // given machine shapes: for each (loop, shape) it builds the never-degrades
 // heuristic schedule (core.Best) and runs the exact branch-and-bound solver,
-// recording both predicted times and the solver's proven lower bound. Every
-// exact schedule passes the independent verifier (internal/check) before it
-// is reported; a rejected schedule fails the audit — by construction the
+// recording both predicted times and the solver's proven lower bound. The
+// batch pipeline schedules, verifies and simulates every problem, so every
+// schedule passes the independent verifier (internal/check) before it is
+// reported; a rejected schedule fails the audit — by construction the
 // solver and the verifier agree, so a rejection is a bug worth failing loud.
-//
-// Problems are independent, so they are audited concurrently; rows land at
-// their precomputed loop-major index, keeping the output deterministic.
-func RunGap(loops []GapLoop, opt GapOptions) (*GapResult, error) {
+func RunGap(loops []AuditLoop, opt GapOptions) (*GapResult, error) {
 	n := opt.n()
 	budget := opt.MaxNodes
 	if budget == 0 {
 		budget = exact.DefaultMaxNodes
 	}
 	configs := opt.configs()
-	res := &GapResult{N: n, MaxNodes: budget}
-	res.Rows = make([]GapRow, len(loops)*len(configs))
-	err := pipeline.FanOut(0, len(res.Rows), func(idx int) error {
-		row, err := gapProblem(loops[idx/len(configs)], configs[idx%len(configs)], n, opt.MaxNodes)
-		res.Rows[idx] = row
-		return err
+	results, err := audit(requests(loops), pipeline.Options{
+		Machines: configs, N: n, Best: true,
+		Compile: passes.Options{Backend: "exact", Exact: exact.Options{MaxNodes: opt.MaxNodes}},
 	})
 	if err != nil {
 		return nil, err
+	}
+	res := &GapResult{N: n, MaxNodes: budget}
+	for _, lr := range results {
+		for _, mr := range lr.Machines {
+			row := GapRow{
+				Loop: lr.Name, Config: mr.Machine,
+				HeurT: model.Predict(mr.Best, n), ExactT: mr.PredictedT,
+				Bound: mr.LowerBound, Optimal: mr.Optimal,
+				Nodes: mr.SearchNodes, Note: mr.BackendNote,
+			}
+			if row.ExactT > 0 {
+				row.GapPct = 100 * float64(row.HeurT-row.ExactT) / float64(row.ExactT)
+			}
+			res.Rows = append(res.Rows, row)
+		}
 	}
 	for _, cfg := range configs {
 		s := GapConfigSummary{Config: cfg.Name}
@@ -182,32 +150,6 @@ func RunGap(loops []GapLoop, opt GapOptions) (*GapResult, error) {
 		res.Summaries = append(res.Summaries, s)
 	}
 	return res, nil
-}
-
-// gapProblem audits one (loop, machine shape) problem.
-func gapProblem(gl GapLoop, cfg dlx.Config, n int, maxNodes int64) (GapRow, error) {
-	h, err := core.Best(gl.Graph, cfg)
-	if err != nil {
-		return GapRow{}, fmt.Errorf("gap: %s on %s: heuristic: %w", gl.Name, cfg.Name, err)
-	}
-	r, err := exact.Schedule(gl.Graph, cfg, exact.Options{N: n, MaxNodes: maxNodes})
-	if err != nil {
-		return GapRow{}, fmt.Errorf("gap: %s on %s: exact: %w", gl.Name, cfg.Name, err)
-	}
-	if err := check.Err(check.Verify(r.Schedule)); err != nil {
-		return GapRow{}, fmt.Errorf("gap: %s on %s: verifier rejected exact schedule: %w",
-			gl.Name, cfg.Name, err)
-	}
-	row := GapRow{
-		Loop: gl.Name, Config: cfg.Name,
-		HeurT: model.Predict(h, n), ExactT: r.T,
-		Bound: r.LowerBound, Optimal: r.Optimal,
-		Nodes: r.Nodes, Note: r.Note,
-	}
-	if r.T > 0 {
-		row.GapPct = 100 * float64(row.HeurT-row.ExactT) / float64(row.ExactT)
-	}
-	return row, nil
 }
 
 // Render formats the audit as a fixed-width gap table plus the per-machine
@@ -241,15 +183,4 @@ func (r *GapResult) JSON() ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
-}
-
-// SortRows orders rows by loop name then configuration name — for callers
-// assembling rows from concurrently audited shards.
-func (r *GapResult) SortRows() {
-	sort.Slice(r.Rows, func(i, j int) bool {
-		if r.Rows[i].Loop != r.Rows[j].Loop {
-			return r.Rows[i].Loop < r.Rows[j].Loop
-		}
-		return r.Rows[i].Config < r.Rows[j].Config
-	})
 }

@@ -16,9 +16,9 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // gapCorpus generates `want` loops by re-seeding the five paper benchmark
 // profiles (the same scheme as the repo's differential execution test), so
 // failures are reproducible by name.
-func gapCorpus(t testing.TB, want int) []GapLoop {
+func gapCorpus(t testing.TB, want int) []AuditLoop {
 	t.Helper()
-	var out []GapLoop
+	var out []AuditLoop
 	for variant := uint64(0); len(out) < want; variant++ {
 		for _, p := range perfect.Profiles() {
 			p.Name = fmt.Sprintf("%s/v%d", p.Name, variant)
@@ -28,11 +28,7 @@ func gapCorpus(t testing.TB, want int) []GapLoop {
 				t.Fatalf("generate %s: %v", p.Name, err)
 			}
 			for li, l := range s.Loops {
-				c, err := compileLoop(l)
-				if err != nil {
-					t.Fatalf("compile %s loop %d:\n%s\n%v", p.Name, li, l.Source, err)
-				}
-				out = append(out, GapLoop{Name: fmt.Sprintf("%s/%d", p.Name, li), Graph: c.g})
+				out = append(out, AuditLoop{Name: fmt.Sprintf("%s/%d", p.Name, li), Loop: l.AST})
 				if len(out) >= want {
 					return out
 				}
@@ -70,7 +66,7 @@ func TestOptimalityGap(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			res, err := RunGap([]GapLoop{gl}, GapOptions{MaxNodes: 25_000})
+			res, err := RunGap([]AuditLoop{gl}, GapOptions{MaxNodes: 25_000})
 			if err != nil {
 				t.Errorf("%s: %v", gl.Name, err)
 				return

@@ -5,15 +5,10 @@ import (
 	"strings"
 
 	"doacross/internal/core"
-	"doacross/internal/dep"
-	"doacross/internal/dfg"
 	"doacross/internal/dlx"
-	"doacross/internal/migrate"
 	"doacross/internal/model"
 	"doacross/internal/perfect"
-	"doacross/internal/sim"
-	"doacross/internal/syncop"
-	"doacross/internal/tac"
+	"doacross/internal/pipeline"
 )
 
 // MigRow is one benchmark's three-way comparison: traditional list
@@ -43,61 +38,49 @@ type MigrationResult struct {
 // placement migration produces; critical-path priority hoists waits and
 // destroys it — comparing the two quantifies the paper's core thesis that
 // source-level techniques are undone by synchronization-blind scheduling.
+//
+// Each loop runs through the batch pipeline twice at its suite's trip count,
+// as written and with the migration pass, so every schedule is verified and
+// the loops fan out over the pipeline's workers.
 func RunMigration(suites []*perfect.Suite, cfg dlx.Config, baseline core.ListPriority) (*MigrationResult, error) {
-	res := &MigrationResult{Config: cfg.Name}
-	for _, s := range suites {
-		row := MigRow{Name: s.Profile.Name}
+	var reqs []pipeline.Request
+	var suiteOf []int
+	for si, s := range suites {
 		for li, l := range s.Doacross() {
-			a := dep.Analyze(l.AST)
-			// Plain list and new scheduling on the original order.
-			cl, err := compileLoop(l)
-			if err != nil {
-				return nil, fmt.Errorf("tables: %s loop %d: %w", s.Profile.Name, li, err)
-			}
-			list, err := core.List(cl.g, cfg, baseline)
-			if err != nil {
-				return nil, err
-			}
-			syn, err := core.Sync(cl.g, cfg)
-			if err != nil {
-				return nil, err
-			}
-			// Migration, then list scheduling of the migrated loop.
-			mig, err := migrate.Migrate(a)
-			if err != nil {
-				return nil, err
-			}
-			ma := dep.Analyze(mig.Loop)
-			mprog, err := tac.Generate(syncop.Insert(ma, syncop.Options{}))
-			if err != nil {
-				return nil, err
-			}
-			mg, err := dfg.Build(mprog, ma)
-			if err != nil {
-				return nil, err
-			}
-			mlist, err := core.List(mg, cfg, baseline)
-			if err != nil {
-				return nil, err
-			}
-			opt := sim.Options{Lo: 1, Hi: s.Profile.N}
-			tl, err := sim.Time(list, opt)
-			if err != nil {
-				return nil, err
-			}
-			tm, err := sim.Time(mlist, opt)
-			if err != nil {
-				return nil, err
-			}
-			ts, err := sim.Time(syn, opt)
-			if err != nil {
-				return nil, err
-			}
-			row.List += tl.Total
-			row.Mig += tm.Total
-			row.Sync += ts.Total
-			row.ConvertedByMig += mig.Before - mig.After
+			reqs = append(reqs, pipeline.Request{
+				Name: fmt.Sprintf("%s loop %d", s.Profile.Name, li),
+				Loop: l.AST,
+				N:    s.Profile.N,
+			})
+			suiteOf = append(suiteOf, si)
 		}
+	}
+	opt := pipeline.Options{Machines: []dlx.Config{cfg}, Baseline: baseline}
+	plain, err := audit(reqs, opt)
+	if err != nil {
+		return nil, err
+	}
+	opt.Compile.Migrate = true
+	migrated, err := audit(reqs, opt)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]MigRow, len(suites))
+	for i, si := range suiteOf {
+		p, m := &plain[i].Machines[0], &migrated[i].Machines[0]
+		rows[si].List += p.ListTime
+		rows[si].Sync += p.SyncTime
+		rows[si].Mig += m.ListTime
+		// LBDs the migration converted, counted as migrate.Migrate counts
+		// its Before and After.
+		_, before := plain[i].Analysis.CountLexical()
+		_, after := migrated[i].Analysis.CountLexical()
+		rows[si].ConvertedByMig += before - after
+	}
+	res := &MigrationResult{Config: cfg.Name}
+	for si, s := range suites {
+		row := rows[si]
+		row.Name = s.Profile.Name
 		row.MigPct = model.Speedup(row.List, row.Mig)
 		row.SyncPct = model.Speedup(row.List, row.Sync)
 		res.Rows = append(res.Rows, row)

@@ -11,13 +11,11 @@ import (
 
 	"doacross/internal/core"
 	"doacross/internal/dep"
-	"doacross/internal/dfg"
 	"doacross/internal/dlx"
 	"doacross/internal/model"
 	"doacross/internal/passes"
 	"doacross/internal/perfect"
 	"doacross/internal/pipeline"
-	"doacross/internal/syncop"
 	"doacross/internal/tac"
 )
 
@@ -93,25 +91,6 @@ type LoopFailure struct {
 	Err error
 }
 
-// compiled caches one loop's analysis pipeline output.
-type compiled struct {
-	prog *tac.Program
-	g    *dfg.Graph
-}
-
-func compileLoop(l perfect.Loop) (compiled, error) {
-	a := dep.Analyze(l.AST)
-	prog, err := tac.Generate(syncop.Insert(a, syncop.Options{}))
-	if err != nil {
-		return compiled{}, err
-	}
-	g, err := dfg.Build(prog, a)
-	if err != nil {
-		return compiled{}, err
-	}
-	return compiled{prog: prog, g: g}, nil
-}
-
 // Run generates the suites and produces all tables with the default
 // baseline — critical-path list scheduling, the textbook "traditional list
 // scheduling" the paper compares against. The trip count comes from each
@@ -126,25 +105,10 @@ func Run() (*Result, error) {
 
 // RunOn produces the tables for the given suites, using the given list-
 // scheduling priority as the paper's "traditional list scheduling" baseline.
-// It runs the batch pipeline with a single worker and no cache, so it is
-// bit-identical to (and a thin wrapper over) RunParallel.
+// It runs the batch pipeline with a single worker and no cache, and fails
+// with the first loop the pipeline could not measure.
 func RunOn(suites []*perfect.Suite, baseline core.ListPriority) (*Result, error) {
-	return RunParallel(suites, baseline, 1, nil, nil)
-}
-
-// RunParallel produces the tables by fanning every (loop, configuration)
-// scheduling problem out over the batch pipeline with the given worker
-// count. An optional shared cache skips rescheduling repeated loop shapes
-// (the generated suites contain many); an optional shared metrics registry
-// aggregates stage latencies and cache traffic across calls (pass nil for a
-// private one — the numbers still reach the caller via pipeline stats when
-// a registry is supplied).
-func RunParallel(suites []*perfect.Suite, baseline core.ListPriority, workers int, cache *pipeline.Cache, metrics *pipeline.Metrics) (*Result, error) {
-	res, err := RunParallelWith(suites, baseline, pipeline.Options{
-		Workers: workers,
-		Cache:   cache,
-		Metrics: metrics,
-	})
+	res, err := RunParallelWith(suites, baseline, pipeline.Options{Workers: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +122,7 @@ func RunParallel(suites []*perfect.Suite, baseline core.ListPriority, workers in
 // RunParallelWith produces the tables through the batch pipeline configured
 // by opt (Machines and Baseline are overridden with the paper's four
 // configurations and the given baseline; Deadline/RequestTimeout and the
-// other robustness knobs pass through). Unlike RunParallel it keeps going
+// other robustness knobs pass through). Unlike RunOn it keeps going
 // when individual loops fail: failed loops are skipped from the aggregates
 // and recorded in Result.Failures so callers can report them and decide the
 // exit status themselves.

@@ -7,8 +7,8 @@ import (
 
 	"doacross/internal/core"
 	"doacross/internal/dlx"
+	"doacross/internal/passes"
 	"doacross/internal/pipeline"
-	"doacross/internal/sim"
 )
 
 // Machine-utilization audit: every kernel loop is scheduled (list baseline
@@ -80,22 +80,10 @@ type UtilConfigSummary struct {
 	MeanListEff float64 `json:"mean_list_eff"`
 	MeanSyncEff float64 `json:"mean_sync_eff"`
 	// Cycle totals over all rows of the shape (sync schedules).
-	Issued, SyncWait, WindowWait, Drain int64
-}
-
-// MarshalJSON keeps the summary's cycle totals in snake_case like the rows.
-func (s UtilConfigSummary) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Config      string  `json:"config"`
-		Loops       int     `json:"loops"`
-		MeanListEff float64 `json:"mean_list_eff"`
-		MeanSyncEff float64 `json:"mean_sync_eff"`
-		Issued      int64   `json:"issued_cycles"`
-		SyncWait    int64   `json:"sync_wait_cycles"`
-		WindowWait  int64   `json:"window_wait_cycles"`
-		Drain       int64   `json:"drain_cycles"`
-	}{s.Config, s.Loops, s.MeanListEff, s.MeanSyncEff,
-		s.Issued, s.SyncWait, s.WindowWait, s.Drain})
+	Issued     int64 `json:"issued_cycles"`
+	SyncWait   int64 `json:"sync_wait_cycles"`
+	WindowWait int64 `json:"window_wait_cycles"`
+	Drain      int64 `json:"drain_cycles"`
 }
 
 // UtilResult is the corpus-wide audit outcome (the committed
@@ -113,20 +101,34 @@ type UtilResult struct {
 // (critical path) and the paper's never-degrades scheduler are both
 // simulated under the machine-level tracer, whose attribution books are
 // verified to cover every cycle of every processor before a row is
-// reported. Problems are independent and audited concurrently; rows land
-// at precomputed indices, keeping the output deterministic.
-func RunUtil(loops []GapLoop, opt UtilOptions) (*UtilResult, error) {
+// reported. The batch pipeline schedules, verifies and traces every
+// problem; rows are loop-major in input order, then by shape.
+func RunUtil(loops []AuditLoop, opt UtilOptions) (*UtilResult, error) {
 	n := opt.n()
 	configs := opt.configs()
-	res := &UtilResult{N: n}
-	res.Rows = make([]UtilRow, len(loops)*len(configs))
-	err := pipeline.FanOut(0, len(res.Rows), func(idx int) error {
-		row, err := utilProblem(loops[idx/len(configs)], configs[idx%len(configs)], n)
-		res.Rows[idx] = row
-		return err
+	results, err := audit(requests(loops), pipeline.Options{
+		Machines: configs, N: n, Baseline: core.CriticalPath, Utilization: true,
+		Compile: passes.Options{Backend: "best"},
 	})
 	if err != nil {
 		return nil, err
+	}
+	res := &UtilResult{N: n}
+	for _, lr := range results {
+		for _, mr := range lr.Machines {
+			lu, su := mr.ListUtil, mr.SyncUtil
+			res.Rows = append(res.Rows, UtilRow{
+				Loop: lr.Name, Config: mr.Machine,
+				ListCycles: lu.Cycles, SyncCycles: su.Cycles,
+				ListEff: lu.SlotEfficiency, SyncEff: su.SlotEfficiency,
+				Issued: su.IssuedCycles, SyncWait: su.SyncWaitCycles,
+				WindowWait: su.WindowWaitCycles, Drain: su.DrainCycles,
+				EmptyRAW: su.EmptyRAW, EmptyFUBusy: su.EmptyFUBusy,
+				EmptyWidth: su.EmptyWidth, EmptyDrain: su.EmptyDrain,
+				LBDWait: su.LBDWaitCycles, LFDWait: su.LFDWaitCycles,
+				Signals: su.SignalsSent,
+			})
+		}
 	}
 	for _, cfg := range configs {
 		s := UtilConfigSummary{Config: cfg.Name}
@@ -149,38 +151,6 @@ func RunUtil(loops []GapLoop, opt UtilOptions) (*UtilResult, error) {
 		res.Summaries = append(res.Summaries, s)
 	}
 	return res, nil
-}
-
-// utilProblem traces one (loop, machine shape) problem.
-func utilProblem(gl GapLoop, cfg dlx.Config, n int) (UtilRow, error) {
-	list, err := core.List(gl.Graph, cfg, core.CriticalPath)
-	if err != nil {
-		return UtilRow{}, fmt.Errorf("util: %s on %s: list: %w", gl.Name, cfg.Name, err)
-	}
-	best, err := core.Best(gl.Graph, cfg)
-	if err != nil {
-		return UtilRow{}, fmt.Errorf("util: %s on %s: scheduler: %w", gl.Name, cfg.Name, err)
-	}
-	simOpt := sim.Options{Lo: 1, Hi: n}
-	_, lu, err := sim.Utilize(list, simOpt)
-	if err != nil {
-		return UtilRow{}, fmt.Errorf("util: %s on %s: trace list: %w", gl.Name, cfg.Name, err)
-	}
-	_, su, err := sim.Utilize(best, simOpt)
-	if err != nil {
-		return UtilRow{}, fmt.Errorf("util: %s on %s: trace sync: %w", gl.Name, cfg.Name, err)
-	}
-	return UtilRow{
-		Loop: gl.Name, Config: cfg.Name,
-		ListCycles: lu.Cycles, SyncCycles: su.Cycles,
-		ListEff: lu.SlotEfficiency, SyncEff: su.SlotEfficiency,
-		Issued: su.IssuedCycles, SyncWait: su.SyncWaitCycles,
-		WindowWait: su.WindowWaitCycles, Drain: su.DrainCycles,
-		EmptyRAW: su.EmptyRAW, EmptyFUBusy: su.EmptyFUBusy,
-		EmptyWidth: su.EmptyWidth, EmptyDrain: su.EmptyDrain,
-		LBDWait: su.LBDWaitCycles, LFDWait: su.LFDWaitCycles,
-		Signals: su.SignalsSent,
-	}, nil
 }
 
 // Render formats the audit as a fixed-width machine-observability table,
