@@ -2,7 +2,11 @@
 // (benchmark characteristics), Table 2 (parallel execution time of list vs.
 // new scheduling over four machine configurations) and Table 3 (improvement
 // percentages), using the synthetic Perfect suites, the two schedulers, and
-// the recurrence simulator.
+// the recurrence simulator; plus the comparison with synchronization
+// migration and three audits (exact-backend optimality gap, machine
+// utilization, dependence precision). Every one of them is a client of the
+// batch pipeline (internal/pipeline), which compiles, schedules, verifies
+// and simulates each loop.
 package tables
 
 import (
