@@ -71,28 +71,47 @@ func toDisk(s *core.Schedule) *diskSchedule {
 // rebuild reconstructs a core.Schedule from its persisted rows over a
 // freshly recompiled program and graph (nil in, nil out). It validates only
 // the indexing shape needed to build the struct; semantic verification is
-// check.VerifyLoaded's job.
+// check.VerifyLoaded's job. The schedule owns its storage, laid out as
+// core.Schedule.Clone lays it out: Cycle and every row share one
+// allocation, so rows a payloadReader lends are copied, never kept.
 func (d *diskSchedule) rebuild(prog *core.Schedule) (*core.Schedule, error) {
 	if d == nil {
 		return nil, nil
 	}
 	n := len(prog.Prog.Instrs)
-	cycle := make([]int, n)
-	for i := range cycle {
-		cycle[i] = -1
+	total := n
+	for _, row := range d.Rows {
+		total += len(row)
+	}
+	flat := make([]int, n, total)
+	for i := range flat {
+		flat[i] = -1
+	}
+	var rows [][]int
+	if d.Rows != nil {
+		rows = make([][]int, len(d.Rows))
 	}
 	for c, row := range d.Rows {
+		if len(row) == 0 {
+			if row != nil {
+				rows[c] = []int{} // empty, as read, without the reader's storage
+			}
+			continue
+		}
+		off := len(flat)
 		for _, v := range row {
 			if v < 0 || v >= n {
 				return nil, fmt.Errorf("row %d references unknown instruction %d", c, v)
 			}
-			if cycle[v] != -1 {
+			if flat[v] != -1 {
 				return nil, fmt.Errorf("instruction %d scheduled twice", v)
 			}
-			cycle[v] = c
+			flat[v] = c
+			flat = append(flat, v)
 		}
+		rows[c] = flat[off:len(flat):len(flat)]
 	}
-	for i, c := range cycle {
+	for i, c := range flat[:n] {
 		if c == -1 {
 			return nil, fmt.Errorf("instruction %d never scheduled", i)
 		}
@@ -101,8 +120,8 @@ func (d *diskSchedule) rebuild(prog *core.Schedule) (*core.Schedule, error) {
 		Prog:   prog.Prog,
 		Graph:  prog.Graph,
 		Cfg:    prog.Cfg,
-		Cycle:  cycle,
-		Rows:   d.Rows,
+		Cycle:  flat[:n:n],
+		Rows:   rows,
 		Method: d.Method,
 	}, nil
 }
@@ -175,7 +194,9 @@ func (ls LoadStats) String() string {
 // LoadStats is summed from the slots after the join, so the counts do not
 // depend on scheduling. Every entry is re-earned, never trusted:
 //
-//  1. The store's checksum and header must validate (torn writes, bit rot).
+//  1. The store's checksum and header must validate (torn writes, bit rot),
+//     and the payload must read as json.Marshal writes a diskPayload
+//     (payloadReader, held to encoding/json by the tests).
 //  2. The entry's compile salt and window must be opt's, and its
 //     scheduler salt opt's under any backend (passes.BackendNames);
 //     entries written under other options are skipped as stale.
@@ -299,8 +320,12 @@ func (l *loader) load(ctx context.Context, k dfg.Fingerprint) (loadOutcome, erro
 		_ = l.d.Quarantine(k)
 		return loadCorrupt, nil
 	}
+	// The reader lends p its schedules until it goes back to the pool:
+	// rebuild copies the rows a restored schedule keeps.
+	reader := payloadReaders.Get().(*payloadReader)
+	defer payloadReaders.Put(reader)
 	var p diskPayload
-	if err := json.Unmarshal(payload, &p); err != nil {
+	if err := reader.read(payload, &p); err != nil {
 		return quarantine()
 	}
 	if p.CompileSalt != l.compileSalt || !slices.Contains(l.schedSalts, p.SchedSalt) || p.Window != l.window {
