@@ -682,7 +682,7 @@ type depOrder []Dependence
 func (s depOrder) Len() int      { return len(s) }
 func (s depOrder) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
 func (s depOrder) Less(i, j int) bool {
-	a, b := s[i], s[j]
+	a, b := &s[i], &s[j] // a Dependence is too large to copy per comparison
 	if a.Src.Stmt != b.Src.Stmt {
 		return a.Src.Stmt < b.Src.Stmt
 	}

@@ -170,17 +170,51 @@ func (r *Recorder) End(s *Span, err error, attrs ...Attr) {
 	if err != nil {
 		s.Err = err.Error()
 	}
-	if len(attrs) > 0 {
-		s.Attrs = append(s.Attrs, attrs...)
-	}
-	r.publish(*s)
+	sp := seal(s, attrs)
+	s.Attrs = sp.Attrs
+	i := r.next.Add(1) - 1
+	r.slots[i&r.mask].Store(sp)
 }
 
-// publish stores a finished span into the ring.
-func (r *Recorder) publish(s Span) {
-	i := r.next.Add(1) - 1
-	sp := s // private copy; the stored pointer is never mutated again
-	r.slots[i&r.mask].Store(&sp)
+// seal copies the finished span s, with extra appended to its attributes,
+// into storage that is never mutated again. The span and its attributes
+// share one allocation when they number at most nine, the most a pipeline
+// span carries; the attributes are capacity-capped, so an append to them
+// copies.
+func seal(s *Span, extra []Attr) *Span {
+	n := len(s.Attrs) + len(extra)
+	attrs := func(buf []Attr) []Attr {
+		return append(append(buf[:0:n], s.Attrs...), extra...)
+	}
+	switch {
+	case n == 0:
+		c := *s
+		return &c
+	case n == 1:
+		b := &struct {
+			span Span
+			buf  [1]Attr
+		}{span: *s}
+		b.span.Attrs = attrs(b.buf[:])
+		return &b.span
+	case n <= 3:
+		b := &struct {
+			span Span
+			buf  [3]Attr
+		}{span: *s}
+		b.span.Attrs = attrs(b.buf[:])
+		return &b.span
+	case n <= 9:
+		b := &struct {
+			span Span
+			buf  [9]Attr
+		}{span: *s}
+		b.span.Attrs = attrs(b.buf[:])
+		return &b.span
+	}
+	c := *s
+	c.Attrs = attrs(make([]Attr, n))
+	return &c
 }
 
 // Len returns the number of spans currently held (at most the ring size).
